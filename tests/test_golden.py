@@ -1,0 +1,71 @@
+"""Byte-for-byte CLI outputs against files recorded under tests/golden/.
+
+Each case runs ``cli.main`` in-process.  Its stdout is compared with
+``<name>.stdout`` and, for a case with ``--out``, the written file with
+``<name>.file``.  ``{golden}`` in an argument names the golden directory
+(decompose reads its input from there) and ``{out}`` a temporary file.
+
+To record the files again after an intended output change, run
+``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from padic_ladders import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _ladder(p, ap, level, index, *extra):
+    return ["ladder", "--p", str(p), "--ap", str(ap), "--level", str(level),
+            "--index", str(index), *extra]
+
+
+CASES = {
+    **{f"ladder_3_3_l2_i{i}": _ladder(3, 3, 2, i) for i in (-2, 0, 1, 3)},
+    "ladder_2_m2_l3_i1": _ladder(2, -2, 3, 1),
+    **{f"ladder_3_3_l1_i{i}_cap2": _ladder(3, 3, 1, i, "--cap", "2") for i in (0, 1)},
+    **{f"ladder_{p}_{ap}_inf_i1": _ladder(p, ap, "infinity", 1, "--cap", "30", "--prec", "8")
+       for p, ap in ((2, 2), (5, 0))},
+    "halflog_3_0": ["halflog", "--p", "3", "--ap", "0", "--cap", "30", "--prec", "6"],
+    "table_3_m3": ["table", "--p", "3", "--ap", "-3", "--imin", "-2", "--imax", "7"],
+    "decompose_3_3_l3": ["decompose", "--p", "3", "--ap", "3", "--level", "3",
+                         "--in", "{golden}/decompose_3_3_l3.in.json"],
+    "verify_3_3": ["verify", "--p", "3", "--ap", "3", "--out", "{out}"],
+}
+
+
+def run_case(name, out_path):
+    """(exit code, stdout, bytes written to --out or None) of one case."""
+    argv = [a.format(golden=GOLDEN, out=out_path) for a in CASES[name]]
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    written = Path(out_path).read_bytes() if "{out}" in CASES[name] else None
+    return code, buf.getvalue().encode(), written
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(name, tmp_path):
+    code, stdout, written = run_case(name, tmp_path / "out")
+    assert code == cli.EXIT_OK
+    assert stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+    if written is not None:
+        assert written == (GOLDEN / f"{name}.file").read_bytes()
+
+
+if __name__ == "__main__":
+    scratch = GOLDEN / "_out.tmp"
+    for name in sorted(CASES):
+        code, stdout, written = run_case(name, scratch)
+        if code != cli.EXIT_OK:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.stdout").write_bytes(stdout)
+        if written is not None:
+            (GOLDEN / f"{name}.file").write_bytes(written)
+            scratch.unlink()
