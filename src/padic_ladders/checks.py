@@ -185,21 +185,6 @@ def check_coefficient_factorization(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_transformation_consistency(cfg: CheckConfig) -> Optional[str]:
-    from .trace import ap_parity_value
-
-    for n in range(1, min(cfg.n_max, 3) + 1):
-        for i in range(-2, 3):
-            a = ap_parity_value(cfg.p, cfg.ap, i)
-            low = ladder(cfg.p, cfg.ap, n, i)
-            high = ladder(cfg.p, cfg.ap, n, i + 1)
-            for col in range(2):
-                top = low.entries[0][col] * a - low.entries[1][col]
-                if not (high.entries[0][col] == top and high.entries[1][col] == low.entries[0][col]):
-                    return f"shift mismatch at n={n}, i={i}"
-    return None
-
-
 def check_kernel_membership(cfg: CheckConfig) -> Optional[str]:
     for n in range(1, min(cfg.n_max, 3) + 1):
         for i in (0, 1, 2):

@@ -18,7 +18,7 @@ from typing import Optional
 from .checks import CheckConfig, default_configs, run_suite
 from .coleman import KERNEL_COSET_NOTE, LambdaPair, decompose
 from .curves import CurveData, count_points, is_supersingular
-from .errors import PadicLaddersError
+from .errors import PadicLaddersError, SerializationError, UsageError
 from .ladders import half_logs, ladder, ladder_infinity
 from .series import LambdaElement, PowerSeries
 from .trace import delta_table
@@ -80,11 +80,18 @@ def _cmd_halflog(args) -> int:
 
 def _read_pair(path: str, p: int, level: int) -> LambdaPair:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SerializationError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise SerializationError(f"{path} must hold a JSON object")
     first = data.get("first", data.get("theta"))
     second = data.get("second", data.get("upsilon"))
     if first is None or second is None:
         raise UsageError("input JSON needs first/second (or theta/upsilon) series")
+    if not (isinstance(first, dict) and isinstance(second, dict)):
+        raise SerializationError("first/second must be JSON objects")
     mk = lambda d: LambdaElement(p, level, PowerSeries.from_json(dict(d, p=p)))
     return LambdaPair(mk(first), mk(second))
 
@@ -147,12 +154,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-class UsageError(Exception):
-    pass
+def _positive_int(value: str) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
 
 
 def _level_arg(value: str):
-    return value if value == "infinity" else int(value)
+    return value if value == "infinity" else _positive_int(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,23 +190,23 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--level", type=_level_arg, required=True,
                    help="integer level or 'infinity'")
     l.add_argument("--index", type=int, required=True)
-    l.add_argument("--cap", type=int)
-    l.add_argument("--prec", type=int)
+    l.add_argument("--cap", type=_positive_int)
+    l.add_argument("--prec", type=_positive_int)
     l.add_argument("--out")
     l.set_defaults(fn=_cmd_ladder)
 
     h = sub.add_parser("halflog", help="half-logarithm pair")
     h.add_argument("--p", type=int, required=True)
     h.add_argument("--ap", type=int, required=True)
-    h.add_argument("--cap", type=int, required=True)
-    h.add_argument("--prec", type=int, required=True)
+    h.add_argument("--cap", type=_positive_int, required=True)
+    h.add_argument("--prec", type=_positive_int, required=True)
     h.add_argument("--out")
     h.set_defaults(fn=_cmd_halflog)
 
     d = sub.add_parser("decompose", help="invert the ladder map on a pair")
     d.add_argument("--p", type=int, required=True)
     d.add_argument("--ap", type=int, required=True)
-    d.add_argument("--level", type=int, required=True)
+    d.add_argument("--level", type=_positive_int, required=True)
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out")
     d.set_defaults(fn=_cmd_decompose)
@@ -211,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int)
     v.add_argument("--ap", type=int)
     v.add_argument("--nmax", type=int, default=3)
-    v.add_argument("--cap", type=int, default=24)
-    v.add_argument("--prec", type=int, default=5)
+    v.add_argument("--cap", type=_positive_int, default=24)
+    v.add_argument("--prec", type=_positive_int, default=5)
     v.add_argument("--trials", type=int, default=10)
     v.add_argument("--out")
     v.set_defaults(fn=_cmd_verify)

@@ -17,17 +17,20 @@ from typing import Tuple
 
 from .errors import IdentityViolation
 from .ladders import ladder
-from .padics import PadicScalar
+from .padics import PadicScalar, rational_valuation
 from .report import CheckReport
 from .series import (
     LambdaElement,
     PowerSeries,
     exact_divide,
+    ladder_rows,
     omega,
+    omega_coeffs,
     phi,
+    poly_rem,
     reduce_mod,
 )
-from .trace import ap_parity_value, period_constants
+from .trace import period_constants
 
 
 @dataclass(frozen=True)
@@ -174,38 +177,17 @@ def limit_lemma_check(p: int, ap: int, m: int, nu: int) -> CheckReport:
     period_constants(p, ap)
     if m < 1 or nu < 0:
         raise ValueError("need m >= 1 and nu >= 0")
-    level = 2 * m + nu
-    w = omega(p, nu)
-    one = PowerSeries.one(p)
-    zero = PowerSeries.zero(p)
-    rows = [[one, zero], [zero, one]]
-    for k in range(1, level + 1):
-        # (1+X)^(p^nu) = 1 mod omega_nu, so Phi_k = p mod omega_nu once k > nu
-        phik = reduce_mod(phi(p, k), w) if k <= nu else PowerSeries(p, [p])
-        top, bot = rows
-        rows = [
-            [
-                reduce_mod(top[0] * ap - phik.mul(bot[0]), w),
-                reduce_mod(top[1] * ap - phik.mul(bot[1]), w),
-            ],
-            top,
-        ]
-    # shift from index 1 up to index 2m+1 (the generator rows 2m+1 and 2m)
-    idx = 1
-    while idx < 2 * m + 1:
-        top, bot = rows
-        a = ap_parity_value(p, ap, idx)
-        rows = [[top[0] * a - bot[0], top[1] * a - bot[1]], top]
-        idx += 1
-    x = PowerSeries.x_power(p, 1)
-    for row in rows:
-        for s in (reduce_mod(x.mul(row[1]), w), reduce_mod(-x.mul(row[0]), w)):
-            for k, c in enumerate(s.coeffs):
-                if c.is_zero():
-                    continue
-                if c.valuation() < m:
+    # Rows 2m+1 and 2m are kept mod p^m: p^m divides a coefficient exactly when
+    # its residue is 0, whatever its sign, so X*theta stands for -X*theta.
+    mod = p ** m
+    rows = ladder_rows(p, ap, 2 * m + nu, 2 * m + 1, mod=mod, nu=nu)
+    w = omega_coeffs(p, nu)
+    for theta, upsilon in rows:
+        for s in (upsilon, theta):
+            for k, c in enumerate(poly_rem([0] + s, w, mod)):
+                if c:
                     raise IdentityViolation(
-                        f"coefficient of X^{k} has valuation {c.valuation()} < {m} "
+                        f"coefficient of X^{k} has valuation {rational_valuation(c, p)} < {m} "
                         f"at (p, a_p, m, nu) = ({p}, {ap}, {m}, {nu})"
                     )
     return CheckReport(

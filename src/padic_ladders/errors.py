@@ -5,6 +5,10 @@ class PadicLaddersError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class UsageError(Exception):
+    """A bad argument or environment setting, not a domain outcome (CLI exit 2)."""
+
+
 class NonPrimeModulus(PadicLaddersError):
     """The requested modulus p is not prime."""
 

@@ -18,13 +18,21 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import List, Optional, Tuple, Union
 
-from .errors import IdentityViolation, NotConverged
+from .errors import IdentityViolation, NotConverged, UsageError
 from .padics import PadicScalar, QuadExtScalar
 from .report import CheckReport
-from .series import PowerSeries, phi, phi_truncated, reduce_mod
-from .trace import ap_parity_value, beta, period_constants
+from .series import (
+    PowerSeries,
+    append_factor,
+    ladder_rows,
+    phi_truncated,
+    reduce_mod,
+    shift_rows,
+)
+from .trace import beta, period_constants
 
 Rows = List[List[PowerSeries]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
 
@@ -34,52 +42,6 @@ ENV_MAX_LIMIT_STEPS = "SPRUNG_MAX_LIMIT_STEPS"
 def n_shift(p: int, n: int) -> int:
     """The level-to-conductor shift N: n+1 for odd p, n+2 for p = 2."""
     return n + 1 if p != 2 else n + 2
-
-
-def _base_rows(p: int, ap: int, n: int, cap: Optional[int], absprec: Optional[int]) -> Rows:
-    one = PowerSeries.one(p)
-    zero = PowerSeries.zero(p)
-    rows: Rows = [[one, zero], [zero, one]]
-    for k in range(1, n + 1):
-        if cap is None:
-            phik = phi(p, k)
-        else:
-            phik = phi_truncated(p, k, cap, absprec)
-        top, bot = rows
-        new_top = [
-            (top[0] * ap - phik.mul(bot[0], cap)).truncate(cap) if cap is not None
-            else top[0] * ap - phik.mul(bot[0]),
-            (top[1] * ap - phik.mul(bot[1], cap)).truncate(cap) if cap is not None
-            else top[1] * ap - phik.mul(bot[1]),
-        ]
-        rows = [new_top, top]
-    return rows
-
-
-def _shift_up(rows: Rows, a: int) -> Rows:
-    # [[a, -1], [1, 0]] acting on (top; bottom)
-    top, bot = rows
-    return [[top[0] * a - bot[0], top[1] * a - bot[1]], top]
-
-
-def _shift_down(rows: Rows, a: int) -> Rows:
-    # inverse [[0, 1], [-1, a]] acting on (top; bottom)
-    top, bot = rows
-    return [bot, [bot[0] * a - top[0], bot[1] * a - top[1]]]
-
-
-def _rows_at_index(p: int, ap: int, rows1: Rows, i: int, parity_flip: bool = False) -> Rows:
-    """Shift the index-1 rows to index i; parity_flip corrupts a_p(.) for fault injection."""
-    off = 1 if parity_flip else 0
-    rows = rows1
-    idx = 1
-    while idx < i:
-        rows = _shift_up(rows, ap_parity_value(p, ap, idx + off))
-        idx += 1
-    while idx > i:
-        rows = _shift_down(rows, ap_parity_value(p, ap, idx - 1 + off))
-        idx -= 1
-    return rows
 
 
 @dataclass
@@ -156,89 +118,31 @@ def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> Ladder
         raise ValueError("level n must be >= 1")
     if cap is not None and cap >= p ** n + 1:
         cap = None  # full polynomials fit, no truncation needed
-    rows1 = _base_rows(p, ap, n, cap, None)
-    rows = _rows_at_index(p, ap, rows1, i)
-    return LadderMatrix(p, ap, n, i, rows, cap)
+    rows = ladder_rows(p, ap, n, i, cap)
+    # Row 0 at level 1 is the identity row (1, 0), untouched by any factor,
+    # so it stays an exact polynomial; every other row went through X^cap.
+    caps = [None if n == 1 and idx == 0 else cap for idx in (i, i - 1)]
+    entries = [[PowerSeries(p, s, c) for s in row] for row, c in zip(rows, caps)]
+    return LadderMatrix(p, ap, n, i, entries, cap)
 
 
 def _max_limit_steps(p: int, cap: int, prec: int) -> int:
     env = os.environ.get(ENV_MAX_LIMIT_STEPS)
-    if env is not None:
-        return int(env)
-    return math.ceil(math.log(max(cap, 2), p)) + 2 * prec + 8
+    if env is None:
+        return math.ceil(math.log(max(cap, 2), p)) + 2 * prec + 8
+    try:
+        steps = int(env)
+    except ValueError:
+        steps = 0
+    if steps < 1:
+        raise UsageError(f"{ENV_MAX_LIMIT_STEPS} must be a positive integer, got {env!r}")
+    return steps
 
 
-# The limit iteration runs on plain integer coefficient lists modulo p^work;
-# every step (cyclotomic factor, unimodular shift) is Z-linear, so reducing
-# modulo a fixed p-power is sound, and Fraction overhead is paid only once
-# at the final scaling.
-
-IntRows = List[List[List[int]]]
-
-
-def _mul_trunc_int(a: List[int], b: List[int], cap: int, mod: int) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * min(cap, len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        lim = min(cap - i, len(b))
-        for j in range(lim):
-            out[i + j] += ai * b[j]
-    return [x % mod for x in out]
-
-
-def _row_combo_int(x: List[int], y: List[int], a: int, mod: int) -> List[int]:
-    # a*x - y, padded to the longer length
-    n = max(len(x), len(y))
-    out = []
-    for k in range(n):
-        xv = x[k] if k < len(x) else 0
-        yv = y[k] if k < len(y) else 0
-        out.append((a * xv - yv) % mod)
-    return out
-
-
-def _phi_ints(p: int, j: int, cap: int, mod: int) -> List[int]:
-    out = []
-    for k in range(cap):
-        s = 0
-        for t in range(p):
-            e = p ** (j - 1) * t
-            if k <= e:
-                s += math.comb(e, k)
-        out.append(s % mod)
-    return out
-
-
-def _append_factor_int(p: int, ap: int, rows: IntRows, k: int, cap: int, mod: int) -> IntRows:
-    phik = _phi_ints(p, k, cap, mod)
-    top, bot = rows
-    new_top = []
-    for c in range(2):
-        conv = _mul_trunc_int(phik, bot[c], cap, mod)
-        new_top.append(_row_combo_int(top[c], conv, ap, mod))
-    return [new_top, top]
-
-
-def _rows_at_index_int(
-    p: int, ap: int, rows1: IntRows, i: int, mod: int, parity_flip: bool
-) -> IntRows:
-    off = 1 if parity_flip else 0
-    rows = rows1
-    idx = 1
-    while idx < i:
-        a = ap_parity_value(p, ap, idx + off)
-        top, bot = rows
-        rows = [[_row_combo_int(top[c], bot[c], a, mod) for c in range(2)], top]
-        idx += 1
-    while idx > i:
-        a = ap_parity_value(p, ap, idx - 1 + off)
-        top, bot = rows
-        rows = [bot, [_row_combo_int(bot[c], top[c], a, mod) for c in range(2)]]
-        idx -= 1
-    return rows
+# The limit iteration runs the integer ladder rows modulo p^work; every step
+# (cyclotomic factor, unimodular shift) is Z-linear, so reducing modulo a
+# fixed p-power is sound, and Fraction overhead is paid only once at the
+# final scaling.
 
 
 def ladder_infinity(
@@ -269,28 +173,24 @@ def ladder_infinity(
     work = prec + (n_stop + 3 + abs(i)) // 2 + 4
     mod = p ** work
 
-    rows1: IntRows = [[[1], []], [[], [1]]]
-    for k in range(1, n_start):
-        rows1 = _append_factor_int(p, ap, rows1, k, cap, mod)
+    rows1 = ladder_rows(p, ap, n_start - 1, 1, cap, mod)
 
     prev = None  # (ints rows, e_top, e_bot)
     agreements = 0
     n = n_start - 1
     while n < n_stop:
         n += 1
-        rows1 = _append_factor_int(p, ap, rows1, n, cap, mod)
+        rows1 = append_factor(p, ap, rows1, n, cap, mod)
         N = n_shift(p, n)
-        shifted = _rows_at_index_int(p, ap, rows1, i - N, mod, _corrupt_parity)
+        shifted = shift_rows(p, ap, rows1, i - N, mod, _corrupt_parity)
         e_top = -((i - N) // 2)
         e_bot = -((i - 1 - N) // 2)
         approx = (shifted, e_top, e_bot)
         if prev is not None and _int_approx_congruent(p, prev, approx, prec):
             agreements += 1
             if agreements >= 2:
-                entries = [
-                    [_ints_to_series(p, shifted[0][c], e_top, cap, prec) for c in range(2)],
-                    [_ints_to_series(p, shifted[1][c], e_bot, cap, prec) for c in range(2)],
-                ]
+                entries = [[_ints_to_series(p, s, e, cap, prec) for s in row]
+                           for row, e in zip(shifted, (e_top, e_bot))]
                 return LadderMatrix(
                     p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n
                 )
@@ -309,16 +209,10 @@ def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
     for r, (ea, eb) in enumerate(((ea_top, eb_top), (ea_bot, eb_bot))):
         # x/p^ea = y/p^eb mod p^prec  <=>  x*p^eb - y*p^ea = 0 mod p^(prec+ea+eb)
         modulus = p ** (prec + ea + eb)
-        sa = p ** eb
-        sb = p ** ea
-        for c in range(2):
-            x, y = rows_a[r][c], rows_b[r][c]
-            n = max(len(x), len(y))
-            for k in range(n):
-                xv = x[k] if k < len(x) else 0
-                yv = y[k] if k < len(y) else 0
-                if (xv * sa - yv * sb) % modulus:
-                    return False
+        sa, sb = p ** eb, p ** ea
+        for x, y in zip(rows_a[r], rows_b[r]):
+            if any((xv * sa - yv * sb) % modulus for xv, yv in zip_longest(x, y, fillvalue=0)):
+                return False
     return True
 
 

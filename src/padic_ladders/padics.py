@@ -305,11 +305,26 @@ class PadicScalar:
 
     @classmethod
     def from_json(cls, p: int, data: dict) -> "PadicScalar":
+        if not isinstance(data, dict):
+            raise SerializationError(f"a scalar must be a JSON object, got {data!r}")
         absprec = data.get("absprec", "inf")
-        absprec = None if absprec in ("inf", None) else int(absprec)
-        num = int(data["num"])
-        den_pow = int(data.get("den_pow", 0))
+        absprec = None if absprec in ("inf", None) else _json_int(data, "absprec")
+        num = _json_int(data, "num")
+        den_pow = _json_int(data, "den_pow", 0)
+        if den_pow < 0:
+            raise SerializationError(f"den_pow must be >= 0, got {den_pow}")
         return cls(p, Fraction(num, p ** den_pow), absprec)
+
+
+def _json_int(data: dict, key: str, default=None) -> int:
+    """An integer field of a wire-format object: a JSON integer or a decimal string."""
+    value = data.get(key, default)
+    try:
+        if isinstance(value, (int, str)) and not isinstance(value, bool):
+            return int(value)
+    except ValueError:
+        pass
+    raise SerializationError(f"field {key!r} must be an integer, got {value!r}")
 
 
 # -- spec-level operation wrappers -------------------------------------------

@@ -13,12 +13,13 @@ polynomial spanned by its tracked coefficients.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from itertools import zip_longest
+from typing import Iterable, List, Optional, Sequence, Union
 
 from .errors import InexactDivision, PrecisionExhausted
 from .padics import PadicScalar, require_prime
+from .trace import ap_parity_value, period_constants
 
 ScalarLike = Union[int, Fraction, PadicScalar]
 
@@ -248,53 +249,155 @@ class PowerSeries:
         return rows
 
 
+# -- integer coefficient lists ------------------------------------------------
+#
+# Phi_j(1+X), omega_n and every finite-level ladder row are integer
+# polynomials: lists of ints, index = degree, that become PowerSeries only at
+# the API boundary.  Truncation at X^cap, reduction of the coefficients mod an
+# integer and reduction mod a monic polynomial are ring maps, so applying them
+# after every step is sound.
+
+Poly = List[int]
+IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
+
+
+def _reduced(coeffs: Poly, mod: Optional[int]) -> Poly:
+    return coeffs if mod is None else [c % mod for c in coeffs]
+
+
+def _binomials(e: int, count: int) -> Poly:
+    """C(e, k) for 0 <= k < min(count, e+1), by C(e, k+1) = C(e, k)(e-k)/(k+1)."""
+    out, c = [], 1
+    for k in range(min(count, e + 1)):
+        out.append(c)
+        c = c * (e - k) // (k + 1)
+    return out
+
+
+def phi_coeffs(p: int, j: int, cap: Optional[int] = None, mod: Optional[int] = None) -> Poly:
+    """Phi_j(1+X) = sum_{t<p} (1+X)^(p^(j-1) t): monic, constant term p.
+
+    With cap, exactly cap coefficients (zero past the degree); with mod, each
+    coefficient reduced into [0, mod).
+    """
+    require_prime(p)
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    q = p ** (j - 1)
+    out = [0] * (q * (p - 1) + 1 if cap is None else cap)
+    for t in range(p):
+        for k, c in enumerate(_binomials(q * t, len(out))):
+            out[k] += c
+    return _reduced(out, mod)
+
+
+def omega_coeffs(p: int, n: int) -> Poly:
+    """omega_n(X) = (1+X)^(p^n) - 1, monic of degree p^n."""
+    require_prime(p)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return [0] + _binomials(p ** n, p ** n + 1)[1:]
+
+
+def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None, mod: Optional[int] = None) -> Poly:
+    """a*b below X^cap: min(cap, len(a)+len(b)-1) coefficients, none if a or b is []."""
+    n = len(a) + len(b) - 1 if a and b else 0
+    out = [0] * (n if cap is None else min(n, cap))
+    for i, ai in enumerate(a[: len(out)]):
+        if ai:
+            for k, bk in enumerate(b[: len(out) - i], i):
+                out[k] += ai * bk
+    return _reduced(out, mod)
+
+
+def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:
+    """Remainder of f modulo the monic polynomial g (g[-1] == 1)."""
+    d = len(g) - 1
+    f = list(f)
+    while len(f) > d:
+        c = f.pop()
+        if c:
+            for t in range(d):
+                f[t - d] -= c * g[t]
+    return _reduced(f, mod)
+
+
+def _combine(a: int, x: Poly, y: Poly, mod: Optional[int]) -> Poly:
+    """a*x - y, as long as the longer operand."""
+    return _reduced([a * xk - yk for xk, yk in zip_longest(x, y, fillvalue=0)], mod)
+
+
+def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = None,
+                  mod: Optional[int] = None, nu: Optional[int] = None) -> IntRows:
+    """[[a_p, -Phi_k(1+X)], [1, 0]] applied to (top; bottom).
+
+    With nu, entries live in Z[X]/omega_nu: products are reduced mod omega_nu
+    and Phi_k is the constant p once k > nu, since (1+X)^(p^nu) = 1 there.
+    For k <= nu, Phi_k has degree below p^nu and is already reduced.
+    """
+    top, bot = rows
+    phik = [p] if nu is not None and k > nu else phi_coeffs(p, k, cap, mod)
+    new_top = []
+    for x, y in zip(top, bot):
+        prod = poly_mul(phik, y, cap, mod)
+        if nu is not None:
+            prod = poly_rem(prod, omega_coeffs(p, nu), mod)
+        new_top.append(_combine(ap, x, prod, mod))
+    return [new_top, top]
+
+
+def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None,
+               parity_flip: bool = False) -> IntRows:
+    """Move index-1 rows to index i by [[a_p(idx), -1], [1, 0]] or its inverse.
+
+    A shift is a Z-linear combination, so capped or omega-reduced rows stay so.
+    parity_flip reads a_p(idx+1) for a_p(idx), a deliberate fault for tests.
+    """
+    off = 1 if parity_flip else 0
+    idx = 1
+    while idx < i:
+        a = ap_parity_value(p, ap, idx + off)
+        top, bot = rows
+        rows = [[_combine(a, x, y, mod) for x, y in zip(top, bot)], top]
+        idx += 1
+    while idx > i:
+        a = ap_parity_value(p, ap, idx - 1 + off)
+        top, bot = rows
+        rows = [bot, [_combine(a, y, x, mod) for x, y in zip(top, bot)]]
+        idx -= 1
+    return rows
+
+
+def ladder_rows(p: int, ap: int, n: int, i: int, cap: Optional[int] = None,
+                mod: Optional[int] = None, nu: Optional[int] = None) -> IntRows:
+    """Rows (i, i-1) of the level-n ladder, built up from the identity rows."""
+    rows: IntRows = [[[1], []], [[], [1]]]
+    for k in range(1, n + 1):
+        rows = append_factor(p, ap, rows, k, cap, mod, nu)
+    return shift_rows(p, ap, rows, i, mod)
+
+
 # -- cyclotomic building blocks ----------------------------------------------
 
 
 def phi(p: int, j: int) -> PowerSeries:
     """Phi_j(1+X) = sum_{t<p} (1+X)^(p^(j-1) t): monic, constant term p."""
-    require_prime(p)
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    deg = p ** (j - 1) * (p - 1)
-    out = [0] * (deg + 1)
-    for t in range(p):
-        e = p ** (j - 1) * t
-        for k in range(e + 1):
-            out[k] += math.comb(e, k)
-    return PowerSeries(p, out)
+    return PowerSeries(p, phi_coeffs(p, j))
 
 
 def phi_truncated(p: int, j: int, cap: int, absprec: Optional[int] = None) -> PowerSeries:
     """Phi_j(1+X) mod X^cap, optionally with coefficients reduced mod p^absprec."""
-    require_prime(p)
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    mod = p ** absprec if absprec is not None else None
-    out = []
-    for k in range(cap):
-        s = 0
-        for t in range(p):
-            e = p ** (j - 1) * t
-            if k <= e:
-                s += math.comb(e, k)
-        out.append(PadicScalar(p, s % mod if mod else s, absprec))
-    return PowerSeries(p, out, cap)
+    coeffs = phi_coeffs(p, j, cap, None if absprec is None else p ** absprec)
+    return PowerSeries(p, [PadicScalar(p, c, absprec) for c in coeffs], cap)
 
 
 def omega(p: int, n: int) -> PowerSeries:
     """omega_n(X) = (1+X)^(p^n) - 1, monic of degree p^n."""
-    require_prime(p)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    q = p ** n
-    return PowerSeries(p, [math.comb(q, k) if k else 0 for k in range(q + 1)])
+    return PowerSeries(p, omega_coeffs(p, n))
 
 
 def omega_congruent(p: int, ap: int, n: int, i: int) -> PowerSeries:
     """Product of phi(p, j) over 1 <= j <= n with j = i mod two_tilde."""
-    from .trace import period_constants  # local import keeps module layering flat
-
     consts = period_constants(p, ap)
     out = PowerSeries.one(p)
     for j in range(1, n + 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Tuple
 
 from .errors import IdentityViolation, NonIntegralCoefficient, NotSupersingular
@@ -81,11 +82,13 @@ class DeltaCoeffs:
     y_prime: int
 
 
+@lru_cache(maxsize=256)
 def period_constants(p: int, ap: int) -> PeriodConstants:
     """Constants of the supersingular pair, with C^two_tilde = -p^one_tilde * I checked.
 
     Admissible pairs are exactly those with p prime, p | a_p and a_p^2 <= 4p:
-    (2, 0), (2, +-2), (3, 0), (3, +-3) and (p >= 5, 0).
+    (2, 0), (2, +-2), (3, 0), (3, +-3) and (p >= 5, 0).  Results are cached
+    per pair; an inadmissible pair raises on every call (nothing is cached).
     """
     if not is_prime(p):
         raise NotSupersingular(f"p = {p} is not prime")

@@ -3,9 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import padic_ladders
 from padic_ladders import cli
 from padic_ladders.ladders import HalfLogPair, LadderMatrix
 from padic_ladders.report import CheckReport
@@ -185,3 +190,48 @@ def test_verify_p_without_ap_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "--p", "3")
     assert code == cli.EXIT_USAGE
     assert "together" in err
+
+
+NOT_JSON = "{not json"
+BAD_NUM = json.dumps({
+    "first": {"p": 3, "cap": None, "coeffs": [{"num": "1.5", "den_pow": 0, "absprec": "inf"}]},
+    "second": {"p": 3, "cap": None, "coeffs": []},
+})
+INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
+              "--cap", "8", "--prec", "4"]
+
+
+@pytest.mark.parametrize("argv, env, infile, code, needle", [
+    (["verify", "--cap", "0"], {}, None, cli.EXIT_USAGE, "--cap"),
+    (["ladder", "--p", "3", "--ap", "3", "--level", "1", "--index", "1", "--cap", "-1"],
+     {}, None, cli.EXIT_USAGE, "--cap"),
+    (["ladder", "--p", "3", "--ap", "3", "--level", "0", "--index", "1"],
+     {}, None, cli.EXIT_USAGE, "--level"),
+    (["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
+      "--cap", "8", "--prec", "0"], {}, None, cli.EXIT_USAGE, "--prec"),
+    (INF_LADDER, {"SPRUNG_MAX_LIMIT_STEPS": "abc"}, None, cli.EXIT_USAGE,
+     "SPRUNG_MAX_LIMIT_STEPS"),
+    (INF_LADDER, {"SPRUNG_MAX_LIMIT_STEPS": "-5"}, None, cli.EXIT_USAGE,
+     "SPRUNG_MAX_LIMIT_STEPS"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, NOT_JSON,
+     cli.EXIT_DOMAIN, "SerializationError"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, BAD_NUM,
+     cli.EXIT_DOMAIN, "SerializationError"),
+], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
+        "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int"])
+def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
+    if infile is not None:
+        path = tmp_path / "pair.json"
+        path.write_text(infile)
+        argv = argv + ["--in", str(path)]
+    src = str(Path(padic_ladders.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "padic_ladders.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src, **env},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+    if code == cli.EXIT_DOMAIN or env:
+        assert len(proc.stderr.strip().splitlines()) == 1

@@ -15,9 +15,13 @@ from padic_ladders.series import (
     gauss_norm_log,
     log_series,
     omega,
+    omega_coeffs,
     omega_congruent,
     phi,
+    phi_coeffs,
     phi_truncated,
+    poly_mul,
+    poly_rem,
     reduce_mod,
     series_arith,
 )
@@ -155,6 +159,50 @@ def test_phi_truncated_matches_phi():
             trunc = phi_truncated(p, j, 5)
             for k in range(5):
                 assert trunc.coefficient_raw(k) == full.coefficient_raw(k)
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def test_int_core_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.symbols("X")
+
+    def to_poly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)) or [0], X)
+
+    def from_poly(f, cap=None, mod=None):
+        coeffs = [int(c) for c in reversed(f.all_coeffs())][:cap]
+        return _trim(c % mod if mod else c for c in coeffs)
+
+    shift = sympy.Poly(X + 1, X)
+    for p in (2, 3, 5, 7):
+        for j in range(1, {2: 6, 3: 4, 5: 3, 7: 3}[p] + 1):
+            ref = sympy.Poly(sympy.cyclotomic_poly(p ** j, X), X).compose(shift)
+            assert phi_coeffs(p, j) == from_poly(ref)
+            for cap, k in ((1, 1), (7, 2), (40, 5)):
+                got = phi_coeffs(p, j, cap, p ** k)
+                assert len(got) == cap
+                assert _trim(got) == from_poly(ref, cap, p ** k)
+
+    rng = random.Random(20090318)
+    for _ in range(60):
+        p = rng.choice((2, 3, 5, 7))
+        a = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 30))]
+        b = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(1, 30))]
+        cap, mod = rng.randint(1, 70), p ** rng.randint(1, 12)
+        product = to_poly(a) * to_poly(b)
+        assert _trim(poly_mul(a, b)) == from_poly(product)
+        assert _trim(poly_mul(a, b, cap, mod)) == from_poly(product, cap, mod)
+        nu = rng.randint(0, {2: 5, 3: 3, 5: 2, 7: 2}[p])
+        w = omega_coeffs(p, nu)
+        assert to_poly(w) == to_poly([-1]) + shift ** (p ** nu)
+        rem = sympy.rem(product, to_poly(w))
+        assert _trim(poly_rem(poly_mul(a, b), w, mod)) == from_poly(rem, None, mod)
 
 
 def test_log_series_examples():

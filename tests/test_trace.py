@@ -54,6 +54,16 @@ def test_not_supersingular_gate():
         delta_coeffs(7, 7, 1)
 
 
+def test_period_constants_cached_but_invalid_pairs_raise_every_call():
+    period_constants.cache_clear()
+    assert period_constants(3, 3) is period_constants(3, 3)
+    for _ in range(3):
+        with pytest.raises(NotSupersingular):
+            period_constants(3, 1)
+    info = period_constants.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 4, 1)
+
+
 def test_delta_examples_from_table():
     assert (delta_coeffs(2, -2, 1).y, delta_coeffs(2, -2, 1).y_prime) == (-2, -1)
     assert (delta_coeffs(3, 3, 3).y, delta_coeffs(3, 3, 3).y_prime) == (3, -2)
