@@ -4,11 +4,14 @@ Each case runs ``cli.main`` in-process.  Its stdout is compared with
 ``<name>.stdout`` and, for a case with ``--out``, the written file with
 ``<name>.file``.  ``{golden}`` in an argument names the golden directory
 (decompose reads its input from there) and ``{out}`` a temporary file.
+The parity products, which no CLI command emits, are pinned through the API
+as ``json.dumps(pollack_product(...).to_json())`` in ``<name>.json``.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import json
 import sys
 from contextlib import redirect_stdout
 from io import StringIO
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from padic_ladders import cli
+from padic_ladders.ladders import pollack_product
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +44,18 @@ CASES = {
 }
 
 
+PARITY_CASES = {
+    f"pollack_{p}_{parity}_c{cap}_p{prec}": (p, parity, cap, prec)
+    for p in (3, 5)
+    for parity in ("even", "odd")
+    for cap, prec in ((20, 5), (60, 10), (200, 22))
+}
+
+
+def parity_json(name):
+    return json.dumps(pollack_product(*PARITY_CASES[name]).to_json()).encode()
+
+
 def run_case(name, out_path):
     """(exit code, stdout, bytes written to --out or None) of one case."""
     argv = [a.format(golden=GOLDEN, out=out_path) for a in CASES[name]]
@@ -59,6 +75,11 @@ def test_golden_output(name, tmp_path):
         assert written == (GOLDEN / f"{name}.file").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_golden_parity_product(name):
+    assert parity_json(name) == (GOLDEN / f"{name}.json").read_bytes()
+
+
 if __name__ == "__main__":
     scratch = GOLDEN / "_out.tmp"
     for name in sorted(CASES):
@@ -69,3 +90,5 @@ if __name__ == "__main__":
         if written is not None:
             (GOLDEN / f"{name}.file").write_bytes(written)
             scratch.unlink()
+    for name in sorted(PARITY_CASES):
+        (GOLDEN / f"{name}.json").write_bytes(parity_json(name))

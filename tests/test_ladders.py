@@ -326,6 +326,21 @@ def test_pollack_product_constant_term_one():
         assert prod.coefficient_raw(0) == PadicScalar.one(3)
 
 
+def _fraction_parity_product(p, parity, cap, factors):
+    """prod of Phi_j(1+X)/p over the first `factors` j of the parity, mod X^cap.
+
+    Plain Fraction lists from math.comb, independent of the package's core.
+    """
+    import math
+
+    out = [Fraction(1)] + [Fraction(0)] * (cap - 1)
+    for j in range(2 if parity == "even" else 1, 2 * factors + 1, 2):
+        q = p ** (j - 1)
+        factor = [Fraction(sum(math.comb(q * t, k) for t in range(p)), p) for k in range(cap)]
+        out = [sum(out[i] * factor[k - i] for i in range(k + 1)) for k in range(cap)]
+    return out
+
+
 def test_pollack_partial_product_oracle():
     # two-factor partial product by direct expansion; the stabilized product
     # agrees with it modulo 3^3 on cap 10 (the Phi_6 tail enters at 3^3)
@@ -335,6 +350,19 @@ def test_pollack_partial_product_oracle():
     full = pollack_product(3, "even", 10, 12)
     assert full.congruent(direct, 3)
     assert not full.congruent(direct, 6)
+    # 60 factors, well past where the tail factors Phi_j/p are 1 mod p^prec
+    # below X^20
+    for p in (3, 5, 7):
+        for parity in ("even", "odd"):
+            ref = _fraction_parity_product(p, parity, 20, 60)
+            for cap in (1, 2, 7, 13, 20):
+                for prec in (1, 3, 5):
+                    got = pollack_product(p, parity, cap, prec)
+                    assert got.cap == cap
+                    for k in range(cap):
+                        c = got.coefficient_raw(k)
+                        assert c.absprec == prec
+                        assert c.congruent(PadicScalar.exact(p, ref[k]), prec), (p, parity, cap, prec, k)
 
 
 def test_pollack_product_rejects_p2():
