@@ -16,7 +16,6 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation
-from .ladders import ladder
 from .padics import PadicScalar, rational_valuation
 from .report import CheckReport
 from .series import (
@@ -97,9 +96,10 @@ class KernelBasis:
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
     """Ladder rows (i, i-1) at level n, canonically reduced mod omega_n."""
-    m = ladder(p, ap, n, i)
-    w = omega(p, n)
-    return tuple(tuple(reduce_mod(s, w) for s in row) for row in m.entries)
+    if n < 1:
+        raise ValueError("level n must be >= 1")
+    rows = ladder_rows(p, ap, n, i, nu=n)
+    return tuple(tuple(PowerSeries(p, s) for s in row) for row in rows)
 
 
 def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:

@@ -28,7 +28,8 @@ from .series import (
     PowerSeries,
     append_factor,
     ladder_rows,
-    phi_truncated,
+    phi_coeffs,
+    poly_mul,
     reduce_mod,
     shift_rows,
 )
@@ -155,11 +156,10 @@ def ladder_infinity(
 ) -> LadderMatrix:
     """Scaled limit rows (i, i-1) mod X^cap, stabilized modulo p^prec.
 
-    Iterates the level n upward from the least n with p^n >= cap until two
-    consecutive scaled approximants agree coefficientwise modulo p^prec twice
-    in a row (a single agreement can be a parity stall when a_p = 0).  Raises
-    NotConverged past the step cap, which the SPRUNG_MAX_LIMIT_STEPS
-    environment variable overrides.
+    Iterates the level n upward from the least n with p^n >= cap until the
+    scaled approximants stabilize (see ``_stabilized``).  Raises NotConverged
+    past the step cap, which the SPRUNG_MAX_LIMIT_STEPS environment variable
+    overrides.
     """
     period_constants(p, ap)
     if cap < 1 or prec < 1:
@@ -173,60 +173,59 @@ def ladder_infinity(
     work = prec + (n_stop + 3 + abs(i)) // 2 + 4
     mod = p ** work
 
-    rows1 = ladder_rows(p, ap, n_start - 1, 1, cap, mod)
+    def approximants():
+        rows1 = ladder_rows(p, ap, n_start - 1, 1, cap, mod)
+        for n in range(n_start, n_stop + 1):
+            rows1 = append_factor(p, ap, rows1, n, cap, mod)
+            N = n_shift(p, n)
+            shifted = shift_rows(p, ap, rows1, i - N, mod, _corrupt_parity)
+            exps = (-((i - N) // 2), -((i - 1 - N) // 2))
+            yield n, [(s, e) for row, e in zip(shifted, exps) for s in row]
 
-    prev = None  # (ints rows, e_top, e_bot)
+    found = _stabilized(p, prec, approximants())
+    if found is None:
+        raise NotConverged(
+            f"no stabilization mod {p}^{prec} within {max_steps} steps "
+            f"(p={p}, a_p={ap}, i={i}, cap={cap})"
+        )
+    n, approx = found
+    entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
+               for r in (0, 2)]
+    return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
+
+
+def _stabilized(p: int, prec: int, approximants):
+    """The first (tag, approx) that agrees mod p^prec with its predecessor,
+    which itself agreed with the one before: two consecutive agreements (a
+    single agreement can be a parity stall when a_p = 0).  Each approx is a
+    list of (int poly, e) standing for poly / p^e.  None once exhausted.
+    """
+    prev = None
     agreements = 0
-    n = n_start - 1
-    while n < n_stop:
-        n += 1
-        rows1 = append_factor(p, ap, rows1, n, cap, mod)
-        N = n_shift(p, n)
-        shifted = shift_rows(p, ap, rows1, i - N, mod, _corrupt_parity)
-        e_top = -((i - N) // 2)
-        e_bot = -((i - 1 - N) // 2)
-        approx = (shifted, e_top, e_bot)
+    for tag, approx in approximants:
         if prev is not None and _int_approx_congruent(p, prev, approx, prec):
             agreements += 1
             if agreements >= 2:
-                entries = [[_ints_to_series(p, s, e, cap, prec) for s in row]
-                           for row, e in zip(shifted, (e_top, e_bot))]
-                return LadderMatrix(
-                    p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n
-                )
+                return tag, approx
         else:
             agreements = 0
         prev = approx
-    raise NotConverged(
-        f"no stabilization mod {p}^{prec} within {max_steps} steps "
-        f"(p={p}, a_p={ap}, i={i}, cap={cap})"
-    )
+    return None
 
 
 def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
-    rows_a, ea_top, ea_bot = a
-    rows_b, eb_top, eb_bot = b
-    for r, (ea, eb) in enumerate(((ea_top, eb_top), (ea_bot, eb_bot))):
+    for (x, ea), (y, eb) in zip(a, b):
         # x/p^ea = y/p^eb mod p^prec  <=>  x*p^eb - y*p^ea = 0 mod p^(prec+ea+eb)
         modulus = p ** (prec + ea + eb)
         sa, sb = p ** eb, p ** ea
-        for x, y in zip(rows_a[r], rows_b[r]):
-            if any((xv * sa - yv * sb) % modulus for xv, yv in zip_longest(x, y, fillvalue=0)):
-                return False
+        if any((xv * sa - yv * sb) % modulus for xv, yv in zip_longest(x, y, fillvalue=0)):
+            return False
     return True
 
 
 def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> PowerSeries:
     coeffs = [PadicScalar(p, Fraction(x, p ** e), prec).reduce() for x in ints]
     return PowerSeries(p, coeffs, cap)
-
-
-def _floor_absprec(s: PowerSeries, prec: int) -> PowerSeries:
-    out = []
-    for c in s.coeffs:
-        assert c.absprec is None or c.absprec >= prec
-        out.append(PadicScalar(s.p, c.value, prec).reduce())
-    return PowerSeries(s.p, out, s.cap)
 
 
 class QuadExtSeries:
@@ -429,34 +428,34 @@ def pollack_product(
 ) -> PowerSeries:
     """prod over j = parity of Phi_j(1+X)/p, truncated at X^cap.
 
-    Factors are included until the partial product stabilizes modulo p^prec;
-    only odd p is meaningful (the construction needs p - 1 > 1 parity classes).
+    Factors are included until the partial product stabilizes modulo p^prec
+    (the rule of ``_stabilized``); only odd p is meaningful (the construction
+    needs p - 1 > 1 parity classes).  After k factors the value is P_k/p^k
+    with P_k an integer polynomial, and agreement mod p^prec needs P_k only
+    mod p^(prec+k), so P_k is kept mod p^(prec + max_steps).
     """
     if p == 2:
         raise ValueError("parity products need an odd prime")
     period_constants(p, 0)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    work = prec + 8
-    j = 2 if parity == "even" else 1
-    out = PowerSeries(p, [PadicScalar(p, 1, work)], cap)
-    prev = None
-    agreements = 0
     max_steps = math.ceil(math.log(max(cap, 2), p)) + prec + 10
-    for _ in range(max_steps):
-        factor = phi_truncated(p, j, cap, work).scale(Fraction(1, p))
-        out = out.mul(factor, cap).reduce_coeffs()
-        if prev is not None and out.congruent(prev, prec):
-            agreements += 1
-            if agreements >= 2:
-                return _floor_absprec(out, prec)
-        else:
-            agreements = 0
-        prev = out
-        j += 2
-    raise NotConverged(
-        f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
-    )
+    mod = p ** (prec + max_steps)
+    first_j = 2 if parity == "even" else 1
+
+    def approximants():
+        P = [1]
+        for k in range(1, max_steps + 1):
+            P = poly_mul(P, phi_coeffs(p, first_j + 2 * (k - 1), cap, mod), cap, mod)
+            yield k, [(P, k)]
+
+    found = _stabilized(p, prec, approximants())
+    if found is None:
+        raise NotConverged(
+            f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
+        )
+    k, [(P, _)] = found
+    return _ints_to_series(p, P, k, cap, prec)
 
 
 def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Union
 
-from .errors import InexactDivision, PrecisionExhausted
-from .padics import PadicScalar, require_prime
+from .errors import InexactDivision, PrecisionExhausted, SerializationError
+from .padics import PadicScalar, _json_int, require_prime
 from .trace import ap_parity_value, period_constants
 
 ScalarLike = Union[int, Fraction, PadicScalar]
@@ -181,10 +181,6 @@ class PowerSeries:
             return self
         return PowerSeries(self.p, self.coeffs[:cap], cap)
 
-    def reduce_coeffs(self) -> "PowerSeries":
-        """Replace every coefficient by its canonical reduced representative."""
-        return PowerSeries(self.p, [c.reduce() for c in self.coeffs], self.cap)
-
     def congruent(self, other: "PowerSeries", k: int, upto: Optional[int] = None) -> bool:
         """Coefficientwise congruence mod p^k on the shared tracked range."""
         other = self._coerce(other)
@@ -236,9 +232,13 @@ class PowerSeries:
     def from_json(cls, data: dict) -> "PowerSeries":
         p = int(data["p"])
         cap = data.get("cap")
-        cap = None if cap in (None, "inf") else int(cap)
-        coeffs = [PadicScalar.from_json(p, c) for c in data.get("coeffs", [])]
-        return cls(p, coeffs, cap)
+        cap = None if cap in (None, "inf") else _json_int(data, "cap")
+        if cap is not None and cap < 0:
+            raise SerializationError(f"cap must be >= 0, got {cap}")
+        coeffs = data.get("coeffs", [])
+        if not isinstance(coeffs, list):
+            raise SerializationError(f"coeffs must be a JSON list, got {coeffs!r}")
+        return cls(p, [PadicScalar.from_json(p, c) for c in coeffs], cap)
 
     def to_csv_rows(self) -> list:
         """Rows (degree, numerator, den_pow, absprec) per tracked coefficient."""
@@ -385,10 +385,9 @@ def phi(p: int, j: int) -> PowerSeries:
     return PowerSeries(p, phi_coeffs(p, j))
 
 
-def phi_truncated(p: int, j: int, cap: int, absprec: Optional[int] = None) -> PowerSeries:
-    """Phi_j(1+X) mod X^cap, optionally with coefficients reduced mod p^absprec."""
-    coeffs = phi_coeffs(p, j, cap, None if absprec is None else p ** absprec)
-    return PowerSeries(p, [PadicScalar(p, c, absprec) for c in coeffs], cap)
+def phi_truncated(p: int, j: int, cap: int) -> PowerSeries:
+    """Phi_j(1+X) mod X^cap."""
+    return PowerSeries(p, phi_coeffs(p, j, cap), cap)
 
 
 def omega(p: int, n: int) -> PowerSeries:

@@ -197,6 +197,13 @@ BAD_NUM = json.dumps({
     "first": {"p": 3, "cap": None, "coeffs": [{"num": "1.5", "den_pow": 0, "absprec": "inf"}]},
     "second": {"p": 3, "cap": None, "coeffs": []},
 })
+
+
+def _pair_with_first(**fields):
+    first = {"p": 3, "cap": None, "coeffs": [], **fields}
+    return json.dumps({"first": first, "second": {"p": 3, "cap": None, "coeffs": []}})
+
+
 INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
               "--cap", "8", "--prec", "4"]
 
@@ -217,8 +224,19 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
      cli.EXIT_DOMAIN, "SerializationError"),
     (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, BAD_NUM,
      cli.EXIT_DOMAIN, "SerializationError"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, _pair_with_first(cap="abc"),
+     cli.EXIT_DOMAIN, "SerializationError"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, _pair_with_first(coeffs=5),
+     cli.EXIT_DOMAIN, "SerializationError"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, _pair_with_first(cap=-3),
+     cli.EXIT_DOMAIN, "SerializationError"),
+    (["verify", "--p", "3", "--ap", "3", "--nmax", "-2"], {}, None, cli.EXIT_USAGE, "--nmax"),
+    (["verify", "--p", "3", "--ap", "3", "--trials", "-1"], {}, None, cli.EXIT_USAGE,
+     "--trials"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
-        "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int"])
+        "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
+        "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
+        "verify-nmax-neg", "verify-trials-neg"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"
