@@ -6,8 +6,9 @@ are reached by the unimodular shift [[a_p(i), -1], [1, 0]] and its inverse,
 so every finite-level entry is an exact integer polynomial.
 
 The infinity-level object scales row i-N of the level-n ladder by
-p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and iterates n until two
-consecutive approximants agree coefficientwise modulo p^prec.  Half-
+p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and iterates n until the
+approximants stabilize modulo p^prec, by the rule of ``_stabilized`` that
+the parity products share.  Half-
 logarithms combine the index-0 limit rows with the conjugate root
 (row_0 - conj(alpha) * row_{-1}) and carry Z[alpha]-coordinate coefficients.
 """
