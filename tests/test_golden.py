@@ -5,14 +5,18 @@ Each case runs ``cli.main`` in-process.  Its stdout is compared with
 ``<name>.file``.  ``{golden}`` in an argument names the golden directory
 (decompose reads its input from there) and ``{out}`` a temporary file.
 The parity products, which no CLI command emits, are pinned through the API
-as ``json.dumps(pollack_product(...).to_json())`` in ``<name>.json``.
+as ``json.dumps(pollack_product(...).to_json())`` in ``<name>.json``, and
+``series_ops.json`` pins ``PowerSeries.mul`` and ``divmod_monic`` on seeded
+random inexact operands.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import json
+import random
 import sys
+from fractions import Fraction
 from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -21,6 +25,8 @@ import pytest
 
 from padic_ladders import cli
 from padic_ladders.ladders import pollack_product
+from padic_ladders.padics import PadicScalar
+from padic_ladders.series import PowerSeries, divmod_monic, omega, phi
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,6 +62,46 @@ def parity_json(name):
     return json.dumps(pollack_product(*PARITY_CASES[name]).to_json()).encode()
 
 
+def _random_scalar(rng, p):
+    """Exact and inexact zeros, p-power and (inexact only) unit denominators."""
+    kind = rng.randrange(5)
+    absprec = rng.randint(-2, 6)
+    if kind == 0:
+        return PadicScalar(p, 0)
+    if kind == 1:
+        return PadicScalar(p, 0, absprec)
+    value = Fraction(rng.randint(-300, 300), p ** rng.randint(0, 2))
+    if kind == 2:
+        return PadicScalar(p, value)
+    if kind == 3:
+        return PadicScalar(p, value, absprec)
+    return PadicScalar(p, value / rng.choice((7, 11, 13)), absprec)
+
+
+def _random_series(rng, p):
+    coeffs = [_random_scalar(rng, p) for _ in range(rng.randint(0, 12))]
+    return PowerSeries(p, coeffs, rng.choice((None, None, rng.randint(0, 14))))
+
+
+def series_ops_json():
+    """mul (with and without cap) and divmod_monic on 60 seeded operand pairs."""
+    rng = random.Random(3419)
+    cases = []
+    for _ in range(60):
+        p = rng.choice((2, 3, 5))
+        f, g = _random_series(rng, p), _random_series(rng, p)
+        top = [Fraction(rng.randint(-9, 9), p ** rng.randint(0, 1))
+               for _ in range(rng.randint(0, 5))]
+        monic = rng.choice((phi(p, 1), phi(p, 2), omega(p, 1), PowerSeries(p, top + [1])))
+        cap = rng.randint(0, 16)
+        cases.append({
+            "mul": f.mul(g).to_json(),
+            "mul_cap": f.mul(g, cap).to_json(),
+            "divmod": [s.to_json() for s in divmod_monic(f, monic)],
+        })
+    return json.dumps(cases).encode()
+
+
 def run_case(name, out_path):
     """(exit code, stdout, bytes written to --out or None) of one case."""
     argv = [a.format(golden=GOLDEN, out=out_path) for a in CASES[name]]
@@ -80,6 +126,10 @@ def test_golden_parity_product(name):
     assert parity_json(name) == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_golden_series_ops():
+    assert series_ops_json() == (GOLDEN / "series_ops.json").read_bytes()
+
+
 if __name__ == "__main__":
     scratch = GOLDEN / "_out.tmp"
     for name in sorted(CASES):
@@ -92,3 +142,4 @@ if __name__ == "__main__":
             scratch.unlink()
     for name in sorted(PARITY_CASES):
         (GOLDEN / f"{name}.json").write_bytes(parity_json(name))
+    (GOLDEN / "series_ops.json").write_bytes(series_ops_json())
