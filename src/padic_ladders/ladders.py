@@ -23,11 +23,12 @@ from itertools import zip_longest
 from typing import List, Optional, Tuple, Union
 
 from .errors import IdentityViolation, NotConverged, UsageError
-from .padics import PadicScalar, QuadExtScalar
+from .padics import PadicScalar, QuadExtScalar, _json_int
 from .report import CheckReport
 from .series import (
     PowerSeries,
     append_factor,
+    gauss_norm_log,
     ladder_rows,
     phi_coeffs,
     poly_mul,
@@ -157,8 +158,9 @@ def ladder_infinity(
 ) -> LadderMatrix:
     """Scaled limit rows (i, i-1) mod X^cap, stabilized modulo p^prec.
 
-    Iterates the level n upward from the least n with p^n >= cap until the
-    scaled approximants stabilize (see ``_stabilized``).  Raises NotConverged
+    Iterates the level n upward from the least n with p^n >= cap and
+    n_shift(p, n) >= i - 1 until the scaled approximants stabilize (see
+    ``_stabilized``).  Raises NotConverged
     past the step cap, which the SPRUNG_MAX_LIMIT_STEPS environment variable
     overrides.
     """
@@ -167,6 +169,8 @@ def ladder_infinity(
         raise ValueError("cap and prec must be >= 1")
     n_start = max(1, math.ceil(math.log(max(cap, 2), p)))
     while p ** n_start < cap:
+        n_start += 1
+    while n_shift(p, n_start) < i - 1:  # keeps both row exponents >= 0
         n_start += 1
     max_steps = _max_limit_steps(p, cap, prec)
     n_stop = n_start + max_steps
@@ -278,29 +282,11 @@ class QuadExtSeries:
             self.p, self.ap, reduce_mod(self.a, modulus), reduce_mod(self.b, modulus)
         )
 
-    def coefficient_valuation(self, k: int):
-        """min(v(a_k), v(b_k) + 1/2): the ramified valuation of coefficient k."""
-        vals = []
-        ca = self.a.coefficient_raw(k)
-        cb = self.b.coefficient_raw(k)
-        if not ca.is_exact_zero():
-            vals.append(Fraction(ca.absprec if ca.is_zero() else ca.valuation()))
-        if not cb.is_exact_zero():
-            vals.append(Fraction(cb.absprec if cb.is_zero() else cb.valuation()) + Fraction(1, 2))
-        return min(vals) if vals else None
-
     def gauss_norm_log(self, s) -> Optional[Fraction]:
-        s = Fraction(s)
-        best = None
-        n = len(self.a.coeffs) if len(self.a.coeffs) > len(self.b.coeffs) else len(self.b.coeffs)
-        for k in range(n):
-            v = self.coefficient_valuation(k)
-            if v is None:
-                continue
-            cand = -v - k * s
-            if best is None or cand > best:
-                best = cand
-        return best
+        """The larger of the parts' norms, b's lowered by v(alpha) = 1/2; None for zero."""
+        na, nb = gauss_norm_log(self.a, s), gauss_norm_log(self.b, s)
+        norms = [na, None if nb is None else nb - Fraction(1, 2)]
+        return max((v for v in norms if v is not None), default=None)
 
     def to_json(self) -> dict:
         n = max(len(self.a.coeffs), len(self.b.coeffs))
@@ -320,12 +306,16 @@ class QuadExtSeries:
     @classmethod
     def from_json(cls, data: dict) -> "QuadExtSeries":
         p = int(data["p"])
-        ap = int(data["ap"])
-        cap = data.get("cap")
-        cap = None if cap in (None, "inf") else int(cap)
-        a = [PadicScalar.from_json(p, c["a"]) for c in data.get("coeffs", [])]
-        b = [PadicScalar.from_json(p, c["b"]) for c in data.get("coeffs", [])]
-        return cls(p, ap, PowerSeries(p, a, cap), PowerSeries(p, b, cap))
+        coeffs = data.get("coeffs", [])
+
+        def part(key: str) -> PowerSeries:
+            # PowerSeries.from_json rejects a non-list coeffs and a missing key
+            cs = coeffs
+            if isinstance(coeffs, list):
+                cs = [c.get(key) if isinstance(c, dict) else c for c in coeffs]
+            return PowerSeries.from_json({"p": p, "cap": data.get("cap"), "coeffs": cs})
+
+        return cls(p, int(data["ap"]), part("a"), part("b"))
 
 
 def combine_with_conjugate_root(
@@ -366,8 +356,8 @@ class HalfLogPair:
             root_tag=data.get("root_tag", "alpha"),
             log_theta=QuadExtSeries.from_json(data["log_theta"]),
             log_upsilon=QuadExtSeries.from_json(data["log_upsilon"]),
-            cap=int(data["cap"]),
-            prec=int(data["prec"]),
+            cap=_json_int(data, "cap"),
+            prec=_json_int(data, "prec"),
         )
 
 

@@ -14,8 +14,9 @@ polynomial spanned by its tracked coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InexactDivision, PrecisionExhausted, SerializationError
 from .padics import PadicScalar, _json_int, require_prime
@@ -109,8 +110,7 @@ class PowerSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coefficient_raw(k) + other.coefficient_raw(k) for k in range(n)]
+        out = [x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         return PowerSeries(self.p, out, self._cap_min(other))
 
     __radd__ = __add__
@@ -125,8 +125,7 @@ class PowerSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.coefficient_raw(k) - other.coefficient_raw(k) for k in range(n)]
+        out = [x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
         return PowerSeries(self.p, out, self._cap_min(other))
 
     def __rsub__(self, other):
@@ -148,21 +147,7 @@ class PowerSeries:
         other = self._coerce(other)
         caps = [c for c in (self.cap, other.cap, cap) if c is not None]
         eff = min(caps) if caps else None
-        if eff is None:
-            n = len(self.coeffs) + len(other.coeffs) - 1 if self.coeffs and other.coeffs else 0
-        else:
-            n = min(eff, len(self.coeffs) + len(other.coeffs) - 1 if self.coeffs and other.coeffs else 0)
-        out = [PadicScalar.zero(self.p) for _ in range(max(n, 0))]
-        for i, ci in enumerate(self.coeffs):
-            if ci.is_exact_zero():
-                continue
-            for j, cj in enumerate(other.coeffs):
-                k = i + j
-                if eff is not None and k >= eff:
-                    break
-                if k < len(out):
-                    out[k] = out[k] + ci * cj
-        return PowerSeries(self.p, out, eff)
+        return PowerSeries(self.p, poly_mul(self.coeffs, other.coeffs, eff), eff)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicScalar)):
@@ -256,6 +241,11 @@ class PowerSeries:
 # the API boundary.  Truncation at X^cap, reduction of the coefficients mod an
 # integer and reduction mod a monic polynomial are ring maps, so applying them
 # after every step is sound.
+#
+# poly_mul and poly_divmod use only +, - and * on the coefficients, so
+# PowerSeries runs them unchanged on its PadicScalar tuples.  Their ``if c:``
+# skips int zeros only: a PadicScalar is always truthy, and an exact zero
+# term leaves the value and absprec of a sum as they are.
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
@@ -310,16 +300,22 @@ def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None, mod: Optional[int] = N
     return _reduced(out, mod)
 
 
-def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:
-    """Remainder of f modulo the monic polynomial g (g[-1] == 1)."""
+def poly_divmod(f: Poly, g: Poly, mod: Optional[int] = None) -> Tuple[Poly, Poly]:
+    """Quotient and remainder of f by the monic polynomial g (g[-1] == 1)."""
     d = len(g) - 1
-    f = list(f)
-    while len(f) > d:
-        c = f.pop()
+    rem, quot = list(f), []
+    while len(rem) > d:
+        c = rem.pop()
+        quot.append(c)
         if c:
             for t in range(d):
-                f[t - d] -= c * g[t]
-    return _reduced(f, mod)
+                rem[t - d] -= c * g[t]
+    return _reduced(quot[::-1], mod), _reduced(rem, mod)
+
+
+def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:
+    """Remainder of f modulo the monic polynomial g (g[-1] == 1)."""
+    return poly_divmod(f, g, mod)[1]
 
 
 def _combine(a: int, x: Poly, y: Poly, mod: Optional[int]) -> Poly:
@@ -397,12 +393,9 @@ def omega(p: int, n: int) -> PowerSeries:
 
 def omega_congruent(p: int, ap: int, n: int, i: int) -> PowerSeries:
     """Product of phi(p, j) over 1 <= j <= n with j = i mod two_tilde."""
-    consts = period_constants(p, ap)
-    out = PowerSeries.one(p)
-    for j in range(1, n + 1):
-        if (j - i) % consts.two_tilde == 0:
-            out = out.mul(phi(p, j))
-    return out
+    tt = period_constants(p, ap).two_tilde
+    factors = [phi_coeffs(p, j) for j in range(1, n + 1) if (j - i) % tt == 0]
+    return PowerSeries(p, reduce(poly_mul, factors, [1]))
 
 
 # -- spec-level operations -----------------------------------------------------
@@ -430,7 +423,6 @@ def _require_monic_exact(g: PowerSeries):
         raise ValueError("modulus must be exact")
     if g.coeffs[d].value != 1:
         raise ValueError("modulus must be monic")
-    return d
 
 
 def divmod_monic(f: PowerSeries, g: PowerSeries):
@@ -439,20 +431,9 @@ def divmod_monic(f: PowerSeries, g: PowerSeries):
     f is taken as the polynomial spanned by its tracked coefficients;
     coefficient precision propagates through the subtractions.
     """
-    d = _require_monic_exact(g)
-    rem = list(f.coeffs)
-    p = f.p
-    if len(rem) <= d:
-        return PowerSeries.zero(p), PowerSeries(p, rem)
-    quot = [PadicScalar.zero(p) for _ in range(len(rem) - d)]
-    for k in range(len(rem) - 1, d - 1, -1):
-        c = rem[k]
-        quot[k - d] = c
-        if c.is_exact_zero():
-            continue
-        for t in range(d + 1):
-            rem[k - d + t] = rem[k - d + t] - c * g.coeffs[t]
-    return PowerSeries(p, quot), PowerSeries(p, rem[:d])
+    _require_monic_exact(g)
+    quot, rem = poly_divmod(f.coeffs, g.coeffs)
+    return PowerSeries(f.p, quot), PowerSeries(f.p, rem)
 
 
 def reduce_mod(f: PowerSeries, g: PowerSeries) -> PowerSeries:

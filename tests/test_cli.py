@@ -80,6 +80,19 @@ def test_ladder_infinity_export(capsys):
     assert m.level == "infinity" and m.prec == 4
 
 
+def test_ladder_infinity_index_above_level_shift():
+    # i above the level shift of the first levels: row exponents stay >= 0
+    src = str(Path(padic_ladders.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "padic_ladders.cli", "ladder", "--p", "3", "--ap", "3",
+         "--level", "infinity", "--index", "10", "--cap", "5", "--prec", "3"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_OK
+    assert "Traceback" not in proc.stderr
+    assert LadderMatrix.from_json(json.loads(proc.stdout)).index == 10
+
+
 def test_halflog_export_re_readable(capsys):
     code, out, _ = run_cli(
         capsys, "halflog", "--p", "3", "--ap", "3", "--cap", "8", "--prec", "4",

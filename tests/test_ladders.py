@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ladders.errors import NotConverged
+from padic_ladders.errors import NotConverged, SerializationError
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
     HalfLogPair,
@@ -180,6 +180,23 @@ def test_infinity_matches_exact_finite_scaling():
                     f"(p={p}, ap={ap}, row={row}, col={col})"
 
 
+def test_infinity_above_level_shift_matches_later_finite_levels():
+    # indices above the level shift of the first levels start the limit at a
+    # later level; the limit must still agree with every later scaled level
+    for (p, ap) in [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0)]:
+        for i in (5, 10, 30):
+            cap, prec = 6, 3
+            m = ladder_infinity(p, ap, i, cap, prec)
+            for n in range(m.n_used + 1, m.n_used + 4):
+                N = n_shift(p, n)
+                fin = ladder(p, ap, n, i - N, cap=cap)
+                for row, idx in ((0, i), (1, i - 1)):
+                    for col in range(2):
+                        scaled = fin.entries[row][col].scale(Fraction(p) ** ((idx - N) // 2))
+                        assert m.entries[row][col].congruent(scaled.truncate(cap), prec), \
+                            f"(p={p}, ap={ap}, i={i}, n={n}, row={row}, col={col})"
+
+
 def test_infinity_entries_carry_prec():
     m = ladder_infinity(3, 3, 1, 8, 5)
     assert m.level == "infinity" and m.prec == 5
@@ -268,6 +285,37 @@ def test_half_log_json_round_trip():
     assert again.log_theta.congruent(hl.log_theta, 4)
     assert again.log_upsilon.congruent(hl.log_upsilon, 4)
     assert (again.p, again.ap, again.cap, again.prec) == (3, 3, 10, 4)
+
+
+def test_quadext_gauss_norm_is_coefficientwise():
+    # |a_k + b_k alpha| = p^-min(v(a_k), v(b_k) + 1/2), maximised over k
+    hl = half_logs(3, 3, 30, 6)
+    for comp in (hl.log_theta, hl.log_upsilon):
+        for s in (Fraction(1, 2), Fraction(1, 6), 2):
+            best = None
+            for k in range(max(len(comp.a.coeffs), len(comp.b.coeffs))):
+                vals = []
+                for part, shift in ((comp.a, 0), (comp.b, Fraction(1, 2))):
+                    c = part.coefficient_raw(k)
+                    if not c.is_exact_zero():
+                        vals.append((c.absprec if c.is_zero() else c.valuation()) + shift)
+                if vals:
+                    cand = -min(vals) - k * s
+                    best = cand if best is None else max(best, cand)
+            assert comp.gauss_norm_log(s) == best
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d["log_theta"].update(cap="abc"),
+    lambda d: d.update(cap="abc"),
+    lambda d: d["log_upsilon"]["coeffs"][0].pop("b"),
+    lambda d: d["log_theta"].update(coeffs=5),
+], ids=["series-cap-not-int", "pair-cap-not-int", "coeff-without-b", "coeffs-not-list"])
+def test_half_log_from_json_rejects_bad_fields(edit):
+    data = half_logs(3, 3, 6, 3).to_json()
+    edit(data)
+    with pytest.raises(SerializationError):
+        HalfLogPair.from_json(data)
 
 
 def test_quadext_series_scale_matches_scalarwise():

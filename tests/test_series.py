@@ -20,6 +20,7 @@ from padic_ladders.series import (
     phi,
     phi_coeffs,
     phi_truncated,
+    poly_divmod,
     poly_mul,
     poly_rem,
     reduce_mod,
@@ -203,6 +204,13 @@ def test_int_core_matches_sympy():
         assert to_poly(w) == to_poly([-1]) + shift ** (p ** nu)
         rem = sympy.rem(product, to_poly(w))
         assert _trim(poly_rem(poly_mul(a, b), w, mod)) == from_poly(rem, None, mod)
+        g = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(rng.randint(0, 12))] + [1]
+        quot, rem = sympy.div(to_poly(a), to_poly(g))
+        for reduce_by in (None, mod):
+            q, r = poly_divmod(a, g, reduce_by)
+            assert len(r) == min(len(a), len(g) - 1)
+            assert (_trim(q), _trim(r)) == (from_poly(quot, None, reduce_by),
+                                            from_poly(rem, None, reduce_by))
 
 
 def test_log_series_examples():
