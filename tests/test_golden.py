@@ -7,7 +7,8 @@ Each case runs ``cli.main`` in-process.  Its stdout is compared with
 The parity products, which no CLI command emits, are pinned through the API
 as ``json.dumps(pollack_product(...).to_json())`` in ``<name>.json``, and
 ``series_ops.json`` pins ``PowerSeries.mul`` and ``divmod_monic`` on seeded
-random inexact operands.
+random inexact operands, and ``coleman_ops.json`` pins the level-n Coleman
+algebra on seeded exact, finite-precision and p-power-denominator inputs.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -24,9 +25,11 @@ from pathlib import Path
 import pytest
 
 from padic_ladders import cli
+from padic_ladders.coleman import LambdaPair, decompose, kernel_basis, kernel_member, phi_apply
+from padic_ladders.errors import PadicLaddersError
 from padic_ladders.ladders import pollack_product
 from padic_ladders.padics import PadicScalar
-from padic_ladders.series import PowerSeries, divmod_monic, omega, phi
+from padic_ladders.series import LambdaElement, PowerSeries, divmod_monic, omega, phi
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -46,6 +49,8 @@ CASES = {
     "table_3_m3": ["table", "--p", "3", "--ap", "-3", "--imin", "-2", "--imax", "7"],
     "decompose_3_3_l3": ["decompose", "--p", "3", "--ap", "3", "--level", "3",
                          "--in", "{golden}/decompose_3_3_l3.in.json"],
+    "decompose_3_3_l2_inexact": ["decompose", "--p", "3", "--ap", "3", "--level", "2",
+                                 "--in", "{golden}/decompose_3_3_l2_inexact.in.json"],
     "verify_3_3": ["verify", "--p", "3", "--ap", "3", "--out", "{out}"],
 }
 
@@ -102,6 +107,59 @@ def series_ops_json():
     return json.dumps(cases).encode()
 
 
+COLEMAN_CONFIGS = ((3, 3, 3), (2, 2, 4), (3, 0, 3), (5, 0, 2))
+
+
+def _random_element(rng, p, n, kind):
+    """A level-n element: exact integers, finite absprec, or p-power denominators."""
+    coeffs = []
+    for _ in range(p ** n):
+        num = rng.randint(-9, 9)
+        if kind == "int":
+            coeffs.append(num)
+        elif kind == "absprec":
+            coeffs.append(PadicScalar(p, Fraction(num, p ** rng.randint(0, 1)), rng.randint(3, 8)))
+        else:
+            coeffs.append(Fraction(num, p ** rng.randint(0, 2)))
+    return LambdaElement(p, n, PowerSeries(p, coeffs))
+
+
+def _outcome(fn, *args):
+    """to_json of the result (a bool as is), or the error's type and message."""
+    try:
+        out = fn(*args)
+    except PadicLaddersError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return out if isinstance(out, bool) else out.to_json()
+
+
+def coleman_ops_json():
+    """phi_apply, decompose, kernel_basis, kernel_member and LambdaElement.__mul__."""
+    rng = random.Random(903)
+    cases = []
+    for p, ap, n in COLEMAN_CONFIGS:
+        kernel = {i: kernel_basis(p, ap, n, i).generators for i in (1, 2)}
+        case = {"config": [p, ap, n],
+                "kernel_basis": {i: [g.to_json() for g in gens] for i, gens in kernel.items()}}
+        for first, second in (("int", "int"), ("absprec", "absprec"), ("den", "den"),
+                              ("int", "absprec")):
+            v = LambdaPair(_random_element(rng, p, n, first), _random_element(rng, p, n, second))
+            image = phi_apply(p, ap, n, 1, v)
+            off = image.first + LambdaElement.from_ints(p, n, [1])
+            case[f"{first}_{second}"] = {
+                "phi_apply": {i: phi_apply(p, ap, n, i, v).to_json() for i in (0, 1, 2)},
+                "decompose": _outcome(decompose, p, ap, n, image.first, image.second),
+                "decompose_off_image": _outcome(decompose, p, ap, n, off, image.second),
+                "kernel_member": [kernel_member(p, ap, n, w) for w in (v, kernel[1][0],
+                                  LambdaPair(kernel[2][1].first + kernel[1][0].first,
+                                             kernel[2][1].second + kernel[1][0].second))],
+                "lambda_mul": [(v.first * v.second).to_json(), (v.first * -7).to_json(),
+                               (v.second * PadicScalar(p, Fraction(2, p), 4)).to_json()],
+            }
+        cases.append(case)
+    return json.dumps(cases).encode()
+
+
 def run_case(name, out_path):
     """(exit code, stdout, bytes written to --out or None) of one case."""
     argv = [a.format(golden=GOLDEN, out=out_path) for a in CASES[name]]
@@ -130,6 +188,10 @@ def test_golden_series_ops():
     assert series_ops_json() == (GOLDEN / "series_ops.json").read_bytes()
 
 
+def test_golden_coleman_ops():
+    assert coleman_ops_json() == (GOLDEN / "coleman_ops.json").read_bytes()
+
+
 if __name__ == "__main__":
     scratch = GOLDEN / "_out.tmp"
     for name in sorted(CASES):
@@ -143,3 +205,4 @@ if __name__ == "__main__":
     for name in sorted(PARITY_CASES):
         (GOLDEN / f"{name}.json").write_bytes(parity_json(name))
     (GOLDEN / "series_ops.json").write_bytes(series_ops_json())
+    (GOLDEN / "coleman_ops.json").write_bytes(coleman_ops_json())
