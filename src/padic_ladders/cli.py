@@ -125,25 +125,15 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.p is not None or args.ap is not None:
-        if args.p is None or args.ap is None:
-            raise UsageError("--p and --ap must be given together")
-        configs = [
-            CheckConfig(
-                args.p, args.ap, n_max=args.nmax, cap=args.cap, prec=args.prec,
-                trials=args.trials,
-            )
-        ]
-    else:
-        configs = [
-            CheckConfig(c.p, c.ap, n_max=args.nmax, cap=args.cap, prec=args.prec,
-                        trials=args.trials)
-            for c in default_configs()
-        ]
-    reports = run_suite(configs)
+    if (args.p is None) != (args.ap is None):
+        raise UsageError("--p and --ap must be given together")
+    pairs = [(c.p, c.ap) for c in default_configs()] if args.p is None else [(args.p, args.ap)]
+    reports = run_suite([
+        CheckConfig(p, ap, n_max=args.nmax, cap=args.cap, prec=args.prec, trials=args.trials)
+        for p, ap in pairs
+    ])
     for r in reports:
-        line = f"{'PASS' if r.passed else 'FAIL'} {r.name} (p={r.config.get('p')}, ap={r.config.get('ap')})"
-        print(line)
+        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} (p={r.config.get('p')}, ap={r.config.get('ap')})")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump([r.to_json() for r in reports], fh, indent=2)

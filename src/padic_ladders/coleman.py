@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
-from .errors import IdentityViolation
-from .padics import PadicScalar, rational_valuation
+from .errors import IdentityViolation, SerializationError
+from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
     LambdaElement,
@@ -81,11 +81,11 @@ class LambdaPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "LambdaPair":
-        p = int(data["p"])
-        level = int(data["level"])
-        first = dict(data["first"], p=p, level=level)
-        second = dict(data["second"], p=p, level=level)
-        return cls(LambdaElement.from_json(first), LambdaElement.from_json(second))
+        p, level = _json_int(data, "p"), _json_int(data, "level")
+        parts = [data.get("first"), data.get("second")]
+        if not all(isinstance(d, dict) for d in parts):
+            raise SerializationError("first and second must be JSON objects")
+        return cls(*(LambdaElement.from_json(dict(d, p=p, level=level)) for d in parts))
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,8 @@ def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
     period_constants(p, ap)
     rows = _rows_mod_omega(p, ap, n, i)
     a, b = v.first.poly, v.second.poly
-    out = []
-    for row in rows:
-        out.append(LambdaElement(p, n, row[0].mul(a) + row[1].mul(b)))
-    return LambdaPair(out[0], out[1])
+    return LambdaPair(*(LambdaElement(p, n, theta.mul(a) + upsilon.mul(b))
+                        for theta, upsilon in rows))
 
 
 def kernel_basis(p: int, ap: int, n: int, i: int = 1) -> KernelBasis:
@@ -118,15 +116,9 @@ def kernel_basis(p: int, ap: int, n: int, i: int = 1) -> KernelBasis:
     period_constants(p, ap)
     rows = _rows_mod_omega(p, ap, n, i)
     x = PowerSeries.x_power(p, 1)
-    gens = []
-    for row in rows:
-        gens.append(
-            LambdaPair(
-                LambdaElement(p, n, x.mul(row[1])),
-                LambdaElement(p, n, -x.mul(row[0])),
-            )
-        )
-    return KernelBasis((gens[0], gens[1]))
+    return KernelBasis(tuple(
+        LambdaPair(LambdaElement(p, n, x.mul(upsilon)), LambdaElement(p, n, -x.mul(theta)))
+        for theta, upsilon in rows))
 
 
 def kernel_member(p: int, ap: int, n: int, v: LambdaPair) -> bool:
@@ -210,7 +202,7 @@ def projection_compatibility_check(
     up = phi_apply(p, ap, n + 1, i, v)
     first = reduce_mod(up.first.poly, w)
     second = reduce_mod(up.second.poly, w)
-    inv_p = PadicScalar.exact(p, Fraction(1, p))
+    inv_p = Fraction(1, p)
     if i % 2 != 0:
         first = first.scale(inv_p)
     else:

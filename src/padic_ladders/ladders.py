@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import List, Optional, Tuple, Union
 
-from .errors import IdentityViolation, NotConverged, UsageError
+from .errors import IdentityViolation, NotConverged, SerializationError, UsageError
 from .padics import PadicScalar, QuadExtScalar, _json_int
 from .report import CheckReport
 from .series import (
@@ -99,14 +99,19 @@ class LadderMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "LadderMatrix":
+        rows = data.get("entries")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise SerializationError(f"entries must be a list of rows, got {rows!r}")
+        level = data.get("level")
+        opt = lambda key: None if data.get(key) is None else _json_int(data, key)
         return cls(
-            p=int(data["p"]),
-            ap=int(data["ap"]),
-            level=data["level"],
-            index=int(data["index"]),
-            entries=[[PowerSeries.from_json(s) for s in row] for row in data["entries"]],
-            cap=data.get("cap"),
-            prec=data.get("prec"),
+            p=_json_int(data, "p"),
+            ap=_json_int(data, "ap"),
+            level=level if level == "infinity" else _json_int(data, "level"),
+            index=_json_int(data, "index"),
+            entries=[[PowerSeries.from_json(s) for s in row] for row in rows],
+            cap=opt("cap"),
+            prec=opt("prec"),
         )
 
 

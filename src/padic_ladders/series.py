@@ -26,29 +26,38 @@ ScalarLike = Union[int, Fraction, PadicScalar]
 
 
 class PowerSeries:
-    """Coefficients indexed 0..cap-1 over a common prime p."""
+    """Coefficients indexed 0..cap-1 over a common prime p.
 
-    __slots__ = ("p", "coeffs", "cap")
+    Exact integer coefficients are stored as ints (``_ints``), and arithmetic
+    between two such series runs the int core below; ``coeffs`` builds their
+    PadicScalars on first read.  Other series store PadicScalars.
+    """
+
+    __slots__ = ("p", "cap", "_ints", "_coeffs")
 
     def __init__(self, p: int, coeffs: Iterable[ScalarLike], cap: Optional[int] = None):
-        cs = []
-        for c in coeffs:
-            if not isinstance(c, PadicScalar):
-                c = PadicScalar(p, c)
-            elif c.p != p:
-                raise ValueError("coefficient prime mismatch")
-            cs.append(c)
+        cs = list(coeffs)
+        ints = _exact_ints(p, cs)
+        if ints is None:
+            for k, c in enumerate(cs):
+                if not isinstance(c, PadicScalar):
+                    cs[k] = PadicScalar(p, c)
+                elif c.p != p:
+                    raise ValueError("coefficient prime mismatch")
+        else:
+            cs = ints
         if cap is not None:
             cap = int(cap)
             if cap < 0:
                 raise ValueError("cap must be >= 0")
             del cs[cap:]
         # strip trailing exact zeros; inexact zeros stay tracked
-        while cs and cs[-1].is_exact_zero():
+        while cs and (cs[-1].is_exact_zero() if ints is None else not cs[-1]):
             cs.pop()
         self.p = p
-        self.coeffs = tuple(cs)
         self.cap = cap
+        self._ints = None if ints is None else tuple(cs)
+        self._coeffs = tuple(cs) if ints is None else None
 
     # -- constructors --------------------------------------------------------
 
@@ -67,34 +76,50 @@ class PowerSeries:
     # -- structure -----------------------------------------------------------
 
     @property
-    def is_polynomial(self) -> bool:
-        return self.cap is None
+    def coeffs(self) -> Tuple[PadicScalar, ...]:
+        if self._coeffs is None:
+            self._coeffs = tuple(PadicScalar(self.p, c) for c in self._ints)
+        return self._coeffs
+
+    @property
+    def _raw(self) -> tuple:
+        return self._coeffs if self._ints is None else self._ints
+
+    def _pair(self, other: "PowerSeries") -> tuple:
+        """Both coefficient tuples: ints if both series are int-backed, else PadicScalars."""
+        if self._ints is None or other._ints is None:
+            return self.coeffs, other.coeffs
+        return self._ints, other._ints
 
     def coefficient(self, k: int) -> PadicScalar:
         if self.cap is not None and k >= self.cap:
             raise PrecisionExhausted(f"coefficient {k} is beyond cap {self.cap}")
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return PadicScalar.zero(self.p)
+        return self.coefficient_raw(k)
+
+    def coefficient_raw(self, k: int) -> PadicScalar:
+        # like coefficient() but silently exact-zero past the cap; internal use
+        raw = self._raw
+        c = raw[k] if 0 <= k < len(raw) else 0
+        return c if isinstance(c, PadicScalar) else PadicScalar(self.p, c)
 
     def degree(self) -> int:
         """Largest index with a nonzero tracked coefficient; -1 for zero."""
+        if self._ints is not None:
+            return len(self._ints) - 1
         for k in range(len(self.coeffs) - 1, -1, -1):
             if not self.coeffs[k].is_zero():
                 return k
         return -1
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return self.degree() < 0
 
     def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.coeffs)
+        return self._ints is not None or all(c.is_exact for c in self.coeffs)
 
     def _cap_min(self, other: "PowerSeries") -> Optional[int]:
-        if self.cap is None:
-            return other.cap
-        if other.cap is None:
-            return self.cap
+        if self.cap is None or other.cap is None:
+            return other.cap if self.cap is None else self.cap
         return min(self.cap, other.cap)
 
     # -- ring operations -----------------------------------------------------
@@ -110,22 +135,18 @@ class PowerSeries:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = [x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        a, b = self._pair(other)
+        out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
         return PowerSeries(self.p, out, self._cap_min(other))
 
     __radd__ = __add__
-
-    def coefficient_raw(self, k: int) -> PadicScalar:
-        # like coefficient() but silently exact-zero past the cap; internal use
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return PadicScalar.zero(self.p)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = [x - y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        a, b = self._pair(other)
+        out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
         return PowerSeries(self.p, out, self._cap_min(other))
 
     def __rsub__(self, other):
@@ -135,19 +156,20 @@ class PowerSeries:
         return other - self
 
     def __neg__(self):
-        return PowerSeries(self.p, [-c for c in self.coeffs], self.cap)
+        return PowerSeries(self.p, [-c for c in self._raw], self.cap)
 
     def scale(self, s: ScalarLike) -> "PowerSeries":
-        if not isinstance(s, PadicScalar):
-            s = PadicScalar(self.p, s)
-        return PowerSeries(self.p, [c * s for c in self.coeffs], self.cap)
+        if self._ints is None or type(s) is not int:
+            s = s if isinstance(s, PadicScalar) else PadicScalar(self.p, s)
+        return PowerSeries(self.p, [c * s for c in self._raw], self.cap)
 
     def mul(self, other: "PowerSeries", cap: Optional[int] = None) -> "PowerSeries":
         """Product truncated at X^cap (and at the operands' own caps)."""
         other = self._coerce(other)
         caps = [c for c in (self.cap, other.cap, cap) if c is not None]
         eff = min(caps) if caps else None
-        return PowerSeries(self.p, poly_mul(self.coeffs, other.coeffs, eff), eff)
+        a, b = self._pair(other)
+        return PowerSeries(self.p, poly_mul(a, b, eff), eff)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicScalar)):
@@ -156,53 +178,34 @@ class PowerSeries:
             return self.mul(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, PadicScalar)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def truncate(self, cap: int) -> "PowerSeries":
         if self.cap is not None and self.cap <= cap:
             return self
-        return PowerSeries(self.p, self.coeffs[:cap], cap)
+        return PowerSeries(self.p, self._raw[:cap], cap)
 
     def congruent(self, other: "PowerSeries", k: int, upto: Optional[int] = None) -> bool:
         """Coefficientwise congruence mod p^k on the shared tracked range."""
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        eff = self._cap_min(other)
-        if eff is not None:
-            n = min(n, eff)
-        if upto is not None:
-            n = min(n, upto)
-        return all(
-            self.coefficient_raw(i).congruent(other.coefficient_raw(i), k)
-            for i in range(n)
-        )
+        n = min((c for c in (self._cap_min(other), upto) if c is not None), default=None)
+        pairs = zip_longest(self.coeffs[:n], other.coeffs[:n], fillvalue=PadicScalar.zero(self.p))
+        return all(x.congruent(y, k) for x, y in pairs)
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        eff = self._cap_min(other)
-        if eff is not None:
-            n = min(n, eff)
-        return all(
-            self.coefficient_raw(i) == other.coefficient_raw(i) for i in range(n)
-        )
+        a, b = self._pair(other)
+        n = self._cap_min(other)
+        return all(x == y for x, y in zip_longest(a[:n], b[:n], fillvalue=0))
 
     __hash__ = None
 
     def __repr__(self):
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero() and c.is_exact:
-                continue
-            terms.append(f"({c!r})*X^{k}")
-        body = " + ".join(terms) if terms else "0"
+        terms = [f"({c!r})*X^{k}" for k, c in enumerate(self.coeffs) if not c.is_exact_zero()]
         tail = f" + O(X^{self.cap})" if self.cap is not None else ""
-        return body + tail
+        return (" + ".join(terms) or "0") + tail
 
     # -- wire format -----------------------------------------------------------
 
@@ -210,12 +213,15 @@ class PowerSeries:
         return {
             "p": self.p,
             "cap": self.cap,
-            "coeffs": [c.to_json() for c in self.coeffs],
+            "coeffs": [c.to_json() for c in self.coeffs] if self._ints is None else
+                      [{"num": str(c), "den_pow": 0, "absprec": "inf"} for c in self._ints],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PowerSeries":
-        p = int(data["p"])
+        if not isinstance(data, dict):
+            raise SerializationError(f"a series must be a JSON object, got {data!r}")
+        p = _json_int(data, "p")
         cap = data.get("cap")
         cap = None if cap in (None, "inf") else _json_int(data, "cap")
         if cap is not None and cap < 0:
@@ -227,11 +233,24 @@ class PowerSeries:
 
     def to_csv_rows(self) -> list:
         """Rows (degree, numerator, den_pow, absprec) per tracked coefficient."""
-        rows = []
-        for k, c in enumerate(self.coeffs):
-            j = c.to_json()
-            rows.append((k, j["num"], j["den_pow"], j["absprec"]))
-        return rows
+        coeffs = self.to_json()["coeffs"]
+        return [(k, c["num"], c["den_pow"], c["absprec"]) for k, c in enumerate(coeffs)]
+
+
+def _exact_ints(p: int, cs: list) -> Optional[list]:
+    """The coefficients as ints when every one is an exact integer, else None."""
+    if all(type(c) is int for c in cs):
+        return cs
+    out = []
+    for c in cs:
+        if isinstance(c, PadicScalar):
+            if c.absprec is not None or c.p != p:
+                return None
+            c = c.value
+        if type(c) is not int and not (isinstance(c, Fraction) and c.denominator == 1):
+            return None
+        out.append(int(c))
+    return out
 
 
 # -- integer coefficient lists ------------------------------------------------
@@ -421,7 +440,7 @@ def _require_monic_exact(g: PowerSeries):
         raise ValueError("modulus must be nonzero")
     if not g.is_exact():
         raise ValueError("modulus must be exact")
-    if g.coeffs[d].value != 1:
+    if g.coefficient_raw(d).value != 1:
         raise ValueError("modulus must be monic")
 
 
@@ -432,7 +451,7 @@ def divmod_monic(f: PowerSeries, g: PowerSeries):
     coefficient precision propagates through the subtractions.
     """
     _require_monic_exact(g)
-    quot, rem = poly_divmod(f.coeffs, g.coeffs)
+    quot, rem = poly_divmod(*f._pair(g))
     return PowerSeries(f.p, quot), PowerSeries(f.p, rem)
 
 
@@ -470,15 +489,8 @@ def gauss_norm_log(f: PowerSeries, s) -> Optional[Fraction]:
     s = Fraction(s)
     if s <= 0:
         raise ValueError("s must be positive")
-    best = None
-    for k, c in enumerate(f.coeffs):
-        if c.is_exact_zero():
-            continue
-        v = c.absprec if c.is_zero() else c.valuation()
-        cand = -Fraction(v) - k * s
-        if best is None or cand > best:
-            best = cand
-    return best
+    return max((-Fraction(c.absprec if c.is_zero() else c.valuation()) - k * s
+                for k, c in enumerate(f.coeffs) if not c.is_exact_zero()), default=None)
 
 
 def log_series(p: int, cap: int) -> PowerSeries:

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_ladders.coleman import (
     LambdaPair,
@@ -13,7 +14,7 @@ from padic_ladders.coleman import (
     phi_apply,
     projection_compatibility_check,
 )
-from padic_ladders.errors import InexactDivision
+from padic_ladders.errors import InexactDivision, SerializationError
 from padic_ladders.series import LambdaElement, PowerSeries, omega, phi, reduce_mod
 
 PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0)]
@@ -149,3 +150,35 @@ def test_lambda_pair_json_round_trip():
     v = LambdaPair.from_ints(3, 2, [1, 2, 3], [4, 5])
     again = LambdaPair.from_json(v.to_json())
     assert again == v
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.clear(),
+    lambda d: d.update(p="x"),
+    lambda d: d.pop("level"),
+    lambda d: d.update(level=[2]),
+    lambda d: d.pop("first"),
+    lambda d: d.update(second=5),
+], ids=["empty", "p-not-int", "level-missing", "level-not-int", "first-missing",
+        "second-not-object"])
+def test_lambda_pair_from_json_rejects_bad_fields(edit):
+    data = LambdaPair.from_ints(3, 2, [1, 2, 3], [4, 5]).to_json()
+    edit(data)
+    with pytest.raises(SerializationError):
+        LambdaPair.from_json(data)
+
+
+@st.composite
+def _exact_case(draw):
+    p, ap = draw(st.sampled_from(PAIRS + [(5, 0)]))
+    n = draw(st.integers(1, 3 if p < 5 else 2))
+    coeffs = st.lists(st.integers(-9, 9), max_size=p ** n)
+    return p, ap, n, LambdaPair.from_ints(p, n, draw(coeffs), draw(coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_exact_case())
+def test_decompose_inverts_phi_apply_mod_kernel(case):
+    p, ap, n, v = case
+    image = phi_apply(p, ap, n, 1, v)
+    assert kernel_member(p, ap, n, decompose(p, ap, n, image.first, image.second) - v)

@@ -318,6 +318,27 @@ def test_half_log_from_json_rejects_bad_fields(edit):
         HalfLogPair.from_json(data)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(entries=5),
+    lambda d: d.update(entries=[5, 6]),
+    lambda d: d.update(entries=[[5]]),
+    lambda d: d.update(p="x"),
+    lambda d: d.pop("ap"),
+    lambda d: d.update(level="x"),
+    lambda d: d.update(index=None),
+    lambda d: d.update(cap="abc"),
+    lambda d: d.update(prec=[1]),
+    lambda d: d["entries"][0][0].pop("p"),
+], ids=["entries-not-list", "rows-not-lists", "entry-not-object", "p-not-int",
+        "ap-missing", "level-not-int", "index-not-int", "cap-not-int", "prec-not-int",
+        "series-p-missing"])
+def test_ladder_matrix_from_json_rejects_bad_fields(edit):
+    data = ladder(3, 3, 1, 1).to_json()
+    edit(data)
+    with pytest.raises(SerializationError):
+        LadderMatrix.from_json(data)
+
+
 def test_quadext_series_scale_matches_scalarwise():
     # series-level (a + b alpha) * s against coefficient-by-coefficient products
     import random

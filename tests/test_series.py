@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padic_ladders.errors import InexactDivision
-from padic_ladders.padics import PadicScalar
+from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import (
     LambdaElement,
     PowerSeries,
+    divmod_monic,
     eval_at_root,
     exact_divide,
     gauss_norm_log,
@@ -253,3 +255,68 @@ def test_lambda_element_reduction():
     assert prod.poly.degree() < 3
     data = e.to_json()
     assert LambdaElement.from_json(dict(data, p=3)) == e
+
+
+def test_exact_integer_coefficients_share_one_form():
+    # ints, unit-denominator Fractions and exact integral PadicScalars are one series,
+    # and coeffs still reads as PadicScalars with value and absprec
+    f = PowerSeries(5, [Fraction(-4), PadicScalar(5, 7), 0, 12, PadicScalar(5, 0)])
+    g = PowerSeries(5, [-4, 7, 0, 12])
+    assert f.to_json() == g.to_json() and f == g and f.degree() == 3
+    assert [(c.value, c.absprec) for c in f.coeffs] == [(-4, None), (7, None), (0, None), (12, None)]
+    assert PowerSeries.from_json(g.to_json()).to_json() == g.to_json()
+    assert f.scale(3) == PowerSeries(5, [-12, 21, 0, 36])
+    assert f.scale(Fraction(1, 5)).coefficient(0).value == Fraction(-4, 5)
+    assert (f - g).is_zero() and (-f + g).degree() == -1
+
+
+def _in_interval(rep, c):
+    """The rational rep lies in the p-adic interval of the PadicScalar c."""
+    d = rep - c.value
+    if c.absprec is None:
+        return d == 0
+    return d == 0 or rational_valuation(d, c.p) >= c.absprec
+
+
+@st.composite
+def _operand(draw, p, exact_only):
+    """(series, a representative of its coefficients): int-backed or mixed inexact."""
+    size = draw(st.integers(0, 8))
+    nums = draw(st.lists(st.integers(-60, 60), min_size=size, max_size=size))
+    if exact_only:
+        return PowerSeries(p, nums), [Fraction(x) for x in nums]
+    coeffs, reps = [], []
+    for x in nums:
+        if draw(st.booleans()):
+            coeffs.append(x)
+            reps.append(Fraction(x))
+            continue
+        value = Fraction(x, p ** draw(st.integers(0, 2)))
+        absprec = draw(st.integers(-1, 6))
+        c = PadicScalar(p, value, absprec)
+        coeffs.append(c)
+        reps.append(c.value + draw(st.integers(-30, 30)) * Fraction(p) ** absprec)
+    return PowerSeries(p, coeffs), reps
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mul_and_divmod_precision_is_sound(data):
+    """Representatives of the operands land in the computed intervals, coefficientwise."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    exact_first = data.draw(st.booleans())
+    f, f_rep = data.draw(_operand(p, exact_first))
+    g, g_rep = data.draw(_operand(p, not exact_first and data.draw(st.booleans())))
+    cap = data.draw(st.one_of(st.none(), st.integers(0, 12)))
+    prod = f.mul(g, cap)
+    want = poly_mul(f_rep, g_rep, cap)
+    assert all(_in_interval(Fraction(w), prod.coefficient_raw(k)) for k, w in enumerate(want))
+    assert len(prod.coeffs) <= len(want)
+
+    top = data.draw(st.lists(st.integers(-9, 9), max_size=4))
+    monic = data.draw(st.sampled_from((phi(p, 1), omega(p, 1), PowerSeries(p, top + [1]))))
+    quot, rem = divmod_monic(f, monic)
+    want_q, want_r = poly_divmod(f_rep, [Fraction(c.value) for c in monic.coeffs])
+    for got, want in ((quot, want_q), (rem, want_r)):
+        assert all(_in_interval(Fraction(w), got.coefficient_raw(k)) for k, w in enumerate(want))
+        assert len(got.coeffs) <= len(want)
