@@ -256,13 +256,13 @@ def _exact_ints(p: int, cs: list) -> Optional[list]:
 # -- integer coefficient lists ------------------------------------------------
 #
 # Phi_j(1+X), omega_n and every finite-level ladder row are integer
-# polynomials: lists of ints, index = degree, that become PowerSeries only at
+# polynomials: lists of ints, index = degree, kept as ints by PowerSeries at
 # the API boundary.  Truncation at X^cap, reduction of the coefficients mod an
 # integer and reduction mod a monic polynomial are ring maps, so applying them
 # after every step is sound.
 #
 # poly_mul and poly_divmod use only +, - and * on the coefficients, so
-# PowerSeries runs them unchanged on its PadicScalar tuples.  Their ``if c:``
+# PowerSeries also runs them on its PadicScalar tuples.  Their ``if c:``
 # skips int zeros only: a PadicScalar is always truthy, and an exact zero
 # term leaves the value and absprec of a sum as they are.
 
