@@ -100,8 +100,9 @@ class LadderMatrix:
     @classmethod
     def from_json(cls, data: dict) -> "LadderMatrix":
         rows = data.get("entries")
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise SerializationError(f"entries must be a list of rows, got {rows!r}")
+        if not (isinstance(rows, list) and len(rows) == 2
+                and all(isinstance(row, list) and len(row) == 2 for row in rows)):
+            raise SerializationError(f"entries must be two rows of two series, got {rows!r}")
         level = data.get("level")
         opt = lambda key: None if data.get(key) is None else _json_int(data, key)
         return cls(

@@ -321,7 +321,8 @@ def test_half_log_from_json_rejects_bad_fields(edit):
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(entries=5),
     lambda d: d.update(entries=[5, 6]),
-    lambda d: d.update(entries=[[5]]),
+    lambda d: d.update(entries=[[5, 6], [7, 8]]),
+    lambda d: d["entries"].pop(),
     lambda d: d.update(p="x"),
     lambda d: d.pop("ap"),
     lambda d: d.update(level="x"),
@@ -329,7 +330,7 @@ def test_half_log_from_json_rejects_bad_fields(edit):
     lambda d: d.update(cap="abc"),
     lambda d: d.update(prec=[1]),
     lambda d: d["entries"][0][0].pop("p"),
-], ids=["entries-not-list", "rows-not-lists", "entry-not-object", "p-not-int",
+], ids=["entries-not-list", "rows-not-lists", "entry-not-object", "one-row", "p-not-int",
         "ap-missing", "level-not-int", "index-not-int", "cap-not-int", "prec-not-int",
         "series-p-missing"])
 def test_ladder_matrix_from_json_rejects_bad_fields(edit):
