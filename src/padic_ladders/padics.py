@@ -310,18 +310,19 @@ class PadicScalar:
         absprec = data.get("absprec", "inf")
         absprec = None if absprec in ("inf", None) else _json_int(data, "absprec")
         num = _json_int(data, "num")
-        den_pow = _json_int(data, "den_pow", 0)
-        if den_pow < 0:
-            raise SerializationError(f"den_pow must be >= 0, got {den_pow}")
+        den_pow = _json_int(data, "den_pow", 0, minimum=0)
         return cls(p, Fraction(num, p ** den_pow), absprec)
 
 
-def _json_int(data: dict, key: str, default=None) -> int:
-    """An integer field of a wire-format object: a JSON integer or a decimal string."""
+def _json_int(data: dict, key: str, default=None, minimum=None) -> int:
+    """An integer field (a JSON integer or a decimal string), at least minimum if given."""
     value = data.get(key, default)
     try:
         if isinstance(value, (int, str)) and not isinstance(value, bool):
-            return int(value)
+            out = int(value)
+            if minimum is None or out >= minimum:
+                return out
+            raise SerializationError(f"{key} must be >= {minimum}, got {out}")
     except ValueError:
         pass
     raise SerializationError(f"field {key!r} must be an integer, got {value!r}")

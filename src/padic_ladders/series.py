@@ -14,7 +14,7 @@ polynomial spanned by its tracked coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -223,9 +223,7 @@ class PowerSeries:
             raise SerializationError(f"a series must be a JSON object, got {data!r}")
         p = _json_int(data, "p")
         cap = data.get("cap")
-        cap = None if cap in (None, "inf") else _json_int(data, "cap")
-        if cap is not None and cap < 0:
-            raise SerializationError(f"cap must be >= 0, got {cap}")
+        cap = None if cap in (None, "inf") else _json_int(data, "cap", minimum=0)
         coeffs = data.get("coeffs", [])
         if not isinstance(coeffs, list):
             raise SerializationError(f"coeffs must be a JSON list, got {coeffs!r}")
@@ -261,13 +259,16 @@ def _exact_ints(p: int, cs: list) -> Optional[list]:
 # integer and reduction mod a monic polynomial are ring maps, so applying them
 # after every step is sound.
 #
-# poly_mul and poly_divmod use only +, - and * on the coefficients, so
-# PowerSeries also runs them on its PadicScalar tuples.  Their ``if c:``
-# skips int zeros only: a PadicScalar is always truthy, and an exact zero
-# term leaves the value and absprec of a sum as they are.
+# poly_divmod and poly_mul's schoolbook loop use only +, - and * on the
+# coefficients, so PowerSeries also runs them on its PadicScalar tuples; their
+# ``if c:`` skips int zeros only (a PadicScalar is always truthy, and an exact
+# zero term leaves the value and absprec of a sum as they are).  Int operands
+# with _KRONECKER_MIN_LEN or more kept coefficients are packed into one int
+# each for one big-int product (Kronecker substitution, arXiv:0712.4046).
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
+_KRONECKER_MIN_LEN = 32  # measured crossover: 24-32, small signed ints to mod 2^128
 
 
 def _reduced(coeffs: Poly, mod: Optional[int]) -> Poly:
@@ -300,23 +301,45 @@ def phi_coeffs(p: int, j: int, cap: Optional[int] = None, mod: Optional[int] = N
     return _reduced(out, mod)
 
 
-def omega_coeffs(p: int, n: int) -> Poly:
-    """omega_n(X) = (1+X)^(p^n) - 1, monic of degree p^n."""
+@lru_cache(maxsize=64)
+def omega_coeffs(p: int, n: int) -> Tuple[int, ...]:
+    """omega_n(X) = (1+X)^(p^n) - 1, monic of degree p^n (cached per (p, n))."""
     require_prime(p)
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [0] + _binomials(p ** n, p ** n + 1)[1:]
+    return (0, *_binomials(p ** n, p ** n + 1)[1:])
 
 
 def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None, mod: Optional[int] = None) -> Poly:
     """a*b below X^cap: min(cap, len(a)+len(b)-1) coefficients, none if a or b is []."""
     n = len(a) + len(b) - 1 if a and b else 0
     out = [0] * (n if cap is None else min(n, cap))
-    for i, ai in enumerate(a[: len(out)]):
+    a, b = a[: len(out)], b[: len(out)]
+    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN and type(a[0]) is type(b[0]) is int:
+        return _reduced(_kronecker_mul(a, b, len(out)), mod)
+    for i, ai in enumerate(a):
         if ai:
             for k, bk in enumerate(b[: len(out) - i], i):
                 out[k] += ai * bk
     return _reduced(out, mod)
+
+
+def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
+    """The first count coefficients of a*b, from one product of packed ints."""
+    def pack(cs):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
+        if min(cs) < 0:
+            return pack([max(c, 0) for c in cs]) - pack([max(-c, 0) for c in cs])
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))  # >= every |(a*b)_k|
+    if not bound:
+        return [0] * count
+    width = (bound.bit_length() + 8) // 8  # bytes per slot: the bound plus a sign bit
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")  # half in every slot
+    packed = (pack(a) * pack(b) + offset) % (1 << (8 * width * count))
+    buf = packed.to_bytes(width * count, "little")
+    return [int.from_bytes(buf[k:k + width], "little") - half for k in range(0, len(buf), width)]
 
 
 def poly_divmod(f: Poly, g: Poly, mod: Optional[int] = None) -> Tuple[Poly, Poly]:
@@ -337,9 +360,9 @@ def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:
     return poly_divmod(f, g, mod)[1]
 
 
-def _combine(a: int, x: Poly, y: Poly, mod: Optional[int]) -> Poly:
-    """a*x - y, as long as the longer operand."""
-    return _reduced([a * xk - yk for xk, yk in zip_longest(x, y, fillvalue=0)], mod)
+def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
+    """s*x + t*y, as long as the longer operand."""
+    return _reduced([s * xk + t * yk for xk, yk in zip_longest(x, y, fillvalue=0)], mod)
 
 
 def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = None,
@@ -357,7 +380,7 @@ def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = N
         prod = poly_mul(phik, y, cap, mod)
         if nu is not None:
             prod = poly_rem(prod, omega_coeffs(p, nu), mod)
-        new_top.append(_combine(ap, x, prod, mod))
+        new_top.append(_lincomb(ap, x, -1, prod, mod))
     return [new_top, top]
 
 
@@ -365,22 +388,25 @@ def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None
                parity_flip: bool = False) -> IntRows:
     """Move index-1 rows to index i by [[a_p(idx), -1], [1, 0]] or its inverse.
 
-    A shift is a Z-linear combination, so capped or omega-reduced rows stay so.
+    The |i-1| steps compose to one integer matrix [[s, t], [u, v]], applied
+    once; a Z-linear combination, so capped or omega-reduced rows stay so.
     parity_flip reads a_p(idx+1) for a_p(idx), a deliberate fault for tests.
     """
+    if i == 1:
+        return rows
     off = 1 if parity_flip else 0
-    idx = 1
-    while idx < i:
+    s, t, u, v = 1, 0, 0, 1
+    for idx in range(1, i):
         a = ap_parity_value(p, ap, idx + off)
-        top, bot = rows
-        rows = [[_combine(a, x, y, mod) for x, y in zip(top, bot)], top]
-        idx += 1
-    while idx > i:
+        s, t, u, v = a * s - u, a * t - v, s, t
+    for idx in range(1, i, -1):
         a = ap_parity_value(p, ap, idx - 1 + off)
-        top, bot = rows
-        rows = [bot, [_combine(a, y, x, mod) for x, y in zip(top, bot)]]
-        idx -= 1
-    return rows
+        s, t, u, v = u, v, a * u - s, a * v - t
+    # After a single step one row is the old row itself, unreduced and unpadded.
+    top, bot = rows
+    new_top = bot if i == 0 else [_lincomb(s, x, t, y, mod) for x, y in zip(top, bot)]
+    new_bot = top if i == 2 else [_lincomb(u, x, v, y, mod) for x, y in zip(top, bot)]
+    return [new_top, new_bot]
 
 
 def ladder_rows(p: int, ap: int, n: int, i: int, cap: Optional[int] = None,
@@ -564,4 +590,5 @@ class LambdaElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "LambdaElement":
-        return cls(int(data["p"]), int(data["level"]), PowerSeries.from_json(data))
+        level = _json_int(data, "level", minimum=0)
+        return cls(_json_int(data, "p"), level, PowerSeries.from_json(data))

@@ -152,20 +152,29 @@ def test_lambda_pair_json_round_trip():
     assert again == v
 
 
-@pytest.mark.parametrize("edit", [
-    lambda d: d.clear(),
-    lambda d: d.update(p="x"),
-    lambda d: d.pop("level"),
-    lambda d: d.update(level=[2]),
-    lambda d: d.pop("first"),
-    lambda d: d.update(second=5),
+_PAIR = LambdaPair.from_ints(3, 2, [1, 2, 3], [4, 5])
+_ELEMENT = LambdaElement.from_ints(3, 2, [1, 2, 3])
+
+
+@pytest.mark.parametrize("value, edit", [
+    (_PAIR, lambda d: d.clear()),
+    (_PAIR, lambda d: d.update(p="x")),
+    (_PAIR, lambda d: d.pop("level")),
+    (_PAIR, lambda d: d.update(level=[2])),
+    (_PAIR, lambda d: d.pop("first")),
+    (_PAIR, lambda d: d.update(second=5)),
+    (_PAIR, lambda d: d.update(level=-1)),
+    (_ELEMENT, lambda d: d.update(level=-1)),
+    (_ELEMENT, lambda d: d.pop("level")),
+    (_ELEMENT, lambda d: d.update(level=2.5)),
 ], ids=["empty", "p-not-int", "level-missing", "level-not-int", "first-missing",
-        "second-not-object"])
-def test_lambda_pair_from_json_rejects_bad_fields(edit):
-    data = LambdaPair.from_ints(3, 2, [1, 2, 3], [4, 5]).to_json()
+        "second-not-object", "level-negative", "element-level-negative",
+        "element-level-missing", "element-level-not-int"])
+def test_lambda_pair_from_json_rejects_bad_fields(value, edit):
+    data = value.to_json()
     edit(data)
     with pytest.raises(SerializationError):
-        LambdaPair.from_json(data)
+        type(value).from_json(data)
 
 
 @st.composite

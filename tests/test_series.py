@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from padic_ladders.series import (
     eval_at_root,
     exact_divide,
     gauss_norm_log,
+    ladder_rows,
     log_series,
     omega,
     omega_coeffs,
@@ -27,7 +29,9 @@ from padic_ladders.series import (
     poly_rem,
     reduce_mod,
     series_arith,
+    shift_rows,
 )
+from padic_ladders.trace import ap_parity_value
 
 
 def poly(p, ints):
@@ -213,6 +217,62 @@ def test_int_core_matches_sympy():
             assert len(r) == min(len(a), len(g) - 1)
             assert (_trim(q), _trim(r)) == (from_poly(quot, None, reduce_by),
                                             from_poly(rem, None, reduce_by))
+
+    # poly_mul from both sides of the Kronecker crossover: lengths 1-80 with
+    # mixed-sign coefficients up to 2^200, all-zero operands, products that
+    # reach the slot bound, and dense cap-200 pairs mod p^k like the limit
+    # kernel's.
+    cases = []
+    for _ in range(60):
+        bits = rng.choice((3, 20, 64, 200))
+        draw = lambda: [rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randint(1, 80))]
+        cases.append((draw(), draw(), rng.choice((None, rng.randint(1, 160))),
+                      rng.choice((None, rng.choice((2, 3, 5, 7)) ** rng.randint(1, 70)))))
+    cases.append(([0] * 50, [rng.randint(-2 ** 200, 2 ** 200) for _ in range(60)], None, None))
+    cases.append(([rng.randint(-2 ** 200, 2 ** 200) for _ in range(60)], [0] * 40, 70, 3 ** 40))
+    top = 2 ** 197 - 1  # 64 * top^2 has 400 bits: a slot's whole width
+    cases += [([top] * 64, [top] * 64, None, None), ([top] * 64, [-top] * 64, 100, None)]
+    for p, k in ((2, 66), (3, 40), (5, 30)):
+        dense = lambda: [rng.randrange(p ** k) for _ in range(200)]
+        cases.append((dense(), dense(), 200, p ** k))
+    for a, b, cap, mod in cases:
+        got = poly_mul(a, b, cap, mod)
+        assert len(got) == min(len(a) + len(b) - 1, cap or len(a) + len(b))
+        assert _trim(got) == from_poly(to_poly(a) * to_poly(b), cap, mod)
+
+
+def _shift_step_by_step(p, ap, rows, i, mod, parity_flip):
+    """shift_rows as |i-1| separate unimodular steps, each reduced mod mod."""
+    off = 1 if parity_flip else 0
+
+    def comb(a, x, y):  # a*x - y
+        out = [a * xk - yk for xk, yk in zip_longest(x, y, fillvalue=0)]
+        return out if mod is None else [c % mod for c in out]
+
+    for idx in range(1, i):
+        a = ap_parity_value(p, ap, idx + off)
+        top, bot = rows
+        rows = [[comb(a, x, y) for x, y in zip(top, bot)], top]
+    for idx in range(1, i, -1):
+        a = ap_parity_value(p, ap, idx - 1 + off)
+        top, bot = rows
+        rows = [bot, [comb(a, y, x) for x, y in zip(top, bot)]]
+    return rows
+
+
+def test_shift_rows_matches_step_by_step_composition():
+    rng = random.Random(7)
+    for p, ap in ((2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0)):
+        for mod in (None, p ** 9):
+            # built ladder rows, and rows of unequal lengths with unreduced entries
+            built = ladder_rows(p, ap, 3, 1, 12, mod)
+            ragged = [[[rng.randint(-10 ** 6, 10 ** 6) for _ in range(rng.randint(0, 9))]
+                       for _ in range(2)] for _ in range(2)]
+            for rows in (built, ragged):
+                for i in range(-9, 10):
+                    for flip in (False, True):
+                        assert (shift_rows(p, ap, rows, i, mod, flip)
+                                == _shift_step_by_step(p, ap, rows, i, mod, flip))
 
 
 def test_log_series_examples():
