@@ -329,7 +329,7 @@ def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
     def pack(cs):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
         if min(cs) < 0:
             return pack([max(c, 0) for c in cs]) - pack([max(-c, 0) for c in cs])
-        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in cs), "little")
+        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
 
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))  # >= every |(a*b)_k|
     if not bound:
@@ -337,7 +337,7 @@ def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
     width = (bound.bit_length() + 8) // 8  # bytes per slot: the bound plus a sign bit
     half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")  # half in every slot
-    packed = (pack(a) * pack(b) + offset) % (1 << (8 * width * count))
+    packed = (pack(a) * pack(b) + offset) & ((1 << (8 * width * count)) - 1)
     buf = packed.to_bytes(width * count, "little")
     return [int.from_bytes(buf[k:k + width], "little") - half for k in range(0, len(buf), width)]
 
