@@ -268,7 +268,7 @@ def _exact_ints(p: int, cs: list) -> Optional[list]:
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
-_KRONECKER_MIN_LEN = 32  # measured crossover: 24-32, small signed ints to mod 2^128
+_KRONECKER_MIN_LEN = 32  # crossover measured in BENCH_7.json
 
 
 def _reduced(coeffs: Poly, mod: Optional[int]) -> Poly:
@@ -326,15 +326,16 @@ def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None, mod: Optional[int] = N
 
 def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
     """The first count coefficients of a*b, from one product of packed ints."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))  # >= every |(a*b)_k|
+    if not bound:
+        return [0] * count
+    width = (bound.bit_length() + 8) // 8  # bytes per slot: the bound plus a sign bit
+
     def pack(cs):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
         if min(cs) < 0:
             return pack([max(c, 0) for c in cs]) - pack([max(-c, 0) for c in cs])
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
 
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))  # >= every |(a*b)_k|
-    if not bound:
-        return [0] * count
-    width = (bound.bit_length() + 8) // 8  # bytes per slot: the bound plus a sign bit
     half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")  # half in every slot
     packed = (pack(a) * pack(b) + offset) & ((1 << (8 * width * count)) - 1)
@@ -590,5 +591,5 @@ class LambdaElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "LambdaElement":
-        level = _json_int(data, "level", minimum=0)
-        return cls(_json_int(data, "p"), level, PowerSeries.from_json(data))
+        return cls(_json_int(data, "p"), _json_int(data, "level", minimum=0),
+                   PowerSeries.from_json(data))
