@@ -230,7 +230,7 @@ def test_int_core_matches_sympy():
                       rng.choice((None, rng.choice((2, 3, 5, 7)) ** rng.randint(1, 70)))))
     cases.append(([0] * 50, [rng.randint(-2 ** 200, 2 ** 200) for _ in range(60)], None, None))
     cases.append(([rng.randint(-2 ** 200, 2 ** 200) for _ in range(60)], [0] * 40, 70, 3 ** 40))
-    top = 2 ** 197 - 1  # 64 * top^2 has 400 bits: a slot's whole width
+    top = 2 ** 197 - 1  # 64 * top^2 has exactly 400 bits: only the sign bit's byte holds it
     cases += [([top] * 64, [top] * 64, None, None), ([top] * 64, [-top] * 64, 100, None)]
     for p, k in ((2, 66), (3, 40), (5, 30)):
         dense = lambda: [rng.randrange(p ** k) for _ in range(200)]
