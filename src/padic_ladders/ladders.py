@@ -30,8 +30,7 @@ from .series import (
     append_factor,
     gauss_norm_log,
     ladder_rows,
-    phi_coeffs,
-    poly_mul,
+    phi_mul,
     reduce_mod,
     shift_rows,
 )
@@ -148,12 +147,6 @@ def _max_limit_steps(p: int, cap: int, prec: int) -> int:
     return steps
 
 
-# The limit iteration runs the integer ladder rows modulo p^work; every step
-# (cyclotomic factor, unimodular shift) is Z-linear, so reducing modulo a
-# fixed p-power is sound, and Fraction overhead is paid only once at the
-# final scaling.
-
-
 def ladder_infinity(
     p: int,
     ap: int,
@@ -169,29 +162,38 @@ def ladder_infinity(
     ``_stabilized``).  Raises NotConverged
     past the step cap, which the SPRUNG_MAX_LIMIT_STEPS environment variable
     overrides.
+
+    Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n
+    reads both rows shifted to index i (an integer matrix: it keeps the
+    smaller precision of its two inputs) and scaled by p^-e, e <= e_n =
+    max(-((i-N)//2), -((i-1-N)//2)); e_n grows by one every second level.
+    Its top row is computed mod p^T_n, T_n = prec + e_n + c.  For n > n_start,
+    p^(n-1) >= cap and p | a_p, so the step (phi_mul) gives the top row mod
+    p^(min(T_(n-1), T_(n-2)) + 1) = p^T_n.  The levels up to n_start - 1 gain
+    nothing and are kept mod p^T_(n_start).  Level n is then right mod
+    p^T_(n-1) >= p^(prec + e_n) for c = 1, and the stopping rule and the
+    output read only residues mod p^(prec + e): any larger fixed precision,
+    whatever the step cap, gives the same result.
     """
     period_constants(p, ap)
     if cap < 1 or prec < 1:
         raise ValueError("cap and prec must be >= 1")
     n_start = max(1, math.ceil(math.log(max(cap, 2), p)))
-    while p ** n_start < cap:
-        n_start += 1
-    while n_shift(p, n_start) < i - 1:  # keeps both row exponents >= 0
+    while p ** n_start < cap or n_shift(p, n_start) < i - 1:  # row exponents >= 0
         n_start += 1
     max_steps = _max_limit_steps(p, cap, prec)
-    n_stop = n_start + max_steps
-    # Working precision covers the worst p-power division in the row scaling.
-    work = prec + (n_stop + 3 + abs(i)) // 2 + 4
-    mod = p ** work
+
+    def exps(n):
+        N = n_shift(p, n)
+        return -((i - N) // 2), -((i - 1 - N) // 2)
 
     def approximants():
-        rows1 = ladder_rows(p, ap, n_start - 1, 1, cap, mod)
-        for n in range(n_start, n_stop + 1):
+        rows1 = ladder_rows(p, ap, n_start - 1, 1, cap, p ** (prec + max(exps(n_start)) + 1))
+        for n in range(n_start, n_start + max_steps + 1):
+            mod = p ** (prec + max(exps(n)) + 1)
             rows1 = append_factor(p, ap, rows1, n, cap, mod)
-            N = n_shift(p, n)
-            shifted = shift_rows(p, ap, rows1, i - N, mod, _corrupt_parity)
-            exps = (-((i - N) // 2), -((i - 1 - N) // 2))
-            yield n, [(s, e) for row, e in zip(shifted, exps) for s in row]
+            shifted = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
+            yield n, [(s, e) for row, e in zip(shifted, exps(n)) for s in row]
 
     found = _stabilized(p, prec, approximants())
     if found is None:
@@ -235,7 +237,8 @@ def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
 
 
 def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> PowerSeries:
-    coeffs = [PadicScalar(p, Fraction(x, p ** e), prec).reduce() for x in ints]
+    mod = p ** (prec + e)  # x / p^e mod p^prec reads x mod p^(prec+e) only
+    coeffs = [PadicScalar(p, Fraction(x % mod, p ** e), prec).reduce() for x in ints]
     return PowerSeries(p, coeffs, cap)
 
 
@@ -295,23 +298,13 @@ class QuadExtSeries:
         return max((v for v in norms if v is not None), default=None)
 
     def to_json(self) -> dict:
-        n = max(len(self.a.coeffs), len(self.b.coeffs))
-        return {
-            "p": self.p,
-            "ap": self.ap,
-            "cap": self.cap,
-            "coeffs": [
-                {
-                    "a": self.a.coefficient_raw(k).to_json(),
-                    "b": self.b.coefficient_raw(k).to_json(),
-                }
-                for k in range(n)
-            ],
-        }
+        coeffs = [{"a": self.a.coefficient_raw(k).to_json(), "b": self.b.coefficient_raw(k).to_json()}
+                  for k in range(max(len(self.a.coeffs), len(self.b.coeffs)))]
+        return {"p": self.p, "ap": self.ap, "cap": self.cap, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadExtSeries":
-        p = int(data["p"])
+        p, ap = _json_object_ints(data, "a Z[alpha] series", "p", "ap")
         coeffs = data.get("coeffs", [])
 
         def part(key: str) -> PowerSeries:
@@ -321,7 +314,7 @@ class QuadExtSeries:
                 cs = [c.get(key) if isinstance(c, dict) else c for c in coeffs]
             return PowerSeries.from_json({"p": p, "cap": data.get("cap"), "coeffs": cs})
 
-        return cls(p, int(data["ap"]), part("a"), part("b"))
+        return cls(p, ap, part("a"), part("b"))
 
 
 def combine_with_conjugate_root(
@@ -356,15 +349,16 @@ class HalfLogPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "HalfLogPair":
-        return cls(
-            p=int(data["p"]),
-            ap=int(data["ap"]),
-            root_tag=data.get("root_tag", "alpha"),
-            log_theta=QuadExtSeries.from_json(data["log_theta"]),
-            log_upsilon=QuadExtSeries.from_json(data["log_upsilon"]),
-            cap=_json_int(data, "cap"),
-            prec=_json_int(data, "prec"),
-        )
+        p, ap, cap, prec = _json_object_ints(data, "a half-log pair", "p", "ap", "cap", "prec")
+        logs = [QuadExtSeries.from_json(data.get(key)) for key in ("log_theta", "log_upsilon")]
+        return cls(p, ap, data.get("root_tag", "alpha"), *logs, cap, prec)
+
+
+def _json_object_ints(data, what: str, *keys: str) -> List[int]:
+    """The integer fields keys of the JSON object data (SerializationError otherwise)."""
+    if not isinstance(data, dict):
+        raise SerializationError(f"{what} must be a JSON object, got {data!r}")
+    return [_json_int(data, key) for key in keys]
 
 
 def _intrinsic_variant(
@@ -405,10 +399,8 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     log_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
 
     # (i, j) = (0, 1) reuses the same rows; (tt-1, tt) needs rows at index 1-tt.
-    v_theta, v_upsilon = _intrinsic_variant(p, ap, m0, 0, 1)
-    checks = [(v_theta, v_upsilon)]
     m_shift = ladder_infinity(p, ap, 1 - tt, cap, work)
-    checks.append(_intrinsic_variant(p, ap, m_shift, tt - 1, tt))
+    checks = [_intrinsic_variant(p, ap, m0, 0, 1), _intrinsic_variant(p, ap, m_shift, tt - 1, tt)]
     for v_theta, v_upsilon in checks:
         if not v_theta.congruent(log_theta, prec) or not v_upsilon.congruent(
             log_upsilon, prec
@@ -429,7 +421,8 @@ def pollack_product(
     (the rule of ``_stabilized``); only odd p is meaningful (the construction
     needs p - 1 > 1 parity classes).  After k factors the value is P_k/p^k
     with P_k an integer polynomial, and agreement mod p^prec needs P_k only
-    mod p^(prec+k), so P_k is kept mod p^(prec + max_steps).
+    mod p^(prec+k).  A factor with p^(j-1) >= cap adds one p-adic digit
+    (``phi_mul``), the d before it none, so P_k is kept mod p^(prec+max(k, d)).
     """
     if p == 2:
         raise ValueError("parity products need an odd prime")
@@ -437,13 +430,13 @@ def pollack_product(
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
     max_steps = math.ceil(math.log(max(cap, 2), p)) + prec + 10
-    mod = p ** (prec + max_steps)
-    first_j = 2 if parity == "even" else 1
+    js = range(2 if parity == "even" else 1, 2 * max_steps + 1, 2)
+    d = sum(1 for j in js if p ** (j - 1) < cap)
 
     def approximants():
         P = [1]
-        for k in range(1, max_steps + 1):
-            P = poly_mul(P, phi_coeffs(p, first_j + 2 * (k - 1), cap, mod), cap, mod)
+        for k, j in enumerate(js, 1):
+            P = phi_mul(p, j, [P], cap, p ** (prec + max(k, d)))[0]
             yield k, [(P, k)]
 
     found = _stabilized(p, prec, approximants())

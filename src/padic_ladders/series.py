@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InexactDivision, PrecisionExhausted, SerializationError
@@ -287,18 +287,55 @@ def _binomials(e: int, count: int) -> Poly:
 def phi_coeffs(p: int, j: int, cap: Optional[int] = None, mod: Optional[int] = None) -> Poly:
     """Phi_j(1+X) = sum_{t<p} (1+X)^(p^(j-1) t): monic, constant term p.
 
-    With cap, exactly cap coefficients (zero past the degree); with mod, each
-    coefficient reduced into [0, mod).
+    With cap, exactly cap coefficients (zero past the degree); with mod (a
+    power of p when cap is given), each coefficient reduced into [0, mod).
     """
     require_prime(p)
     if j < 1:
         raise ValueError("j must be >= 1")
+    split = _phi_split(p, j, cap, mod)
+    if split is not None:
+        q, g = split
+        return [p % mod] + [q * c % mod for c in g[1:]]
     q = p ** (j - 1)
     out = [0] * (q * (p - 1) + 1 if cap is None else cap)
     for t in range(p):
         for k, c in enumerate(_binomials(q * t, len(out))):
             out[k] += c
     return _reduced(out, mod)
+
+
+def _phi_split(p: int, j: int, cap: Optional[int], mod: Optional[int]):
+    """(p^s, G_j mod mod/p^s) with Phi_j(1+X) = p + p^s G_j below X^cap, or None.
+
+    Only for a cap and a p-power mod with q = p^(j-1) >= cap.  Then for
+    0 < i < cap, v_p(tq - i) = v_p(i), so with u(k!) the unit part of k!,
+    C(tq, k) = p^(j-1-v_p(k)) t prod_{0<i<k} ((tq - i)/p^v_p(i)) / u(k!), and
+    s = j-1-L >= 1 for p^L <= cap-1 < p^(L+1) (for cap 1, Phi_j = p): unit
+    products mod mod/p^s and one inverse, not binomials of thousands of bits.
+    """
+    q = p ** (j - 1)
+    if cap is None or mod is None or q < cap:
+        return None
+    pv, L = [1] * cap, 0  # pv[i] = p^v_p(i)
+    while p ** (L + 1) < cap:
+        L += 1
+        for i in range(p ** L, cap, p ** L):
+            pv[i] *= p
+    shift = p ** (j - 1 - L)
+    low = max(mod // shift, 1)
+    if low == 1 or cap == 1:
+        return shift, [0] * cap
+    mulmod = lambda a, b: a * b % low
+    units = [i // pv[i] for i in range(1, cap)]
+    inv = pow(reduce(mulmod, units), -1, low)  # 1/u((cap-1)!)
+    inv_fact = list(accumulate(reversed(units[1:]), mulmod, initial=inv))[::-1]
+    sums = [0] * (cap - 1)
+    for t in range(1, p):
+        falling = accumulate([(t * q - i) // pv[i] for i in range(1, cap - 1)], mulmod, initial=t)
+        sums = [s + u for s, u in zip(sums, falling)]
+    return shift, [0] + [p ** L // pv[k] * f * s % low
+                         for k, f, s in zip(range(1, cap), inv_fact, sums)]
 
 
 @lru_cache(maxsize=64)
@@ -366,6 +403,23 @@ def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
     return _reduced([s * xk + t * yk for xk, yk in zip_longest(x, y, fillvalue=0)], mod)
 
 
+def phi_mul(p: int, j: int, ys: List[Poly], cap: Optional[int] = None,
+            mod: Optional[int] = None) -> List[Poly]:
+    """Phi_j(1+X) * y below X^cap and mod the p-power mod = p^w, for each y in ys.
+
+    Where Phi_j(1+X) = p + p^s G_j (_phi_split) it is p*y + p^s (G_j * y mod
+    p^(w-s)): the operands shrink as s grows, and it is p*y once s >= w.  As
+    s >= 1 and p | a_p, a ladder step then gains one p-adic digit.
+    """
+    split = _phi_split(p, j, cap, mod)
+    if split is None:
+        phi = phi_coeffs(p, j, cap, mod)
+        return [poly_mul(phi, y, cap, mod) for y in ys]
+    q, g = split
+    low = max(mod // q, 1)
+    return [_lincomb(p, y, q, poly_mul(g, _reduced(y, low), cap, low), mod) for y in ys]
+
+
 def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = None,
                   mod: Optional[int] = None, nu: Optional[int] = None) -> IntRows:
     """[[a_p, -Phi_k(1+X)], [1, 0]] applied to (top; bottom).
@@ -375,14 +429,12 @@ def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = N
     For k <= nu, Phi_k has degree below p^nu and is already reduced.
     """
     top, bot = rows
-    phik = [p] if nu is not None and k > nu else phi_coeffs(p, k, cap, mod)
-    new_top = []
-    for x, y in zip(top, bot):
-        prod = poly_mul(phik, y, cap, mod)
-        if nu is not None:
-            prod = poly_rem(prod, omega_coeffs(p, nu), mod)
-        new_top.append(_lincomb(ap, x, -1, prod, mod))
-    return [new_top, top]
+    if nu is None:
+        prods = phi_mul(p, k, bot, cap, mod)
+    else:
+        phik = [p] if k > nu else phi_coeffs(p, k, cap, mod)
+        prods = [poly_rem(poly_mul(phik, y, cap, mod), omega_coeffs(p, nu), mod) for y in bot]
+    return [[_lincomb(ap, x, -1, prod, mod) for x, prod in zip(top, prods)], top]
 
 
 def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None,

@@ -43,11 +43,6 @@ def mat_pow(A: Matrix, k: int) -> Matrix:
     return out
 
 
-def mat_scale(A: Matrix, s) -> Matrix:
-    s = Fraction(s)
-    return tuple(tuple(x * s for x in row) for row in A)
-
-
 def mat_inv_unimodular(A: Matrix) -> Matrix:
     """Inverse of a determinant-1 matrix (the adjugate)."""
     det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
@@ -62,13 +57,15 @@ def trace_matrix(p: int, ap: int) -> Matrix:
 
 @dataclass(frozen=True)
 class PeriodConstants:
-    """Periodicity constants: (2, 4, 1) when a_p = 0, else (2p, 4p, p)."""
+    """Periodicity constants: (2, 4, 1) when a_p = 0, else (2p, 4p, p), and
+    one period of delta pairs (y_r, y_r'), 0 <= r < two_tilde."""
 
     p: int
     ap: int
     two_tilde: int
     four_tilde: int
     one_tilde: int
+    deltas: Tuple[Tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -86,6 +83,10 @@ class DeltaCoeffs:
 def period_constants(p: int, ap: int) -> PeriodConstants:
     """Constants of the supersingular pair, with C^two_tilde = -p^one_tilde * I checked.
 
+    The top rows of C^r come from an integer walk (a, b) -> (a, b) * C; the
+    bottom row of C^r is p times the top row of C^(r-1).  Row r over p^[r/2]
+    is the delta pair (y_r, y_r'), checked integral once here.
+
     Admissible pairs are exactly those with p prime, p | a_p and a_p^2 <= 4p:
     (2, 0), (2, +-2), (3, 0), (3, +-3) and (p >= 5, 0).  Results are cached
     per pair; an inadmissible pair raises on every call (nothing is cached).
@@ -96,17 +97,21 @@ def period_constants(p: int, ap: int) -> PeriodConstants:
         raise NotSupersingular(f"p = {p} does not divide a_p = {ap}")
     if ap * ap > 4 * p:
         raise NotSupersingular(f"a_p = {ap} violates the Hasse bound at p = {p}")
-    if ap == 0:
-        consts = PeriodConstants(p, ap, 2, 4, 1)
-    else:
-        consts = PeriodConstants(p, ap, 2 * p, 4 * p, p)
-    power = mat_pow(trace_matrix(p, ap), consts.two_tilde)
-    expected = mat_scale(MAT_ID, -Fraction(p) ** consts.one_tilde)
-    if power != expected:
-        raise NotSupersingular(
-            f"C^{consts.two_tilde} != -{p}^{consts.one_tilde} I for (p, a_p) = ({p}, {ap})"
-        )
-    return consts
+    tt, one = (2, 1) if ap == 0 else (2 * p, p)
+    tops = [(1, 0)]
+    for _ in range(tt):
+        a, b = tops[-1]
+        tops.append((ap * a + p * b, -a))
+    if tops[tt] != (-p ** one, 0) or tops[tt - 1] != (0, -p ** (one - 1)):
+        raise NotSupersingular(f"C^{tt} != -{p}^{one} I for (p, a_p) = ({p}, {ap})")
+    deltas = []
+    for r, (a, b) in enumerate(tops[:tt]):
+        scale = p ** (r // 2)
+        if a % scale or b % scale:
+            raise NonIntegralCoefficient(f"(y, y') = ({Fraction(a, scale)}, "
+                                         f"{Fraction(b, scale)}) at (p, a_p, i) = ({p}, {ap}, {r})")
+        deltas.append((a // scale, b // scale))
+    return PeriodConstants(p, ap, tt, 2 * tt, one, tuple(deltas))
 
 
 def ap_parity_value(p: int, ap: int, i: int) -> int:
@@ -125,43 +130,20 @@ def delta_coeffs(p: int, ap: int, i: int) -> DeltaCoeffs:
     sign flip per step, which is the mod-four_tilde periodicity of the table.
     """
     consts = period_constants(p, ap)
-    tt = consts.two_tilde
-    r = i % tt
-    sign = -1 if ((i - r) // tt) % 2 else 1
-    power = mat_pow(trace_matrix(p, ap), r)
-    scale = Fraction(p) ** (-(r // 2))
-    y = sign * power[0][0] * scale
-    y_prime = sign * power[0][1] * scale
-    if y.denominator != 1 or y_prime.denominator != 1:
-        raise NonIntegralCoefficient(
-            f"(y, y') = ({y}, {y_prime}) at (p, a_p, i) = ({p}, {ap}, {i})"
-        )
-    return DeltaCoeffs(p, ap, i, int(y), int(y_prime))
+    r = i % consts.two_tilde
+    sign = -1 if ((i - r) // consts.two_tilde) % 2 else 1
+    y, y_prime = consts.deltas[r]
+    return DeltaCoeffs(p, ap, i, sign * y, sign * y_prime)
 
 
 def render_delta(y: int, y_prime: int) -> str:
     """Human form "y*c_n +- y'*c_{n-1}" with unit coefficients suppressed."""
-
-    def coeff(c: int) -> str:
-        if c == 1:
-            return ""
-        if c == -1:
-            return "-"
-        return str(c)
-
-    if y == 0 and y_prime == 0:
-        return "0"
-    parts = []
-    if y != 0:
-        parts.append(coeff(y) + "c_n")
-    if y_prime != 0:
-        if not parts:
-            parts.append(coeff(y_prime) + "c_{n-1}")
-        else:
-            sign = " + " if y_prime > 0 else " - "
-            mag = abs(y_prime)
-            parts.append(sign + (str(mag) if mag != 1 else "") + "c_{n-1}")
-    return "".join(parts)
+    out = ""
+    for c, name in ((y, "c_n"), (y_prime, "c_{n-1}")):
+        if c:
+            sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+            out += sign + ("" if abs(c) == 1 else str(abs(c))) + name
+    return out or "0"
 
 
 @dataclass(frozen=True)
@@ -173,11 +155,8 @@ class TableRow:
 
 
 def delta_table(p: int, ap: int, i_min: int, i_max: int) -> List[TableRow]:
-    rows = []
-    for i in range(i_min, i_max + 1):
-        d = delta_coeffs(p, ap, i)
-        rows.append(TableRow(i, d.y, d.y_prime, render_delta(d.y, d.y_prime)))
-    return rows
+    deltas = [delta_coeffs(p, ap, i) for i in range(i_min, i_max + 1)]
+    return [TableRow(d.i, d.y, d.y_prime, render_delta(d.y, d.y_prime)) for d in deltas]
 
 
 def a_matrix(p: int, ap: int, l: int) -> Matrix:
@@ -208,13 +187,16 @@ def a_matrix(p: int, ap: int, l: int) -> Matrix:
 def beta(p: int, ap: int, m: int) -> QuadExtScalar:
     """beta_m = p^[m/2] * y_m * alpha^(-m) in Z[alpha] coordinates.
 
-    Depends only on m modulo two_tilde, so the index is reduced first;
-    negative powers of alpha go through alpha^-1 = conj(alpha)/p.
+    Depends only on m modulo two_tilde, so the index is reduced first (and
+    the value cached per residue); negative powers of alpha go through
+    alpha^-1 = conj(alpha)/p.
     """
-    consts = period_constants(p, ap)
-    m0 = m % consts.two_tilde
-    y = delta_coeffs(p, ap, m0).y
-    scale = PadicScalar.exact(p, Fraction(p) ** (m0 // 2) * y)
+    return _beta(p, ap, m % period_constants(p, ap).two_tilde)
+
+
+@lru_cache(maxsize=1024)
+def _beta(p: int, ap: int, m0: int) -> QuadExtScalar:
+    scale = PadicScalar.exact(p, Fraction(p) ** (m0 // 2) * delta_coeffs(p, ap, m0).y)
     return QuadExtScalar.alpha(p, ap).pow_int(-m0) * scale
 
 

@@ -1,7 +1,10 @@
 """Ladder matrices, scaled limits, half-logarithms, parity products."""
 
+import json
+import math
 import os
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -15,6 +18,9 @@ from padic_ladders.ladders import (
     ladder,
     ladder_infinity,
     n_shift,
+    _ints_to_series,
+    _max_limit_steps,
+    _stabilized,
     pollack_product,
 )
 from padic_ladders.padics import PadicScalar
@@ -24,8 +30,11 @@ from padic_ladders.series import (
     log_series,
     omega,
     phi,
+    phi_coeffs,
     phi_truncated,
+    poly_mul,
     reduce_mod,
+    shift_rows,
 )
 from padic_ladders.trace import ap_parity_value, delta_coeffs, period_constants
 
@@ -197,6 +206,96 @@ def test_infinity_above_level_shift_matches_later_finite_levels():
                             f"(p={p}, ap={ap}, i={i}, n={n}, row={row}, col={col})"
 
 
+def _n_start(p, i, cap):
+    n = max(1, math.ceil(math.log(max(cap, 2), p)))
+    while p ** n < cap or n_shift(p, n) < i - 1:
+        n += 1
+    return n
+
+
+def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, phis):
+    """ladder_infinity with every level kept mod one p^work sized for the step
+    cap, each Phi_n(1+X) built from exact binomials and reduced (memoised in phis)."""
+    n_start, max_steps = _n_start(p, i, cap), _max_limit_steps(p, cap, prec)
+    mod = p ** (prec + (n_start + max_steps + 3 + abs(i)) // 2 + 4)
+
+    def approximants():
+        rows = [[[1], []], [[], [1]]]
+        for n in range(1, n_start + max_steps + 1):
+            if (p, n, cap) not in phis:
+                phis[p, n, cap] = phi_coeffs(p, n, cap)
+            if (p, n, cap, mod) not in phis:
+                phis[p, n, cap, mod] = [c % mod for c in phis[p, n, cap]]
+            phi_n = phis[p, n, cap, mod]
+            top, bot = rows
+            prods = [poly_mul(phi_n, y, cap, mod) for y in bot]
+            rows = [[[(ap * a - b) % mod for a, b in zip_longest(x, prod, fillvalue=0)]
+                     for x, prod in zip(top, prods)], top]
+            N = n_shift(p, n)
+            if n >= n_start:
+                shifted = shift_rows(p, ap, rows, i - N, mod, corrupt)
+                exps = (-((i - N) // 2), -((i - 1 - N) // 2))
+                yield n, [(s, e) for row, e in zip(shifted, exps) for s in row]
+
+    found = _stabilized(p, prec, approximants())
+    if found is None:
+        raise NotConverged(f"no stabilization mod {p}^{prec} within {max_steps} steps "
+                           f"(p={p}, a_p={ap}, i={i}, cap={cap})")
+    n, approx = found
+    entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]] for r in (0, 2)]
+    return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
+
+
+def _outcome(fn):
+    try:
+        m = fn()
+    except Exception as exc:  # the type and text must match too
+        return type(exc).__name__, str(exc)
+    return json.dumps(m.to_json()), getattr(m, "n_used", None)
+
+
+def test_precision_schedule_matches_fixed_modulus():
+    # the growing schedule against one fixed p^work per call: same bytes,
+    # n_used and exceptions, with and without the parity fault
+    phis = {}
+    for p, ap in [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]:
+        for cap in (1, 5, 20, 60):
+            for prec in (1, 3, 5, 12):
+                for i in range(-3, 13):
+                    for corrupt in (False, True):
+                        got = _outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
+                        ref = _outcome(lambda: _fixed_modulus_limit(p, ap, i, cap, prec,
+                                                                    corrupt, phis))
+                        assert got == ref, (p, ap, i, cap, prec, corrupt)
+
+
+def test_pollack_schedule_matches_fixed_modulus():
+    for p in (3, 5, 7):
+        for parity in ("even", "odd"):
+            for cap in (1, 2, 5, 13, 20, 60):
+                for prec in (1, 3, 5, 12):
+                    max_steps = math.ceil(math.log(max(cap, 2), p)) + prec + 10
+                    mod = p ** (prec + max_steps)
+                    P, approx = [1], []
+                    for j in range(2 if parity == "even" else 1, 2 * max_steps + 1, 2):
+                        P = poly_mul(P, phi_coeffs(p, j, cap), cap, mod)
+                        approx.append((len(approx) + 1, [(P, len(approx) + 1)]))
+                    k, [(P, _)] = _stabilized(p, prec, iter(approx))
+                    want = _ints_to_series(p, P, k, cap, prec).to_json()
+                    assert pollack_product(p, parity, cap, prec).to_json() == want
+
+
+def test_step_cap_does_not_change_the_limit(monkeypatch):
+    # a step cap that just reaches n_used leaves every byte as it is
+    for p, ap in [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0), (7, 0)]:
+        for i, cap, prec in ((0, 20, 6), (1, 60, 9), (7, 5, 3)):
+            m = ladder_infinity(p, ap, i, cap, prec)
+            monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, str(m.n_used - _n_start(p, i, cap) + 1))
+            again = ladder_infinity(p, ap, i, cap, prec)
+            monkeypatch.delenv(ENV_MAX_LIMIT_STEPS)
+            assert (again.to_json(), again.n_used) == (m.to_json(), m.n_used)
+
+
 def test_infinity_entries_carry_prec():
     m = ladder_infinity(3, 3, 1, 8, 5)
     assert m.level == "infinity" and m.prec == 5
@@ -310,7 +409,13 @@ def test_quadext_gauss_norm_is_coefficientwise():
     lambda d: d.update(cap="abc"),
     lambda d: d["log_upsilon"]["coeffs"][0].pop("b"),
     lambda d: d["log_theta"].update(coeffs=5),
-], ids=["series-cap-not-int", "pair-cap-not-int", "coeff-without-b", "coeffs-not-list"])
+    lambda d: d.update(p="abc"),
+    lambda d: d.update(ap=None),
+    lambda d: d.pop("ap"),
+    lambda d: d.update(log_theta=5),
+    lambda d: d["log_theta"].update(ap="q"),
+], ids=["series-cap-not-int", "pair-cap-not-int", "coeff-without-b", "coeffs-not-list",
+        "p-not-int", "ap-null", "ap-missing", "series-not-object", "series-ap-not-int"])
 def test_half_log_from_json_rejects_bad_fields(edit):
     data = half_logs(3, 3, 6, 3).to_json()
     edit(data)

@@ -1,5 +1,6 @@
 """Series layer: cyclotomic polynomials, quotient reduction, norms, log."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import zip_longest
@@ -23,6 +24,7 @@ from padic_ladders.series import (
     omega_congruent,
     phi,
     phi_coeffs,
+    phi_mul,
     phi_truncated,
     poly_divmod,
     poly_mul,
@@ -196,6 +198,16 @@ def test_int_core_matches_sympy():
                 assert len(got) == cap
                 assert _trim(got) == from_poly(ref, cap, p ** k)
 
+    # the modular build (unit parts of the binomials) against math.comb and
+    # against the exact build reduced, far past where sympy can expand Phi_j
+    for p in (2, 3, 5, 7):
+        for j in range(1, 41):
+            for cap, k in ((1, 3), (2, 1), (7, 2), (40, 5), (40, 30)):
+                q = p ** (j - 1)
+                ref = [sum(math.comb(q * t, c) for t in range(p)) % p ** k for c in range(cap)]
+                assert phi_coeffs(p, j, cap, p ** k) == ref, (p, j, cap, k)
+                assert ref == [c % p ** k for c in phi_coeffs(p, j, cap)]
+
     rng = random.Random(20090318)
     for _ in range(60):
         p = rng.choice((2, 3, 5, 7))
@@ -239,6 +251,24 @@ def test_int_core_matches_sympy():
         got = poly_mul(a, b, cap, mod)
         assert len(got) == min(len(a) + len(b) - 1, cap or len(a) + len(b))
         assert _trim(got) == from_poly(to_poly(a) * to_poly(b), cap, mod)
+
+
+def test_phi_mul_split_matches_full_product():
+    # Phi_j(1+X) = p + p^s G_j below X^cap with s = j-1-L, p^L <= cap-1 < p^(L+1):
+    # j runs over s < 0, s = 0, 0 < s < w and s >= w; rows are empty, short,
+    # full, signed and unreduced
+    rng = random.Random(8)
+    for p in (2, 3, 5, 7):
+        for cap in (1, 2, 5, 20, 200):
+            L = max(l for l in range(9) if l == 0 or p ** l <= cap - 1)
+            for w in (1, 4, 9):
+                mod = p ** w
+                ys = [[], [rng.randint(-p ** (w + 3), p ** (w + 3)) for _ in range(cap)]]
+                ys += [[rng.randrange(mod) for _ in range(rng.randint(1, cap))] for _ in range(2)]
+                for j in range(1, L + w + 3):
+                    full = [c % mod for c in phi_coeffs(p, j, cap)]  # exact binomials
+                    want = [[c % mod for c in poly_mul(full, y, cap)] for y in ys]
+                    assert phi_mul(p, j, ys, cap, mod) == want, (p, cap, w, j)
 
 
 def _shift_step_by_step(p, ap, rows, i, mod, parity_flip):
