@@ -179,7 +179,9 @@ def ladder_infinity(
     if cap < 1 or prec < 1:
         raise ValueError("cap and prec must be >= 1")
     n_start = max(1, math.ceil(math.log(max(cap, 2), p)))
-    while p ** n_start < cap or n_shift(p, n_start) < i - 1:  # row exponents >= 0
+    while p ** n_start < cap:
+        n_start += 1
+    while n_shift(p, n_start) < i - 1:  # keeps both row exponents >= 0
         n_start += 1
     max_steps = _max_limit_steps(p, cap, prec)
 
@@ -298,9 +300,19 @@ class QuadExtSeries:
         return max((v for v in norms if v is not None), default=None)
 
     def to_json(self) -> dict:
-        coeffs = [{"a": self.a.coefficient_raw(k).to_json(), "b": self.b.coefficient_raw(k).to_json()}
-                  for k in range(max(len(self.a.coeffs), len(self.b.coeffs)))]
-        return {"p": self.p, "ap": self.ap, "cap": self.cap, "coeffs": coeffs}
+        n = max(len(self.a.coeffs), len(self.b.coeffs))
+        return {
+            "p": self.p,
+            "ap": self.ap,
+            "cap": self.cap,
+            "coeffs": [
+                {
+                    "a": self.a.coefficient_raw(k).to_json(),
+                    "b": self.b.coefficient_raw(k).to_json(),
+                }
+                for k in range(n)
+            ],
+        }
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadExtSeries":
@@ -350,8 +362,15 @@ class HalfLogPair:
     @classmethod
     def from_json(cls, data: dict) -> "HalfLogPair":
         p, ap, cap, prec = _json_object_ints(data, "a half-log pair", "p", "ap", "cap", "prec")
-        logs = [QuadExtSeries.from_json(data.get(key)) for key in ("log_theta", "log_upsilon")]
-        return cls(p, ap, data.get("root_tag", "alpha"), *logs, cap, prec)
+        return cls(
+            p=p,
+            ap=ap,
+            root_tag=data.get("root_tag", "alpha"),
+            log_theta=QuadExtSeries.from_json(data.get("log_theta")),
+            log_upsilon=QuadExtSeries.from_json(data.get("log_upsilon")),
+            cap=cap,
+            prec=prec,
+        )
 
 
 def _json_object_ints(data, what: str, *keys: str) -> List[int]:
@@ -399,8 +418,10 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     log_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
 
     # (i, j) = (0, 1) reuses the same rows; (tt-1, tt) needs rows at index 1-tt.
+    v_theta, v_upsilon = _intrinsic_variant(p, ap, m0, 0, 1)
+    checks = [(v_theta, v_upsilon)]
     m_shift = ladder_infinity(p, ap, 1 - tt, cap, work)
-    checks = [_intrinsic_variant(p, ap, m0, 0, 1), _intrinsic_variant(p, ap, m_shift, tt - 1, tt)]
+    checks.append(_intrinsic_variant(p, ap, m_shift, tt - 1, tt))
     for v_theta, v_upsilon in checks:
         if not v_theta.congruent(log_theta, prec) or not v_upsilon.congruent(
             log_upsilon, prec

@@ -13,6 +13,7 @@ polynomial spanned by its tracked coefficients.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
@@ -287,16 +288,12 @@ def _binomials(e: int, count: int) -> Poly:
 def phi_coeffs(p: int, j: int, cap: Optional[int] = None, mod: Optional[int] = None) -> Poly:
     """Phi_j(1+X) = sum_{t<p} (1+X)^(p^(j-1) t): monic, constant term p.
 
-    With cap, exactly cap coefficients (zero past the degree); with mod (a
-    power of p when cap is given), each coefficient reduced into [0, mod).
+    With cap, exactly cap coefficients (zero past the degree); with mod, each
+    coefficient reduced into [0, mod).
     """
     require_prime(p)
     if j < 1:
         raise ValueError("j must be >= 1")
-    split = _phi_split(p, j, cap, mod)
-    if split is not None:
-        q, g = split
-        return [p % mod] + [q * c % mod for c in g[1:]]
     q = p ** (j - 1)
     out = [0] * (q * (p - 1) + 1 if cap is None else cap)
     for t in range(p):
@@ -308,7 +305,7 @@ def phi_coeffs(p: int, j: int, cap: Optional[int] = None, mod: Optional[int] = N
 def _phi_split(p: int, j: int, cap: Optional[int], mod: Optional[int]):
     """(p^s, G_j mod mod/p^s) with Phi_j(1+X) = p + p^s G_j below X^cap, or None.
 
-    Only for a cap and a p-power mod with q = p^(j-1) >= cap.  Then for
+    Only for a cap, a mod that is a power of p and q = p^(j-1) >= cap.  Then for
     0 < i < cap, v_p(tq - i) = v_p(i), so with u(k!) the unit part of k!,
     C(tq, k) = p^(j-1-v_p(k)) t prod_{0<i<k} ((tq - i)/p^v_p(i)) / u(k!), and
     s = j-1-L >= 1 for p^L <= cap-1 < p^(L+1) (for cap 1, Phi_j = p): unit
@@ -316,6 +313,8 @@ def _phi_split(p: int, j: int, cap: Optional[int], mod: Optional[int]):
     """
     q = p ** (j - 1)
     if cap is None or mod is None or q < cap:
+        return None
+    if mod < 1 or p ** round(math.log(mod, p)) != mod:  # not a power of p
         return None
     pv, L = [1] * cap, 0  # pv[i] = p^v_p(i)
     while p ** (L + 1) < cap:
@@ -407,11 +406,12 @@ def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
 
 def phi_mul(p: int, j: int, ys: List[Poly], cap: Optional[int] = None,
             mod: Optional[int] = None) -> List[Poly]:
-    """Phi_j(1+X) * y below X^cap and mod the p-power mod = p^w, for each y in ys.
+    """Phi_j(1+X) * y below X^cap and mod mod, for each y in ys.
 
-    Where Phi_j(1+X) = p + p^s G_j (_phi_split) it is p*y + p^s (G_j * y mod
-    p^(w-s)): the operands shrink as s grows, and it is p*y once s >= w.  As
-    s >= 1 and p | a_p, a ladder step then gains one p-adic digit.
+    Where mod = p^w and Phi_j(1+X) = p + p^s G_j (_phi_split) it is p*y +
+    p^s (G_j * y mod p^(w-s)): the operands shrink as s grows, and it is p*y
+    once s >= w.  As s >= 1 and p | a_p, a ladder step then gains one p-adic
+    digit.
     """
     split = _phi_split(p, j, cap, mod)
     if split is None:

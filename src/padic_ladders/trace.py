@@ -138,12 +138,27 @@ def delta_coeffs(p: int, ap: int, i: int) -> DeltaCoeffs:
 
 def render_delta(y: int, y_prime: int) -> str:
     """Human form "y*c_n +- y'*c_{n-1}" with unit coefficients suppressed."""
-    out = ""
-    for c, name in ((y, "c_n"), (y_prime, "c_{n-1}")):
-        if c:
-            sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
-            out += sign + ("" if abs(c) == 1 else str(abs(c))) + name
-    return out or "0"
+
+    def coeff(c: int) -> str:
+        if c == 1:
+            return ""
+        if c == -1:
+            return "-"
+        return str(c)
+
+    if y == 0 and y_prime == 0:
+        return "0"
+    parts = []
+    if y != 0:
+        parts.append(coeff(y) + "c_n")
+    if y_prime != 0:
+        if not parts:
+            parts.append(coeff(y_prime) + "c_{n-1}")
+        else:
+            sign = " + " if y_prime > 0 else " - "
+            mag = abs(y_prime)
+            parts.append(sign + (str(mag) if mag != 1 else "") + "c_{n-1}")
+    return "".join(parts)
 
 
 @dataclass(frozen=True)
@@ -155,8 +170,11 @@ class TableRow:
 
 
 def delta_table(p: int, ap: int, i_min: int, i_max: int) -> List[TableRow]:
-    deltas = [delta_coeffs(p, ap, i) for i in range(i_min, i_max + 1)]
-    return [TableRow(d.i, d.y, d.y_prime, render_delta(d.y, d.y_prime)) for d in deltas]
+    rows = []
+    for i in range(i_min, i_max + 1):
+        d = delta_coeffs(p, ap, i)
+        rows.append(TableRow(i, d.y, d.y_prime, render_delta(d.y, d.y_prime)))
+    return rows
 
 
 def a_matrix(p: int, ap: int, l: int) -> Matrix:

@@ -414,8 +414,10 @@ def test_quadext_gauss_norm_is_coefficientwise():
     lambda d: d.pop("ap"),
     lambda d: d.update(log_theta=5),
     lambda d: d["log_theta"].update(ap="q"),
+    lambda d: d.pop("log_upsilon"),
 ], ids=["series-cap-not-int", "pair-cap-not-int", "coeff-without-b", "coeffs-not-list",
-        "p-not-int", "ap-null", "ap-missing", "series-not-object", "series-ap-not-int"])
+        "p-not-int", "ap-null", "ap-missing", "series-not-object", "series-ap-not-int",
+        "series-missing"])
 def test_half_log_from_json_rejects_bad_fields(edit):
     data = half_logs(3, 3, 6, 3).to_json()
     edit(data)

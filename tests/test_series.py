@@ -198,8 +198,8 @@ def test_int_core_matches_sympy():
                 assert len(got) == cap
                 assert _trim(got) == from_poly(ref, cap, p ** k)
 
-    # the modular build (unit parts of the binomials) against math.comb and
-    # against the exact build reduced, far past where sympy can expand Phi_j
+    # the modded build against math.comb sums and against the exact build
+    # reduced, far past where sympy can expand Phi_j
     for p in (2, 3, 5, 7):
         for j in range(1, 41):
             for cap, k in ((1, 3), (2, 1), (7, 2), (40, 5), (40, 30)):
@@ -269,6 +269,11 @@ def test_phi_mul_split_matches_full_product():
                     full = [c % mod for c in phi_coeffs(p, j, cap)]  # exact binomials
                     want = [[c % mod for c in poly_mul(full, y, cap)] for y in ys]
                     assert phi_mul(p, j, ys, cap, mod) == want, (p, cap, w, j)
+    # a modulus that is not a power of p takes the full product
+    for p, j, cap, mod in ((3, 3, 2, 10), (2, 6, 5, 12), (5, 4, 20, 7 ** 9)):
+        y = [rng.randrange(mod) for _ in range(cap)]
+        want = [c % mod for c in poly_mul(phi_coeffs(p, j, cap), y, cap)]
+        assert phi_mul(p, j, [y], cap, mod) == [want], (p, j, cap, mod)
 
 
 def _shift_step_by_step(p, ap, rows, i, mod, parity_flip):
