@@ -20,8 +20,7 @@ from .coleman import KERNEL_COSET_NOTE, LambdaPair, decompose
 from .curves import CurveData, count_points, is_supersingular
 from .errors import PadicLaddersError, SerializationError, UsageError
 from .ladders import half_logs, ladder, ladder_infinity
-from .series import LambdaElement, PowerSeries
-from .trace import delta_table
+from .trace import delta_table, period_constants
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -90,10 +89,7 @@ def _read_pair(path: str, p: int, level: int) -> LambdaPair:
     second = data.get("second", data.get("upsilon"))
     if first is None or second is None:
         raise UsageError("input JSON needs first/second (or theta/upsilon) series")
-    if not (isinstance(first, dict) and isinstance(second, dict)):
-        raise SerializationError("first/second must be JSON objects")
-    mk = lambda d: LambdaElement(p, level, PowerSeries.from_json(dict(d, p=p)))
-    return LambdaPair(mk(first), mk(second))
+    return LambdaPair.from_json({"p": p, "level": level, "first": first, "second": second})
 
 
 def _cmd_decompose(args) -> int:
@@ -128,6 +124,8 @@ def _cmd_verify(args) -> int:
     if (args.p is None) != (args.ap is None):
         raise UsageError("--p and --ap must be given together")
     pairs = [(c.p, c.ap) for c in default_configs()] if args.p is None else [(args.p, args.ap)]
+    for p, ap in pairs:  # an inadmissible pair is a domain error, not a failed check
+        period_constants(p, ap)
     reports = run_suite([
         CheckConfig(p, ap, n_max=args.nmax, cap=args.cap, prec=args.prec, trials=args.trials)
         for p, ap in pairs

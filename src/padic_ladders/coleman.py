@@ -21,6 +21,7 @@ from .report import CheckReport
 from .series import (
     LambdaElement,
     PowerSeries,
+    _lincomb,
     exact_divide,
     ladder_rows,
     omega,
@@ -28,6 +29,7 @@ from .series import (
     phi,
     poly_rem,
     reduce_mod,
+    shift_rows,
 )
 from .trace import period_constants
 
@@ -95,10 +97,10 @@ class KernelBasis:
 
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
-    """Ladder rows (i, i-1) at level n, canonically reduced mod omega_n."""
+    """Ladder rows (i, i-1) at level n: degrees < p^n, so already reduced mod omega_n."""
     if n < 1:
         raise ValueError("level n must be >= 1")
-    rows = ladder_rows(p, ap, n, i, nu=n)
+    rows = ladder_rows(p, ap, n, i)
     return tuple(tuple(PowerSeries(p, s) for s in row) for row in rows)
 
 
@@ -162,29 +164,38 @@ KERNEL_COSET_NOTE = (
 def limit_lemma_check(p: int, ap: int, m: int, nu: int) -> CheckReport:
     """Kernel generators at level 2m+nu, reduced mod omega_nu, are divisible by p^m.
 
-    The ladder at level 2m+nu is computed modulo omega_nu from the start
-    (reduction is a ring map, so the generators come out identical), keeping
-    the degrees at p^nu instead of p^(2m+nu).
+    Reduction mod omega_nu is a ring map, and Phi_k(1+X) = p in Z[X]/omega_nu
+    for k > nu, since (1+X)^(p^nu) = 1 there: the level-nu rows times 2m
+    constant steps [[a_p, -p], [1, 0]] give the generators, with degrees
+    below p^nu instead of p^(2m+nu).
     """
     period_constants(p, ap)
     if m < 1 or nu < 0:
         raise ValueError("need m >= 1 and nu >= 0")
-    # Rows 2m+1 and 2m are kept mod p^m: p^m divides a coefficient exactly when
-    # its residue is 0, whatever its sign, so X*theta stands for -X*theta.
-    mod = p ** m
-    rows = ladder_rows(p, ap, 2 * m + nu, 2 * m + 1, mod=mod, nu=nu)
-    w = omega_coeffs(p, nu)
-    for theta, upsilon in rows:
-        for s in (upsilon, theta):
-            for k, c in enumerate(poly_rem([0] + s, w, mod)):
-                if c:
-                    raise IdentityViolation(
-                        f"coefficient of X^{k} has valuation {rational_valuation(c, p)} < {m} "
-                        f"at (p, a_p, m, nu) = ({p}, {ap}, {m}, {nu})"
-                    )
+    for s in _limit_lemma_residues(p, ap, m, nu):
+        for k, c in enumerate(s):
+            if c:
+                raise IdentityViolation(
+                    f"coefficient of X^{k} has valuation {rational_valuation(c, p)} < {m} "
+                    f"at (p, a_p, m, nu) = ({p}, {ap}, {m}, {nu})"
+                )
     return CheckReport(
         name="limit_lemma", config={"p": p, "ap": ap, "m": m, "nu": nu}
     )
+
+
+def _limit_lemma_residues(p: int, ap: int, m: int, nu: int) -> list:
+    """X * (upsilon, theta) of rows 2m+1 and 2m at level 2m+nu, mod (omega_nu, p^m)."""
+    # p^m divides a coefficient exactly when its residue is 0, whatever its
+    # sign, so X*theta stands for -X*theta.
+    mod = p ** m
+    rows = ladder_rows(p, ap, nu, 1, mod=mod)
+    for _ in range(2 * m):
+        top, bot = rows
+        rows = [[_lincomb(ap, x, -p, y, mod) for x, y in zip(top, bot)], top]
+    rows = shift_rows(p, ap, rows, 2 * m + 1, mod)
+    w = omega_coeffs(p, nu)
+    return [poly_rem([0] + s, w, mod) for theta, upsilon in rows for s in (upsilon, theta)]
 
 
 def projection_compatibility_check(

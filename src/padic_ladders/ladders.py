@@ -98,6 +98,7 @@ class LadderMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "LadderMatrix":
+        p, ap = _json_int(data, "p"), _json_int(data, "ap")
         rows = data.get("entries")
         if not (isinstance(rows, list) and len(rows) == 2
                 and all(isinstance(row, list) and len(row) == 2 for row in rows)):
@@ -105,8 +106,8 @@ class LadderMatrix:
         level = data.get("level")
         opt = lambda key: None if data.get(key) is None else _json_int(data, key)
         return cls(
-            p=_json_int(data, "p"),
-            ap=_json_int(data, "ap"),
+            p=p,
+            ap=ap,
             level=level if level == "infinity" else _json_int(data, "level"),
             index=_json_int(data, "index"),
             entries=[[PowerSeries.from_json(s) for s in row] for row in rows],
@@ -134,10 +135,10 @@ def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> Ladder
     return LadderMatrix(p, ap, n, i, entries, cap)
 
 
-def _max_limit_steps(p: int, cap: int, prec: int) -> int:
+def _max_limit_steps(p: int, cap: int, prec: int, i: int) -> int:
     env = os.environ.get(ENV_MAX_LIMIT_STEPS)
-    if env is None:
-        return math.ceil(math.log(max(cap, 2), p)) + 2 * prec + 8
+    if env is None:  # below index 0 the level needed grows by one per two steps
+        return math.ceil(math.log(max(cap, 2), p)) + 2 * prec + 8 + (max(0, -i) + 1) // 2
     try:
         steps = int(env)
     except ValueError:
@@ -159,9 +160,9 @@ def ladder_infinity(
 
     Iterates the level n upward from the least n with p^n >= cap and
     n_shift(p, n) >= i - 1 until the scaled approximants stabilize (see
-    ``_stabilized``).  Raises NotConverged
-    past the step cap, which the SPRUNG_MAX_LIMIT_STEPS environment variable
-    overrides.
+    ``_stabilized``).  Raises NotConverged past the step cap, which grows
+    by one per two steps of the index below 0 and which the
+    SPRUNG_MAX_LIMIT_STEPS environment variable sets exactly.
 
     Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n
     reads both rows shifted to index i (an integer matrix: it keeps the
@@ -178,12 +179,10 @@ def ladder_infinity(
     period_constants(p, ap)
     if cap < 1 or prec < 1:
         raise ValueError("cap and prec must be >= 1")
-    n_start = max(1, math.ceil(math.log(max(cap, 2), p)))
-    while p ** n_start < cap:
+    n_start = 1
+    while p ** n_start < cap or n_shift(p, n_start) < i - 1:  # row exponents >= 0
         n_start += 1
-    while n_shift(p, n_start) < i - 1:  # keeps both row exponents >= 0
-        n_start += 1
-    max_steps = _max_limit_steps(p, cap, prec)
+    max_steps = _max_limit_steps(p, cap, prec, i)
 
     def exps(n):
         N = n_shift(p, n)
@@ -239,9 +238,8 @@ def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
 
 
 def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> PowerSeries:
-    mod = p ** (prec + e)  # x / p^e mod p^prec reads x mod p^(prec+e) only
-    coeffs = [PadicScalar(p, Fraction(x % mod, p ** e), prec).reduce() for x in ints]
-    return PowerSeries(p, coeffs, cap)
+    mod = p ** (prec + e)  # x / p^e mod p^prec reads x mod p^(prec+e), already reduced
+    return PowerSeries(p, [PadicScalar(p, Fraction(x % mod, p ** e), prec) for x in ints], cap)
 
 
 class QuadExtSeries:
@@ -316,7 +314,7 @@ class QuadExtSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadExtSeries":
-        p, ap = _json_object_ints(data, "a Z[alpha] series", "p", "ap")
+        p, ap = _json_int(data, "p"), _json_int(data, "ap")
         coeffs = data.get("coeffs", [])
 
         def part(key: str) -> PowerSeries:
@@ -361,7 +359,7 @@ class HalfLogPair:
 
     @classmethod
     def from_json(cls, data: dict) -> "HalfLogPair":
-        p, ap, cap, prec = _json_object_ints(data, "a half-log pair", "p", "ap", "cap", "prec")
+        p, ap, cap, prec = (_json_int(data, key) for key in ("p", "ap", "cap", "prec"))
         return cls(
             p=p,
             ap=ap,
@@ -371,13 +369,6 @@ class HalfLogPair:
             cap=cap,
             prec=prec,
         )
-
-
-def _json_object_ints(data, what: str, *keys: str) -> List[int]:
-    """The integer fields keys of the JSON object data (SerializationError otherwise)."""
-    if not isinstance(data, dict):
-        raise SerializationError(f"{what} must be a JSON object, got {data!r}")
-    return [_json_int(data, key) for key in keys]
 
 
 def _intrinsic_variant(

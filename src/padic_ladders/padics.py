@@ -305,17 +305,17 @@ class PadicScalar:
 
     @classmethod
     def from_json(cls, p: int, data: dict) -> "PadicScalar":
-        if not isinstance(data, dict):
-            raise SerializationError(f"a scalar must be a JSON object, got {data!r}")
-        absprec = data.get("absprec", "inf")
-        absprec = None if absprec in ("inf", None) else _json_int(data, "absprec")
         num = _json_int(data, "num")
         den_pow = _json_int(data, "den_pow", 0, minimum=0)
+        absprec = data.get("absprec", "inf")
+        absprec = None if absprec in ("inf", None) else _json_int(data, "absprec")
         return cls(p, Fraction(num, p ** den_pow), absprec)
 
 
 def _json_int(data: dict, key: str, default=None, minimum=None) -> int:
-    """An integer field (a JSON integer or a decimal string), at least minimum if given."""
+    """An integer field (JSON integer or decimal string) of the JSON object data, >= minimum."""
+    if not isinstance(data, dict):
+        raise SerializationError(f"expected a JSON object with field {key!r}, got {data!r}")
     value = data.get(key, default)
     try:
         if isinstance(value, (int, str)) and not isinstance(value, bool):

@@ -220,8 +220,6 @@ class PowerSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> "PowerSeries":
-        if not isinstance(data, dict):
-            raise SerializationError(f"a series must be a JSON object, got {data!r}")
         p = _json_int(data, "p")
         cap = data.get("cap")
         cap = None if cap in (None, "inf") else _json_int(data, "cap", minimum=0)
@@ -423,19 +421,10 @@ def phi_mul(p: int, j: int, ys: List[Poly], cap: Optional[int] = None,
 
 
 def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = None,
-                  mod: Optional[int] = None, nu: Optional[int] = None) -> IntRows:
-    """[[a_p, -Phi_k(1+X)], [1, 0]] applied to (top; bottom).
-
-    With nu, entries live in Z[X]/omega_nu: products are reduced mod omega_nu
-    and Phi_k is the constant p once k > nu, since (1+X)^(p^nu) = 1 there.
-    For k <= nu, Phi_k has degree below p^nu and is already reduced.
-    """
+                  mod: Optional[int] = None) -> IntRows:
+    """[[a_p, -Phi_k(1+X)], [1, 0]] applied to (top; bottom), Phi_k through phi_mul."""
     top, bot = rows
-    if nu is None:
-        prods = phi_mul(p, k, bot, cap, mod)
-    else:
-        phik = [p] if k > nu else phi_coeffs(p, k, cap, mod)
-        prods = [poly_rem(poly_mul(phik, y, cap, mod), omega_coeffs(p, nu), mod) for y in bot]
+    prods = phi_mul(p, k, bot, cap, mod)
     return [[_lincomb(ap, x, -1, prod, mod) for x, prod in zip(top, prods)], top]
 
 
@@ -465,11 +454,11 @@ def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None
 
 
 def ladder_rows(p: int, ap: int, n: int, i: int, cap: Optional[int] = None,
-                mod: Optional[int] = None, nu: Optional[int] = None) -> IntRows:
+                mod: Optional[int] = None) -> IntRows:
     """Rows (i, i-1) of the level-n ladder, built up from the identity rows."""
     rows: IntRows = [[[1], []], [[], [1]]]
     for k in range(1, n + 1):
-        rows = append_factor(p, ap, rows, k, cap, mod, nu)
+        rows = append_factor(p, ap, rows, k, cap, mod)
     return shift_rows(p, ap, rows, i, mod)
 
 

@@ -246,10 +246,11 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
     (["verify", "--p", "3", "--ap", "3", "--nmax", "-2"], {}, None, cli.EXIT_USAGE, "--nmax"),
     (["verify", "--p", "3", "--ap", "3", "--trials", "-1"], {}, None, cli.EXIT_USAGE,
      "--trials"),
+    (["verify", "--p", "4", "--ap", "0"], {}, None, cli.EXIT_DOMAIN, "NotSupersingular"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
-        "verify-nmax-neg", "verify-trials-neg"])
+        "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"

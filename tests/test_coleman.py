@@ -1,12 +1,14 @@
 """Quotient-level linear algebra: the ladder map, its kernel, decomposition."""
 
 import random
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_ladders.coleman import (
     LambdaPair,
+    _limit_lemma_residues,
     decompose,
     kernel_basis,
     kernel_member,
@@ -15,7 +17,18 @@ from padic_ladders.coleman import (
     projection_compatibility_check,
 )
 from padic_ladders.errors import InexactDivision, SerializationError
-from padic_ladders.series import LambdaElement, PowerSeries, omega, phi, reduce_mod
+from padic_ladders.series import (
+    LambdaElement,
+    PowerSeries,
+    omega,
+    omega_coeffs,
+    phi,
+    phi_coeffs,
+    poly_mul,
+    poly_rem,
+    reduce_mod,
+    shift_rows,
+)
 
 PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0)]
 
@@ -146,6 +159,36 @@ def test_limit_lemma_sweep():
                 assert limit_lemma_check(p, ap, m, nu).passed
 
 
+def _limit_lemma_reference(p, ap, m, nu):
+    """The generators with each Phi_k(1+X) as a polynomial ([p] once k > nu),
+    every level reduced mod (omega_nu, p^m)."""
+    mod, w = p ** m, omega_coeffs(p, nu)
+    rows = [[[1], []], [[], [1]]]
+    for k in range(1, 2 * m + nu + 1):
+        top, bot = rows
+        phik = [p] if k > nu else phi_coeffs(p, k)
+        prods = [poly_rem(poly_mul(phik, y), w, mod) for y in bot]
+        rows = [[[(ap * a - b) % mod for a, b in zip_longest(x, prod, fillvalue=0)]
+                 for x, prod in zip(top, prods)], top]
+    rows = shift_rows(p, ap, rows, 2 * m + 1, mod)
+    return [poly_rem([0] + s, w, mod) for theta, upsilon in rows for s in (upsilon, theta)]
+
+
+def test_limit_lemma_residues_match_per_level_reduction():
+    # Phi_k(1+X) = p mod omega_nu once k > nu ...
+    for p in (2, 3, 5, 7):
+        for nu in range(3):
+            for k in range(nu + 1, nu + 3):
+                r = poly_rem(phi_coeffs(p, k), omega_coeffs(p, nu))
+                assert r[0] == p and not any(r[1:]), (p, nu, k)
+    # ... so the constant steps give the residues of the per-level reduction
+    for p, ap in PAIRS + [(2, 0), (5, 0), (7, 0)]:
+        for m in range(1, 5):
+            for nu in range(4):
+                want = _limit_lemma_reference(p, ap, m, nu)
+                assert _limit_lemma_residues(p, ap, m, nu) == want, (p, ap, m, nu)
+
+
 def test_lambda_pair_json_round_trip():
     v = LambdaPair.from_ints(3, 2, [1, 2, 3], [4, 5])
     again = LambdaPair.from_json(v.to_json())
@@ -167,12 +210,18 @@ _ELEMENT = LambdaElement.from_ints(3, 2, [1, 2, 3])
     (_ELEMENT, lambda d: d.update(level=-1)),
     (_ELEMENT, lambda d: d.pop("level")),
     (_ELEMENT, lambda d: d.update(level=2.5)),
+    (_PAIR, 5), (_PAIR, []), (_PAIR, "x"), (_PAIR, None),
+    (_ELEMENT, 5), (_ELEMENT, []), (_ELEMENT, "x"), (_ELEMENT, None),
 ], ids=["empty", "p-not-int", "level-missing", "level-not-int", "first-missing",
         "second-not-object", "level-negative", "element-level-negative",
-        "element-level-missing", "element-level-not-int"])
+        "element-level-missing", "element-level-not-int", "int", "list", "string", "null",
+        "element-int", "element-list", "element-string", "element-null"])
 def test_lambda_pair_from_json_rejects_bad_fields(value, edit):
     data = value.to_json()
-    edit(data)
+    if callable(edit):
+        edit(data)
+    else:  # the whole document is not an object
+        data = edit
     with pytest.raises(SerializationError):
         type(value).from_json(data)
 

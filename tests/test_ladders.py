@@ -207,7 +207,7 @@ def test_infinity_above_level_shift_matches_later_finite_levels():
 
 
 def _n_start(p, i, cap):
-    n = max(1, math.ceil(math.log(max(cap, 2), p)))
+    n = 1
     while p ** n < cap or n_shift(p, n) < i - 1:
         n += 1
     return n
@@ -216,7 +216,7 @@ def _n_start(p, i, cap):
 def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, phis):
     """ladder_infinity with every level kept mod one p^work sized for the step
     cap, each Phi_n(1+X) built from exact binomials and reduced (memoised in phis)."""
-    n_start, max_steps = _n_start(p, i, cap), _max_limit_steps(p, cap, prec)
+    n_start, max_steps = _n_start(p, i, cap), _max_limit_steps(p, cap, prec, i)
     mod = p ** (prec + (n_start + max_steps + 3 + abs(i)) // 2 + 4)
 
     def approximants():
@@ -282,7 +282,16 @@ def test_pollack_schedule_matches_fixed_modulus():
                         approx.append((len(approx) + 1, [(P, len(approx) + 1)]))
                     k, [(P, _)] = _stabilized(p, prec, iter(approx))
                     want = _ints_to_series(p, P, k, cap, prec).to_json()
-                    assert pollack_product(p, parity, cap, prec).to_json() == want
+                    got = pollack_product(p, parity, cap, prec)
+                    assert got.to_json() == want
+                    _assert_canonical(got)
+
+
+def _assert_canonical(series):
+    # each limit coefficient is built already reduced
+    for c in series.coeffs:
+        r = c.reduce()
+        assert (c.value, c.absprec) == (r.value, r.absprec)
 
 
 def test_step_cap_does_not_change_the_limit(monkeypatch):
@@ -290,10 +299,25 @@ def test_step_cap_does_not_change_the_limit(monkeypatch):
     for p, ap in [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0), (7, 0)]:
         for i, cap, prec in ((0, 20, 6), (1, 60, 9), (7, 5, 3)):
             m = ladder_infinity(p, ap, i, cap, prec)
+            for row in m.entries:
+                for s in row:
+                    _assert_canonical(s)
             monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, str(m.n_used - _n_start(p, i, cap) + 1))
             again = ladder_infinity(p, ap, i, cap, prec)
             monkeypatch.delenv(ENV_MAX_LIMIT_STEPS)
             assert (again.to_json(), again.n_used) == (m.to_json(), m.n_used)
+
+
+def test_default_step_cap_reaches_low_indices(monkeypatch):
+    # the level a limit needs grows by one per two steps below index 0; the
+    # default cap follows it, so the limit is the one a generous cap gives
+    for p, ap in [(2, 2), (3, 3), (5, 0)]:
+        for i in (-16, -40, -60):
+            m = ladder_infinity(p, ap, i, 5, 3)
+            monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, "400")
+            again = ladder_infinity(p, ap, i, 5, 3)
+            monkeypatch.delenv(ENV_MAX_LIMIT_STEPS)
+            assert (m.to_json(), m.n_used) == (again.to_json(), again.n_used), (p, ap, i)
 
 
 def test_infinity_entries_carry_prec():
@@ -437,12 +461,16 @@ def test_half_log_from_json_rejects_bad_fields(edit):
     lambda d: d.update(cap="abc"),
     lambda d: d.update(prec=[1]),
     lambda d: d["entries"][0][0].pop("p"),
+    5, [], "x", None,
 ], ids=["entries-not-list", "rows-not-lists", "entry-not-object", "one-row", "p-not-int",
         "ap-missing", "level-not-int", "index-not-int", "cap-not-int", "prec-not-int",
-        "series-p-missing"])
+        "series-p-missing", "int", "list", "string", "null"])
 def test_ladder_matrix_from_json_rejects_bad_fields(edit):
     data = ladder(3, 3, 1, 1).to_json()
-    edit(data)
+    if callable(edit):
+        edit(data)
+    else:  # the whole document is not an object
+        data = edit
     with pytest.raises(SerializationError):
         LadderMatrix.from_json(data)
 

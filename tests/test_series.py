@@ -8,7 +8,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_ladders.errors import InexactDivision
+from padic_ladders.errors import InexactDivision, SerializationError
 from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import (
     LambdaElement,
@@ -310,6 +310,17 @@ def test_shift_rows_matches_step_by_step_composition():
                                 == _shift_step_by_step(p, ap, rows, i, mod, flip))
 
 
+def test_level_n_rows_lie_below_omega_n():
+    # level-n entries have degree < p^n = deg omega_n: already reduced mod omega_n
+    for p, ap in ((2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0), (7, 0)):
+        for n in range(1, 8):
+            if p ** n > 400:
+                break
+            for i in range(-4, 6):
+                for row in ladder_rows(p, ap, n, i):
+                    assert all(len(s) <= p ** n for s in row), (p, ap, n, i)
+
+
 def test_log_series_examples():
     f = log_series(3, 10)
     assert f.coefficient_raw(1) == PadicScalar.one(3)
@@ -338,6 +349,14 @@ def test_series_json_round_trip():
     assert PowerSeries.from_json(data) == f
     rows = f.to_csv_rows()
     assert rows[0] == (0, "2", 1, 5)
+
+
+@pytest.mark.parametrize("data", [5, [], "x", None])
+def test_series_and_scalar_from_json_reject_non_objects(data):
+    with pytest.raises(SerializationError):
+        PowerSeries.from_json(data)
+    with pytest.raises(SerializationError):
+        PadicScalar.from_json(3, data)
 
 
 def test_lambda_element_reduction():
