@@ -15,7 +15,6 @@ logarithms combine the index-0 limit rows with the conjugate root
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,6 +26,7 @@ from .padics import PadicScalar, QuadExtScalar, _json_int
 from .report import CheckReport
 from .series import (
     PowerSeries,
+    _lincomb,
     append_factor,
     gauss_norm_log,
     ladder_rows,
@@ -103,12 +103,12 @@ class LadderMatrix:
         if not (isinstance(rows, list) and len(rows) == 2
                 and all(isinstance(row, list) and len(row) == 2 for row in rows)):
             raise SerializationError(f"entries must be two rows of two series, got {rows!r}")
-        level = data.get("level")
-        opt = lambda key: None if data.get(key) is None else _json_int(data, key)
+        limit = data.get("level") == "infinity"  # a limit needs its cap and prec
+        opt = lambda key: None if data.get(key) is None and not limit else _json_int(data, key)
         return cls(
             p=p,
             ap=ap,
-            level=level if level == "infinity" else _json_int(data, "level"),
+            level="infinity" if limit else _json_int(data, "level"),
             index=_json_int(data, "index"),
             entries=[[PowerSeries.from_json(s) for s in row] for row in rows],
             cap=opt("cap"),
@@ -135,10 +135,18 @@ def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> Ladder
     return LadderMatrix(p, ap, n, i, entries, cap)
 
 
+def _first_level(p: int, cap: int, i: int = 1) -> int:
+    """The least n >= 1 with p^n >= cap and n_shift(p, n) >= i - 1."""
+    n = 1
+    while p ** n < cap or n_shift(p, n) < i - 1:
+        n += 1
+    return n
+
+
 def _max_limit_steps(p: int, cap: int, prec: int, i: int) -> int:
     env = os.environ.get(ENV_MAX_LIMIT_STEPS)
     if env is None:  # below index 0 the level needed grows by one per two steps
-        return math.ceil(math.log(max(cap, 2), p)) + 2 * prec + 8 + (max(0, -i) + 1) // 2
+        return _first_level(p, cap) + 2 * prec + 8 + (max(0, -i) + 1) // 2
     try:
         steps = int(env)
     except ValueError:
@@ -173,58 +181,82 @@ def ladder_infinity(
     p^(min(T_(n-1), T_(n-2)) + 1) = p^T_n.  The levels up to n_start - 1 gain
     nothing and are kept mod p^T_(n_start).  Level n is then right mod
     p^T_(n-1) >= p^(prec + e_n) for c = 1, and the stopping rule and the
-    output read only residues mod p^(prec + e): any larger fixed precision,
-    whatever the step cap, gives the same result.
+    output read only residues mod p^(prec + e): any larger precision at each
+    level, whatever the step cap, gives the same result.
+    """
+    return _limit_matrix(p, ap, i, cap, prec, _limits(p, ap, [i], cap, prec, _corrupt_parity)[i])
+
+
+def _limits(p: int, ap: int, idxs: List[int], cap: int, prec: int,
+            _corrupt_parity: bool = False) -> dict:
+    """``ladder_infinity``'s (n_used, approx) or NotConverged for each i in idxs.
+
+    One level loop: level n is built once, mod the largest p^T_n(i) that a
+    pending index needs (p^T_(n_start)(i) before its n_start), so each index
+    sees every level at least as precisely as its own schedule would.
     """
     period_constants(p, ap)
     if cap < 1 or prec < 1:
         raise ValueError("cap and prec must be >= 1")
-    n_start = 1
-    while p ** n_start < cap or n_shift(p, n_start) < i - 1:  # row exponents >= 0
-        n_start += 1
-    max_steps = _max_limit_steps(p, cap, prec, i)
+    start = {i: _first_level(p, cap, i) for i in idxs}
+    stop = {i: start[i] + _max_limit_steps(p, cap, prec, i) for i in idxs}
+    found: dict = {}
 
-    def exps(n):
-        N = n_shift(p, n)
-        return -((i - N) // 2), -((i - 1 - N) // 2)
+    def exps(i, n):  # the row exponents e of rows (i, i-1) at level n
+        return -((i - n_shift(p, n)) // 2), -((i - 1 - n_shift(p, n)) // 2)
+
+    def approx(i, n, rows1, mod):  # rows (i, i-1) of level n as (x, e) for x / p^e
+        rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
+        return [(s, e) for row, e in zip(rows, exps(i, n)) for s in row]
 
     def approximants():
-        rows1 = ladder_rows(p, ap, n_start - 1, 1, cap, p ** (prec + max(exps(n_start)) + 1))
-        for n in range(n_start, n_start + max_steps + 1):
-            mod = p ** (prec + max(exps(n)) + 1)
+        rows1 = [[[1], []], [[], [1]]]
+        for n in range(1, max(stop.values()) + 1):
+            pending = [i for i in idxs if i not in found and n <= stop[i]]
+            if not pending:
+                return
+            mod = max(p ** (prec + max(exps(i, max(n, start[i]))) + 1) for i in pending)
             rows1 = append_factor(p, ap, rows1, n, cap, mod)
-            shifted = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
-            yield n, [(s, e) for row, e in zip(shifted, exps(n)) for s in row]
+            yield n, {i: approx(i, n, rows1, mod) if n >= start[i] else None for i in pending}
 
-    found = _stabilized(p, prec, approximants())
-    if found is None:
-        raise NotConverged(
-            f"no stabilization mod {p}^{prec} within {max_steps} steps "
-            f"(p={p}, a_p={ap}, i={i}, cap={cap})"
-        )
+    _stabilized(p, prec, approximants(), found)
+    return {i: found.get(i) or NotConverged(
+        f"no stabilization mod {p}^{prec} within {stop[i] - start[i]} steps "
+        f"(p={p}, a_p={ap}, i={i}, cap={cap})") for i in idxs}
+
+
+def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> LadderMatrix:
+    if isinstance(found, NotConverged):
+        raise found
     n, approx = found
-    entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
-               for r in (0, 2)]
+    entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]] for r in (0, 2)]
     return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
 
 
-def _stabilized(p: int, prec: int, approximants):
-    """The first (tag, approx) that agrees mod p^prec with its predecessor,
-    which itself agreed with the one before: two consecutive agreements (a
-    single agreement can be a parity stall when a_p = 0).  Each approx is a
-    list of (int poly, e) standing for poly / p^e.  None once exhausted.
+def _stabilized(p: int, prec: int, approximants, found: Optional[dict] = None) -> dict:
+    """Accept each stream at the first approx that agrees mod p^prec with its
+    predecessor, which itself agreed with the one before: two consecutive
+    agreements (a single agreement can be a parity stall when a_p = 0).
+    approximants yields (tag, {stream: approx}) over the streams not accepted
+    yet: None before a stream starts, else a list of (int poly, e) for
+    poly / p^e.  Sets found[stream] = (tag, approx); returns found once a
+    yield's streams are all accepted, or when exhausted.
     """
-    prev = None
-    agreements = 0
-    for tag, approx in approximants:
-        if prev is not None and _int_approx_congruent(p, prev, approx, prec):
-            agreements += 1
+    found = {} if found is None else found
+    last: dict = {}  # stream -> (approx, consecutive agreements)
+    for tag, approxs in approximants:
+        for key, approx in approxs.items():
+            if approx is None:
+                continue
+            prev, agreements = last.get(key, (None, 0))
+            agree = prev is not None and _int_approx_congruent(p, prev, approx, prec)
+            agreements = agreements + 1 if agree else 0
             if agreements >= 2:
-                return tag, approx
-        else:
-            agreements = 0
-        prev = approx
-    return None
+                found[key] = tag, approx
+            last[key] = approx, agreements
+        if all(key in found for key in approxs):
+            return found
+    return found
 
 
 def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
@@ -360,10 +392,13 @@ class HalfLogPair:
     @classmethod
     def from_json(cls, data: dict) -> "HalfLogPair":
         p, ap, cap, prec = (_json_int(data, key) for key in ("p", "ap", "cap", "prec"))
+        root_tag = data.get("root_tag", "alpha")
+        if not isinstance(root_tag, str):
+            raise SerializationError(f"root_tag must be a string, got {root_tag!r}")
         return cls(
             p=p,
             ap=ap,
-            root_tag=data.get("root_tag", "alpha"),
+            root_tag=root_tag,
             log_theta=QuadExtSeries.from_json(data.get("log_theta")),
             log_upsilon=QuadExtSeries.from_json(data.get("log_upsilon")),
             cap=cap,
@@ -398,29 +433,39 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     """Half-logarithm pair from the index-0 limit rows, intrinsicness-checked.
 
     The same series are recomputed from the index pairs (0, 1) and
-    (two_tilde - 1, two_tilde); disagreement beyond p^prec raises
-    IdentityViolation.
+    (two_tilde - 1, two_tilde) as ``_intrinsic_variant`` defines them, on the
+    integer rows of one level loop over one denominator p^E; disagreement
+    beyond p^prec raises IdentityViolation.  The scalars have integer
+    coordinates (beta_(j-1) - beta_(i-1) has norm 1 on every admissible
+    pair), so series precisions would stay >= prec + 2: the same congruence.
     """
-    consts = period_constants(p, ap)
-    tt = consts.two_tilde
-    work = prec + 2
-    m0 = ladder_infinity(p, ap, 0, cap, work)
+    tt = period_constants(p, ap).two_tilde
+    limits = _limits(p, ap, [0, 1 - tt], cap, prec + 2)
+    m0 = _limit_matrix(p, ap, 0, cap, prec + 2, limits[0])
     log_theta = combine_with_conjugate_root(p, ap, m0.theta_top, m0.theta_bot)
     log_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
-
-    # (i, j) = (0, 1) reuses the same rows; (tt-1, tt) needs rows at index 1-tt.
-    v_theta, v_upsilon = _intrinsic_variant(p, ap, m0, 0, 1)
-    checks = [(v_theta, v_upsilon)]
-    m_shift = ladder_infinity(p, ap, 1 - tt, cap, work)
-    checks.append(_intrinsic_variant(p, ap, m_shift, tt - 1, tt))
-    for v_theta, v_upsilon in checks:
-        if not v_theta.congruent(log_theta, prec) or not v_upsilon.congruent(
-            log_upsilon, prec
-        ):
-            raise IdentityViolation(
-                f"intrinsicness cross-check failed for (p, a_p) = ({p}, {ap}) "
-                f"at precision {prec}"
-            )
+    if isinstance(limits[1 - tt], NotConverged):
+        raise limits[1 - tt]
+    # rows (theta, upsilon) at index -i, then at -i-1, as numerators over p^E
+    E = max(e for idx in (0, 1 - tt) for _, e in limits[idx][1])
+    rows = {idx: [[c * p ** (E - e) for c in x] for x, e in limits[idx][1]]
+            for idx in (0, 1 - tt)}
+    # f0 - abar*f1 = (f0 - a_p f1) + f1*alpha, per column
+    logs = [(_lincomb(1, f0, -ap, f1, None), f1) for f0, f1 in zip(rows[0][:2], rows[0][2:])]
+    abar = QuadExtScalar.alpha_bar(p, ap)
+    failed = IdentityViolation(
+        f"intrinsicness cross-check failed for (p, a_p) = ({p}, {ap}) at precision {prec}")
+    for i in (0, tt - 1):
+        inv = (beta(p, ap, i) - beta(p, ap, i - 1)).inverse()
+        coords = [c.value for s in (abar.pow_int(i) * inv, abar.pow_int(i + 1) * inv)
+                  for c in (s.a, s.b)]
+        if any(c.denominator != 1 for c in coords):
+            raise failed
+        ua, ub, wa, wb = map(int, coords)
+        for top, bot, (la, lb) in zip(rows[-i][:2], rows[-i][2:], logs):
+            for u, w, log in ((ua, wa, la), (ub, wb, lb)):
+                if any(_lincomb(1, _lincomb(u, top, -w, bot, None), -1, log, p ** (prec + E))):
+                    raise failed
     return HalfLogPair(p, ap, "alpha", log_theta, log_upsilon, cap, prec)
 
 
@@ -441,7 +486,7 @@ def pollack_product(
     period_constants(p, 0)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    max_steps = math.ceil(math.log(max(cap, 2), p)) + prec + 10
+    max_steps = _first_level(p, cap) + prec + 10
     js = range(2 if parity == "even" else 1, 2 * max_steps + 1, 2)
     d = sum(1 for j in js if p ** (j - 1) < cap)
 
@@ -449,14 +494,14 @@ def pollack_product(
         P = [1]
         for k, j in enumerate(js, 1):
             P = phi_mul(p, j, [P], cap, p ** (prec + max(k, d)))[0]
-            yield k, [(P, k)]
+            yield k, {parity: [(P, k)]}
 
     found = _stabilized(p, prec, approximants())
-    if found is None:
+    if parity not in found:
         raise NotConverged(
             f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
         )
-    k, [(P, _)] = found
+    k, [(P, _)] = found[parity]
     return _ints_to_series(p, P, k, cap, prec)
 
 

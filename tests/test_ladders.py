@@ -8,17 +8,22 @@ from itertools import zip_longest
 
 import pytest
 
-from padic_ladders.errors import NotConverged, SerializationError
+from padic_ladders import ladders
+from padic_ladders.errors import IdentityViolation, NotConverged, SerializationError
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
     HalfLogPair,
     LadderMatrix,
+    combine_with_conjugate_root,
     half_logs,
     kappa_identity_check,
     ladder,
     ladder_infinity,
     n_shift,
+    _intrinsic_variant,
     _ints_to_series,
+    _limit_matrix,
+    _limits,
     _max_limit_steps,
     _stabilized,
     pollack_product,
@@ -237,7 +242,7 @@ def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, phis):
                 exps = (-((i - N) // 2), -((i - 1 - N) // 2))
                 yield n, [(s, e) for row, e in zip(shifted, exps) for s in row]
 
-    found = _stabilized(p, prec, approximants())
+    found = _stabilized(p, prec, ((n, {i: a}) for n, a in approximants())).get(i)
     if found is None:
         raise NotConverged(f"no stabilization mod {p}^{prec} within {max_steps} steps "
                            f"(p={p}, a_p={ap}, i={i}, cap={cap})")
@@ -269,6 +274,28 @@ def test_precision_schedule_matches_fixed_modulus():
                         assert got == ref, (p, ap, i, cap, prec, corrupt)
 
 
+PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
+
+
+def test_shared_level_loop_matches_separate_limits(monkeypatch):
+    # one level loop for several indices gives each index the bytes, n_used
+    # and NotConverged text of its own ladder_infinity call, also when a
+    # small step cap stops one index and not the other
+    for steps in (None, "3", "6"):
+        if steps is not None:
+            monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, steps)
+        for p, ap in PAIRS_8:
+            tt = period_constants(p, ap).two_tilde
+            for idxs in ([0, 1 - tt], [1, 5], [-3, 12], [12, -3, 0]):
+                for cap, prec in ((1, 1), (5, 3), (20, 5)):
+                    for corrupt in (False, True):
+                        found = _limits(p, ap, idxs, cap, prec, corrupt)
+                        for i in idxs:
+                            got = _outcome(lambda: _limit_matrix(p, ap, i, cap, prec, found[i]))
+                            ref = _outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
+                            assert got == ref, (steps, p, ap, idxs, i, cap, prec, corrupt)
+
+
 def test_pollack_schedule_matches_fixed_modulus():
     for p in (3, 5, 7):
         for parity in ("even", "odd"):
@@ -280,7 +307,7 @@ def test_pollack_schedule_matches_fixed_modulus():
                     for j in range(2 if parity == "even" else 1, 2 * max_steps + 1, 2):
                         P = poly_mul(P, phi_coeffs(p, j, cap), cap, mod)
                         approx.append((len(approx) + 1, [(P, len(approx) + 1)]))
-                    k, [(P, _)] = _stabilized(p, prec, iter(approx))
+                    k, [(P, _)] = _stabilized(p, prec, ((k, {0: a}) for k, a in approx))[0]
                     want = _ints_to_series(p, P, k, cap, prec).to_json()
                     got = pollack_product(p, parity, cap, prec)
                     assert got.to_json() == want
@@ -318,6 +345,18 @@ def test_default_step_cap_reaches_low_indices(monkeypatch):
             again = ladder_infinity(p, ap, i, 5, 3)
             monkeypatch.delenv(ENV_MAX_LIMIT_STEPS)
             assert (m.to_json(), m.n_used) == (again.to_json(), again.n_used), (p, ap, i)
+
+
+def test_step_caps_count_levels_in_integers(monkeypatch):
+    # the least n with p^n >= cap, by the integer loop of n_start; the float
+    # ceil(log(cap, p)) read 4, 7 and 6 at these three caps
+    for p, cap, levels in ((5, 125, 3), (5, 15625, 6), (7, 16807, 5)):
+        assert _max_limit_steps(p, cap, 1, 0) == levels + 2 * 1 + 8
+    monkeypatch.setattr(ladders, "_int_approx_congruent", lambda *args: False)
+    with pytest.raises(NotConverged, match="within 13 steps"):
+        ladder_infinity(5, 0, 0, 125, 1)
+    with pytest.raises(NotConverged, match="within 14 factors"):
+        pollack_product(5, "even", 125, 1)
 
 
 def test_infinity_entries_carry_prec():
@@ -371,6 +410,79 @@ def test_half_logs_intrinsic_pairs_explicitly():
         v_theta, v_ups = _intrinsic_variant(p, ap, m, tt - 1, tt)
         assert v_theta.congruent(hl.log_theta, 8)
         assert v_ups.congruent(hl.log_upsilon, 8)
+
+
+def _half_logs_from_two_limits(p, ap, cap, prec):
+    """half_logs built from two ladder_infinity calls, checked on QuadExtSeries."""
+    tt = period_constants(p, ap).two_tilde
+    m0 = ladder_infinity(p, ap, 0, cap, prec + 2)
+    log_theta = combine_with_conjugate_root(p, ap, m0.theta_top, m0.theta_bot)
+    log_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
+    variants = [_intrinsic_variant(p, ap, m0, 0, 1)]
+    m_shift = ladder_infinity(p, ap, 1 - tt, cap, prec + 2)
+    variants.append(_intrinsic_variant(p, ap, m_shift, tt - 1, tt))
+    for v_theta, v_upsilon in variants:
+        if not (v_theta.congruent(log_theta, prec) and v_upsilon.congruent(log_upsilon, prec)):
+            raise IdentityViolation(f"intrinsicness cross-check failed for (p, a_p) = "
+                                    f"({p}, {ap}) at precision {prec}")
+    return HalfLogPair(p, ap, "alpha", log_theta, log_upsilon, cap, prec)
+
+
+def test_half_logs_match_two_limit_construction(monkeypatch):
+    # one loop and the integer check against two limits and the series check:
+    # same bytes, same exception type and text, also under small step caps
+    for steps in (None, "2", "5", "12"):
+        if steps is not None:
+            monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, steps)
+        for p, ap in PAIRS_8:
+            for cap in (1, 5, 20, 60):
+                for prec in (1, 3, 5, 12):
+                    got = _outcome(lambda: half_logs(p, ap, cap, prec))
+                    ref = _outcome(lambda: _half_logs_from_two_limits(p, ap, cap, prec))
+                    assert got == ref, (steps, p, ap, cap, prec)
+
+
+def test_half_logs_integer_check_catches_faults(monkeypatch):
+    # a wrong beta, or a unit added to any one of the eight limit rows the
+    # check reads, must fail the intrinsicness check
+    pairs = [(2, 2), (2, -2), (3, 3), (3, 0), (5, 0)]
+    real_beta, real_limits = ladders.beta, ladders._limits
+    monkeypatch.setattr(ladders, "beta", lambda p, ap, m: -real_beta(p, ap, m))
+    for p, ap in pairs:
+        with pytest.raises(IdentityViolation):
+            half_logs(p, ap, 20, 5)
+    monkeypatch.setattr(ladders, "beta", real_beta)
+
+    def corrupted(idx, row, k):  # adds p^k to the constant term of one row
+        def limits(p, ap, idxs, cap, prec, *args):
+            found = real_limits(p, ap, idxs, cap, prec, *args)
+            i = idx(p, ap)
+            n, approx = found[i]
+            x, e = approx[row]
+            approx = list(approx)
+            approx[row] = ([(x[0] if x else 0) + p ** (e + k)] + x[1:], e)
+            found[i] = n, approx
+            return found
+        return limits
+
+    at_0 = lambda p, ap: 0
+    at_shift = lambda p, ap: 1 - period_constants(p, ap).two_tilde
+    for p, ap in pairs:
+        half_logs(p, ap, 20, 5)  # passes untouched
+    for idx in (at_0, at_shift):
+        for row in range(4):
+            monkeypatch.setattr(ladders, "_limits", corrupted(idx, row, 0))
+            for p, ap in pairs:
+                with pytest.raises(IdentityViolation):
+                    half_logs(p, ap, 20, 5)
+        # at a_p = 0 a top-row theta error moves a coordinate by itself:
+        # valuation prec - 1 is caught, valuation prec is below the check
+        for p in (3, 5):
+            monkeypatch.setattr(ladders, "_limits", corrupted(idx, 0, 4))
+            with pytest.raises(IdentityViolation):
+                half_logs(p, 0, 20, 5)
+            monkeypatch.setattr(ladders, "_limits", corrupted(idx, 0, 5))
+            half_logs(p, 0, 20, 5)
 
 
 def test_half_logs_pollack_normalization():
@@ -439,9 +551,10 @@ def test_quadext_gauss_norm_is_coefficientwise():
     lambda d: d.update(log_theta=5),
     lambda d: d["log_theta"].update(ap="q"),
     lambda d: d.pop("log_upsilon"),
+    lambda d: d.update(root_tag=[1]),
 ], ids=["series-cap-not-int", "pair-cap-not-int", "coeff-without-b", "coeffs-not-list",
         "p-not-int", "ap-null", "ap-missing", "series-not-object", "series-ap-not-int",
-        "series-missing"])
+        "series-missing", "root-tag-not-string"])
 def test_half_log_from_json_rejects_bad_fields(edit):
     data = half_logs(3, 3, 6, 3).to_json()
     edit(data)
@@ -461,10 +574,13 @@ def test_half_log_from_json_rejects_bad_fields(edit):
     lambda d: d.update(cap="abc"),
     lambda d: d.update(prec=[1]),
     lambda d: d["entries"][0][0].pop("p"),
+    lambda d: d.update(level="infinity", cap=6),
+    lambda d: d.update(level="infinity", prec=5),
     5, [], "x", None,
 ], ids=["entries-not-list", "rows-not-lists", "entry-not-object", "one-row", "p-not-int",
         "ap-missing", "level-not-int", "index-not-int", "cap-not-int", "prec-not-int",
-        "series-p-missing", "int", "list", "string", "null"])
+        "series-p-missing", "infinity-prec-null", "infinity-cap-null",
+        "int", "list", "string", "null"])
 def test_ladder_matrix_from_json_rejects_bad_fields(edit):
     data = ladder(3, 3, 1, 1).to_json()
     if callable(edit):
