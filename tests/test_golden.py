@@ -9,11 +9,15 @@ as ``json.dumps(pollack_product(...).to_json())`` in ``<name>.json``, and
 ``series_ops.json`` pins ``PowerSeries.mul`` and ``divmod_monic`` on seeded
 random inexact operands, and ``coleman_ops.json`` pins the level-n Coleman
 algebra on seeded exact, finite-precision and p-power-denominator inputs.
+``fingerprints.json`` holds one SHA-256 per acceptance-scale output (the
+cap-200 limits and half-logs, ``verify --all``, the suite under the parity
+fault and ``n_used``), so that a failure names the output that moved.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import random
 import sys
@@ -25,9 +29,10 @@ from pathlib import Path
 import pytest
 
 from padic_ladders import cli
+from padic_ladders.checks import CheckConfig, default_configs, run_suite
 from padic_ladders.coleman import LambdaPair, decompose, kernel_basis, kernel_member, phi_apply
 from padic_ladders.errors import PadicLaddersError
-from padic_ladders.ladders import pollack_product
+from padic_ladders.ladders import ladder_infinity, pollack_product
 from padic_ladders.padics import PadicScalar
 from padic_ladders.series import LambdaElement, PowerSeries, divmod_monic, omega, phi
 
@@ -170,6 +175,55 @@ def run_case(name, out_path):
     return code, buf.getvalue().encode(), written
 
 
+LIMIT_PAIRS = ((2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0))
+
+
+def _cli_stdout(argv):
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue().encode()
+
+
+def fingerprint_outputs(tmp_dir):
+    """name -> bytes of each output that fingerprints.json pins."""
+    out = {}
+    for p, ap in LIMIT_PAIRS:
+        for i in (0, 1):
+            code, out[f"ladder_{p}_{ap}_inf_i{i}_c200_p26"] = _cli_stdout(
+                _ladder(p, ap, "infinity", i, "--cap", "200", "--prec", "26"))
+            assert code == cli.EXIT_OK
+            out[f"n_used_{p}_{ap}_i{i}_c200_p26"] = str(
+                ladder_infinity(p, ap, i, 200, 26).n_used).encode()
+        code, out[f"halflog_{p}_{ap}_c200_p20"] = _cli_stdout(
+            ["halflog", "--p", str(p), "--ap", str(ap), "--cap", "200", "--prec", "20"])
+        assert code == cli.EXIT_OK
+    report = Path(tmp_dir) / "verify_all.json"
+    code, out["verify_all_stdout"] = _cli_stdout(["verify", "--all", "--out", str(report)])
+    assert code == cli.EXIT_OK
+    out["verify_all_report"] = report.read_bytes()
+    corrupt = [CheckConfig(c.p, c.ap, corrupt_ap_parity=True) for c in default_configs()]
+    out["run_suite_corrupt_parity"] = json.dumps(
+        [r.to_json() for r in run_suite(corrupt)]).encode()
+    return out
+
+
+def fingerprints(tmp_dir):
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in sorted(fingerprint_outputs(tmp_dir).items())}
+
+
+def fingerprints_json(tmp_dir):
+    return (json.dumps(fingerprints(tmp_dir), indent=1) + "\n").encode()
+
+
+def test_golden_fingerprints(tmp_path):
+    want = json.loads((GOLDEN / "fingerprints.json").read_bytes())
+    got = fingerprints(tmp_path)
+    assert sorted(got) == sorted(want)
+    assert [name for name in want if got[name] != want[name]] == []
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, tmp_path):
     code, stdout, written = run_case(name, tmp_path / "out")
@@ -206,3 +260,5 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.json").write_bytes(parity_json(name))
     (GOLDEN / "series_ops.json").write_bytes(series_ops_json())
     (GOLDEN / "coleman_ops.json").write_bytes(coleman_ops_json())
+    (GOLDEN / "fingerprints.json").write_bytes(fingerprints_json(GOLDEN))
+    (GOLDEN / "verify_all.json").unlink()
