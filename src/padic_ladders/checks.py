@@ -3,7 +3,8 @@
 run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
 witness), never exceptions.  factorization_check exercises the finite-level
-decomposition against the half-logarithm limit on synthetic integral inputs.
+decomposition against the half-logarithm limit on synthetic integral inputs,
+on integer rows built mod the p-power that the comparison reads.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .coleman import (
     phi_apply,
     projection_compatibility_check,
 )
-from .errors import PadicLaddersError
+from .errors import NotConverged, PadicLaddersError
 from .ladders import (
-    combine_with_conjugate_root,
+    _int_approx_congruent,
+    _limits,
     half_logs,
     kappa_identity_check,
     ladder,
@@ -33,7 +35,8 @@ from .ladders import (
     pollack_product,
 )
 from .report import CheckReport
-from .series import PowerSeries, log_series, omega
+from .series import (PowerSeries, _lincomb, ladder_rows, log_series, omega, phi_coeffs,
+                     poly_mul, poly_rem)
 from .trace import (
     a_matrix,
     beta,
@@ -369,38 +372,43 @@ def factorization_check(
                                            + upsilon_n^{-N-1} lupsilon),
     converges to S (the first beta scalar is 1); this is asserted modulo
     p^prec at the two levels past stabilization, both coefficientwise and
-    after evaluation at the root-of-unity levels j = 1..j_max.
+    after evaluation at the root-of-unity levels j = 1..j_max, below the
+    least of cap and the inputs' caps.  As a_p is an integer, D_n and S agree
+    exactly when their two rows x/p^e do; level n's rows are built mod
+    p^(prec + e), the residues that comparison reads (a ring map).
     """
+    for name, f in (("ltheta", ltheta), ("lupsilon", lupsilon)):
+        if getattr(f, "_ints", None) is None:
+            raise ValueError(f"{name} must be a PowerSeries with exact integer coefficients")
     config = {"p": p, "ap": ap, "cap": cap, "prec": prec, "j_max": j_max}
-    try:
-        m0 = ladder_infinity(p, ap, 0, cap, prec + 2)
-        hl_theta = combine_with_conjugate_root(p, ap, m0.theta_top, m0.theta_bot)
-        hl_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
-        s = hl_theta.mul_series(ltheta, cap) + hl_upsilon.mul_series(lupsilon, cap)
-        from .series import phi as phi_poly
+    c = min(x for x in (cap, ltheta.cap, lupsilon.cap) if x is not None)
 
-        for n in (m0.n_used + 1, m0.n_used + 2):
+    def applied(rows, exps, mod=None):  # (theta*ltheta + upsilon*lupsilon, e) per row
+        return [(_lincomb(1, poly_mul(t, ltheta._ints, c), 1, poly_mul(u, lupsilon._ints, c),
+                          mod), e) for (t, u), e in zip(rows, exps)]
+
+    try:
+        found = _limits(p, ap, [0], cap, prec + 2)[0]
+        if isinstance(found, NotConverged):
+            raise found
+        n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = found
+        s = applied([[t0, u0], [t1, u1]], (e0, e1))
+        for n in (n_used + 1, n_used + 2):
             N = n_shift(p, n)
-            rows = ladder(p, ap, n, -N, cap=cap)
-            f0 = (
-                rows.entries[0][0].mul(ltheta, cap)
-                + rows.entries[0][1].mul(lupsilon, cap)
-            ).scale(Fraction(p) ** ((-N) // 2))
-            f1 = (
-                rows.entries[1][0].mul(ltheta, cap)
-                + rows.entries[1][1].mul(lupsilon, cap)
-            ).scale(Fraction(p) ** ((-N - 1) // 2))
-            d_n = combine_with_conjugate_root(p, ap, f0, f1)
-            if not d_n.congruent(s, prec):
+            exps = (-(-N // 2), -((-N - 1) // 2))
+            mod = p ** (prec + max(exps))
+            d_n = applied(ladder_rows(p, ap, n, -N, cap, mod), exps, mod)
+            if not _int_approx_congruent(p, d_n, s, prec):
                 return _report(
                     "factorization", config,
                     f"finite level n={n} disagrees with the limit mod {p}^{prec}",
                 )
             for j in range(1, j_max + 1):
-                modulus = phi_poly(p, j)
-                if modulus.degree() > cap:
+                g = phi_coeffs(p, j)
+                if len(g) - 1 > cap:
                     break
-                if not d_n.reduce_mod(modulus).congruent(s.reduce_mod(modulus), prec):
+                rem = lambda rows: [(poly_rem(x, g), e) for x, e in rows]
+                if not _int_approx_congruent(p, rem(d_n), rem(s), prec):
                     return _report(
                         "factorization", config,
                         f"evaluation at root level j={j} disagrees at n={n}",

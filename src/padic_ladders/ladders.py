@@ -10,16 +10,18 @@ p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and iterates n until the
 approximants stabilize modulo p^prec, by the rule of ``_stabilized`` that
 the parity products share.  Half-
 logarithms combine the index-0 limit rows with the conjugate root
-(row_0 - conj(alpha) * row_{-1}) and carry Z[alpha]-coordinate coefficients.
+(row_0 - conj(alpha) * row_{-1}) and carry Z[alpha]-coordinate coefficients;
+the Z[alpha] identities are checked on integer rows and scalar coordinates.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from .errors import IdentityViolation, NotConverged, SerializationError, UsageError
 from .padics import PadicScalar, QuadExtScalar, _json_int
@@ -31,7 +33,6 @@ from .series import (
     gauss_norm_log,
     ladder_rows,
     phi_mul,
-    reduce_mod,
     shift_rows,
 )
 from .trace import beta, period_constants
@@ -275,7 +276,7 @@ def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> Pow
 
 
 class QuadExtSeries:
-    """A power series with Z[alpha]-coordinate coefficients, stored as (a, b) parts."""
+    """The half-log artifact: a series with Z[alpha] coefficients, as (a, b) parts."""
 
     __slots__ = ("p", "ap", "a", "b")
 
@@ -285,31 +286,12 @@ class QuadExtSeries:
         self.a = a
         self.b = b
 
-    @classmethod
-    def from_plain(cls, p: int, ap: int, f: PowerSeries) -> "QuadExtSeries":
-        return cls(p, ap, f, PowerSeries.zero(p, f.cap))
-
     @property
     def cap(self) -> Optional[int]:
         return self.a._cap_min(self.b)
 
-    def __add__(self, other: "QuadExtSeries") -> "QuadExtSeries":
-        return QuadExtSeries(self.p, self.ap, self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "QuadExtSeries") -> "QuadExtSeries":
-        return QuadExtSeries(self.p, self.ap, self.a - other.a, self.b - other.b)
-
-    def scale(self, s: QuadExtScalar) -> "QuadExtSeries":
-        # (a + b*A)(sa + sb*A) with A^2 = ap*A - p
-        a = self.a.scale(s.a) - self.b.scale(s.b * self.p)
-        b = self.a.scale(s.b) + self.b.scale(s.a) + self.b.scale(s.b * self.ap)
-        return QuadExtSeries(self.p, self.ap, a, b)
-
-    def mul_series(self, f: PowerSeries, cap: Optional[int] = None) -> "QuadExtSeries":
-        return QuadExtSeries(self.p, self.ap, self.a.mul(f, cap), self.b.mul(f, cap))
-
-    def congruent(self, other: "QuadExtSeries", k: int, upto: Optional[int] = None) -> bool:
-        return self.a.congruent(other.a, k, upto) and self.b.congruent(other.b, k, upto)
+    def congruent(self, other: "QuadExtSeries", k: int) -> bool:
+        return self.a.congruent(other.a, k) and self.b.congruent(other.b, k)
 
     def __eq__(self, other):
         if not isinstance(other, QuadExtSeries):
@@ -317,11 +299,6 @@ class QuadExtSeries:
         return self.a == other.a and self.b == other.b
 
     __hash__ = None
-
-    def reduce_mod(self, modulus: PowerSeries) -> "QuadExtSeries":
-        return QuadExtSeries(
-            self.p, self.ap, reduce_mod(self.a, modulus), reduce_mod(self.b, modulus)
-        )
 
     def gauss_norm_log(self, s) -> Optional[Fraction]:
         """The larger of the parts' norms, b's lowered by v(alpha) = 1/2; None for zero."""
@@ -357,13 +334,6 @@ class QuadExtSeries:
             return PowerSeries.from_json({"p": p, "cap": data.get("cap"), "coeffs": cs})
 
         return cls(p, ap, part("a"), part("b"))
-
-
-def combine_with_conjugate_root(
-    p: int, ap: int, f0: PowerSeries, f1: PowerSeries
-) -> QuadExtSeries:
-    """f0 - conj(alpha) * f1 as a QuadExtSeries (conj(alpha) = a_p - alpha)."""
-    return QuadExtSeries(p, ap, f0 - f1 * ap, f1)
 
 
 @dataclass
@@ -406,62 +376,47 @@ class HalfLogPair:
         )
 
 
-def _intrinsic_variant(
-    p: int, ap: int, inf_rows: LadderMatrix, i: int, j: int
-) -> Tuple[QuadExtSeries, QuadExtSeries]:
-    """(row_{-i} abar^i - row_{-j} abar^j) / (beta_{j-1} - beta_{i-1}) for j = i+1.
-
-    ``inf_rows`` must be the infinity matrix at index -i (rows -i and -i-1).
-    """
-    assert j == i + 1 and inf_rows.index == -i
-    abar = QuadExtScalar.alpha_bar(p, ap)
-    denom = beta(p, ap, j - 1) - beta(p, ap, i - 1)
-    inv = denom.inverse()
-    out = []
-    for col in range(2):
-        top = QuadExtSeries.from_plain(p, ap, inf_rows.entries[0][col]).scale(
-            abar.pow_int(i)
-        )
-        bot = QuadExtSeries.from_plain(p, ap, inf_rows.entries[1][col]).scale(
-            abar.pow_int(j)
-        )
-        out.append((top - bot).scale(inv))
-    return out[0], out[1]
+def _int_coords(scalars: List[QuadExtScalar]):
+    """(d, [a*d, b*d for each a + b*alpha]) as ints, d the least common denominator."""
+    values = [c.value for s in scalars for c in (s.a, s.b)]
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [int(v * d) for v in values]
 
 
 def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     """Half-logarithm pair from the index-0 limit rows, intrinsicness-checked.
 
-    The same series are recomputed from the index pairs (0, 1) and
-    (two_tilde - 1, two_tilde) as ``_intrinsic_variant`` defines them, on the
-    integer rows of one level loop over one denominator p^E; disagreement
-    beyond p^prec raises IdentityViolation.  The scalars have integer
-    coordinates (beta_(j-1) - beta_(i-1) has norm 1 on every admissible
-    pair), so series precisions would stay >= prec + 2: the same congruence.
+    The same series are recomputed as the variants (row_{-i} abar^i -
+    row_{-i-1} abar^(i+1)) / (beta_i - beta_(i-1)) for i = 0 and
+    two_tilde - 1, on the integer rows of one level loop over one denominator
+    p^E; disagreement beyond p^prec raises IdentityViolation.  The scalars
+    have integer coordinates (the beta difference has norm 1 on every
+    admissible pair), so series precisions would stay >= prec + 2: the same
+    congruence.  The i = 0 variant reads the artifact's own rows with scalars
+    1 and abar, so it checks beta and abar only; a wrong limit row is caught
+    by the i = two_tilde - 1 variant, which reads the rows at 1 - two_tilde.
     """
     tt = period_constants(p, ap).two_tilde
     limits = _limits(p, ap, [0, 1 - tt], cap, prec + 2)
     m0 = _limit_matrix(p, ap, 0, cap, prec + 2, limits[0])
-    log_theta = combine_with_conjugate_root(p, ap, m0.theta_top, m0.theta_bot)
-    log_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
+    # f0 - abar*f1 = (f0 - a_p f1) + f1*alpha, per column
+    log_theta, log_upsilon = (QuadExtSeries(p, ap, f0 - f1 * ap, f1)
+                              for f0, f1 in zip(m0.entries[0], m0.entries[1]))
     if isinstance(limits[1 - tt], NotConverged):
         raise limits[1 - tt]
     # rows (theta, upsilon) at index -i, then at -i-1, as numerators over p^E
     E = max(e for idx in (0, 1 - tt) for _, e in limits[idx][1])
     rows = {idx: [[c * p ** (E - e) for c in x] for x, e in limits[idx][1]]
             for idx in (0, 1 - tt)}
-    # f0 - abar*f1 = (f0 - a_p f1) + f1*alpha, per column
     logs = [(_lincomb(1, f0, -ap, f1, None), f1) for f0, f1 in zip(rows[0][:2], rows[0][2:])]
     abar = QuadExtScalar.alpha_bar(p, ap)
     failed = IdentityViolation(
         f"intrinsicness cross-check failed for (p, a_p) = ({p}, {ap}) at precision {prec}")
     for i in (0, tt - 1):
         inv = (beta(p, ap, i) - beta(p, ap, i - 1)).inverse()
-        coords = [c.value for s in (abar.pow_int(i) * inv, abar.pow_int(i + 1) * inv)
-                  for c in (s.a, s.b)]
-        if any(c.denominator != 1 for c in coords):
+        den, (ua, ub, wa, wb) = _int_coords([abar.pow_int(i) * inv, abar.pow_int(i + 1) * inv])
+        if den != 1:
             raise failed
-        ua, ub, wa, wb = map(int, coords)
         for top, bot, (la, lb) in zip(rows[-i][:2], rows[-i][2:], logs):
             for u, w, log in ((ua, wa, la), (ub, wb, lb)):
                 if any(_lincomb(1, _lincomb(u, top, -w, bot, None), -1, log, p ** (prec + E))):
@@ -511,35 +466,26 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
     With N the level shift and kappa_m = alpha^m (beta_m - beta_{i-1}),
     asserts kappa_{-N} row_0 - kappa_{-N-1} row_{-1}
     = p^[(-N-i)/2] row_{-N-i} * conj(alpha)^i, entrywise for theta and
-    upsilon, in exact Z[alpha] polynomial arithmetic.
+    upsilon, exactly: in each Z[alpha] coordinate over one common denominator.
     """
     period_constants(p, ap)
     if n < 1:
         raise ValueError("level n must be >= 1")
     N = n_shift(p, n)
     alpha = QuadExtScalar.alpha(p, ap)
-    abar = QuadExtScalar.alpha_bar(p, ap)
     beta_ref = beta(p, ap, i - 1)
-    kappas = {}
-    for m in (-N, -N - 1):
-        kappas[m] = alpha.pow_int(m) * (beta(p, ap, m) - beta_ref)
-
-    m0 = ladder(p, ap, n, 0)
-    m_shift = ladder(p, ap, n, -N - i)
-    scale = PadicScalar.exact(p, Fraction(p) ** ((-N - i) // 2))
-    abar_i = abar.pow_int(i)
+    kappas = [alpha.pow_int(m) * (beta(p, ap, m) - beta_ref) for m in (-N, -N - 1)]
+    scale = QuadExtScalar.alpha_bar(p, ap).pow_int(i) * Fraction(p) ** ((-N - i) // 2)
+    _, (k0a, k0b, k1a, k1b, sa, sb) = _int_coords(kappas + [scale])
+    rows0, shifted = ladder_rows(p, ap, n, 0), ladder_rows(p, ap, n, -N - i)
     for col, label in ((0, "theta"), (1, "upsilon")):
-        lhs = QuadExtSeries.from_plain(p, ap, m0.entries[0][col]).scale(
-            kappas[-N]
-        ) - QuadExtSeries.from_plain(p, ap, m0.entries[1][col]).scale(kappas[-N - 1])
-        rhs = QuadExtSeries.from_plain(
-            p, ap, m_shift.entries[0][col].scale(scale)
-        ).scale(abar_i)
-        if lhs != rhs:
-            raise IdentityViolation(
-                f"kappa identity failed for {label} at "
-                f"(p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
-            )
+        for k0, k1, sc in ((k0a, k1a, sa), (k0b, k1b, sb)):
+            lhs = _lincomb(k0, rows0[0][col], -k1, rows0[1][col], None)
+            if any(_lincomb(1, lhs, -sc, shifted[0][col], None)):
+                raise IdentityViolation(
+                    f"kappa identity failed for {label} at "
+                    f"(p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
+                )
     return CheckReport(
         name="kappa_identity", config={"p": p, "ap": ap, "n": n, "i": i}
     )

@@ -26,7 +26,6 @@ from padic_ladders.coleman import (
 )
 from padic_ladders.curves import CurveData, ap as curve_ap
 from padic_ladders.ladders import (
-    _intrinsic_variant,
     half_logs,
     kappa_identity_check,
     ladder,
@@ -49,6 +48,7 @@ from padic_ladders.trace import (
     period_constants,
     trace_matrix,
 )
+from zalpha_reference import intrinsic_variant
 
 PAIRS_P23 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3)]
 PAIRS_ALL = PAIRS_P23 + [(5, 0), (7, 0)]
@@ -240,7 +240,7 @@ def test_criterion_11_intrinsicness():
         tt = period_constants(p, ap).two_tilde
         hl = half_logs(p, ap, cap, prec)  # runs the (0,1) variant internally
         m = ladder_infinity(p, ap, 1 - tt, cap, prec + 2)
-        v_theta, v_ups = _intrinsic_variant(p, ap, m, tt - 1, tt)
+        v_theta, v_ups = intrinsic_variant(p, ap, m, tt - 1, tt)
         assert v_theta.congruent(hl.log_theta, prec), f"(p={p}, ap={ap})"
         assert v_ups.congruent(hl.log_upsilon, prec), f"(p={p}, ap={ap})"
     finish(11, "intrinsicness", t0, 30)

@@ -1,7 +1,11 @@
 """The aggregated verification suite and the synthetic factorization check."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from padic_ladders import ladders, series
 from padic_ladders.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -9,9 +13,12 @@ from padic_ladders.checks import (
     factorization_check,
     run_suite,
 )
+from padic_ladders.ladders import kappa_identity_check
+from padic_ladders.padics import PadicScalar
 from padic_ladders.report import CheckReport
 from padic_ladders.series import PowerSeries
 from padic_ladders.trace import delta_table
+from zalpha_reference import factorization_check_reference, kappa_identity_check_reference
 
 
 def small(p, ap, **kw):
@@ -100,3 +107,101 @@ def test_factorization_ap_zero():
     lt = PowerSeries(3, [1, 1])
     lu = PowerSeries(3, [0, 2])
     assert factorization_check(3, 0, lt, lu, 20, 4, j_max=1).passed
+
+
+def test_factorization_check_input_contract(monkeypatch):
+    # anything but an exact integer polynomial is refused, naming the argument
+    one = PowerSeries.one(3)
+    for bad in (PowerSeries(3, [Fraction(1, 3)]), PowerSeries(3, [PadicScalar(3, 1, 4)]),
+                [1, 2]):
+        for name, args in (("ltheta", (bad, one)), ("lupsilon", (one, bad))):
+            with pytest.raises(ValueError, match=f"^{name} must be a PowerSeries with exact "
+                                                 "integer coefficients$"):
+                factorization_check(3, 3, *args, 20, 4)
+    # an input with its own cap truncates everything at the smallest cap, so
+    # a finite-row fault at X^4 and above is read only without that cap
+    lt, lu = PowerSeries(3, [1, -2, 0, 3], 3), PowerSeries(3, [2, 1, 1, 5])
+    for cap in (2, 8, 24):
+        rep = factorization_check(3, 3, lt, lu, cap, 5, j_max=2)
+        assert rep == factorization_check_reference(3, 3, lt, lu, cap, 5, j_max=2)
+        assert rep.passed
+    real_append = series.append_factor
+
+    def append_factor(p, ap, rows, k, cap=None, mod=None):
+        out = real_append(p, ap, rows, k, cap, mod)
+        if k == 1:
+            out[0][0] = out[0][0] + [0, 0, 0, 1]
+        return out
+
+    monkeypatch.setattr(series, "append_factor", append_factor)
+    for cap, prec in ((8, 1), (24, 5)):
+        for lt_own, fails in ((lt, False), (PowerSeries(3, [1, -2]), True)):
+            rep = factorization_check(3, 3, lt_own, lu, cap, prec)
+            assert rep == factorization_check_reference(3, 3, lt_own, lu, cap, prec)
+            assert rep.passed is not fails
+
+
+PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and the text must match too
+        return type(exc).__name__, str(exc)
+
+
+def test_zalpha_checks_match_series_references(monkeypatch):
+    # factorization_check and kappa_identity_check on integer rows against
+    # their series forms: the same report, or the same exception and text.
+    # Each case runs once, untouched or under one fault:
+    # - "row": one coefficient of one finite-level row raised by p^v.  The
+    #   limit kernel's levels are left alone, so factorization_check sees a
+    #   mismatch when v is small; the kappa identity is a relation of the
+    #   row shifts and holds for any rows, so it passes on both sides.
+    # - "beta": beta read at m + 1 (kappa only; factorization reads no beta).
+    # Left out for time: j_max = 2 where Phi_2 has degree above the cap (the
+    # same computation as j_max = 1), and n = 3 at p = 5, 7 (rows of degree
+    # 125 and 343 take the scalar-by-scalar reference 0.6 s).
+    rng = random.Random(11)
+    fact = [(p, ap, cap, prec, j_max) for p, ap in PAIRS_8 for cap in (1, 8, 24)
+            for prec in (1, 5) for j_max in (1, 2) if j_max == 1 or p * (p - 1) <= cap]
+    kappa = [(p, ap, n, i) for p, ap in PAIRS_8 for n in (1, 2, 3) for i in range(-4, 8)
+             if n < 3 or p < 5]
+    real_append, real_beta = series.append_factor, ladders.beta
+
+    def row_fault(level, v):
+        def append_factor(p, ap, rows, k, cap=None, mod=None):
+            out = real_append(p, ap, rows, k, cap, mod)
+            if k == level:
+                x = out[0][0]
+                out[0][0] = [(x[0] if x else 0) + p ** v] + list(x[1:])
+            return out
+        return append_factor
+
+    def setting(fault):
+        monkeypatch.setattr(series, "append_factor", real_append)
+        monkeypatch.setattr(ladders, "beta", real_beta)
+        if fault == "row":
+            monkeypatch.setattr(series, "append_factor",
+                                row_fault(rng.randint(1, 3), rng.randrange(8)))
+        elif fault == "beta":
+            monkeypatch.setattr(ladders, "beta", lambda p, ap, m: real_beta(p, ap, m + 1))
+
+    failed = {None: 0, "row": 0, "beta": 0}
+    for k, (p, ap, cap, prec, j_max) in enumerate(fact):
+        fault = (None, "row")[k % 2]
+        setting(fault)
+        lt = PowerSeries(p, [rng.randint(-5, 5) for _ in range(4)])
+        lu = PowerSeries(p, [rng.randint(-5, 5) for _ in range(3)], 5 if p == 3 else None)
+        got = _outcome(factorization_check, p, ap, lt, lu, cap, prec, j_max)
+        assert got == _outcome(factorization_check_reference, p, ap, lt, lu, cap, prec,
+                               j_max), (fault, p, ap, cap, prec, j_max)
+        failed[fault] += not got.passed
+    for k, case in enumerate(kappa):
+        fault = (None, "row", "beta")[k % 3]
+        setting(fault)
+        got = _outcome(kappa_identity_check, *case)
+        assert got == _outcome(kappa_identity_check_reference, *case), (fault, case)
+        failed[fault] += isinstance(got, tuple)
+    assert failed[None] == 0 and failed["row"] > 10 and failed["beta"] > 10

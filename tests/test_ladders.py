@@ -5,6 +5,7 @@ import math
 import os
 from fractions import Fraction
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 
@@ -14,13 +15,12 @@ from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
     HalfLogPair,
     LadderMatrix,
-    combine_with_conjugate_root,
     half_logs,
     kappa_identity_check,
     ladder,
     ladder_infinity,
     n_shift,
-    _intrinsic_variant,
+    _int_coords,
     _ints_to_series,
     _limit_matrix,
     _limits,
@@ -28,8 +28,9 @@ from padic_ladders.ladders import (
     _stabilized,
     pollack_product,
 )
-from padic_ladders.padics import PadicScalar
+from padic_ladders.padics import PadicScalar, QuadExtScalar
 from padic_ladders.series import (
+    _lincomb,
     PowerSeries,
     gauss_norm_log,
     log_series,
@@ -42,8 +43,11 @@ from padic_ladders.series import (
     shift_rows,
 )
 from padic_ladders.trace import ap_parity_value, delta_coeffs, period_constants
+from zalpha_reference import combine_with_conjugate_root, intrinsic_variant
+from zalpha_reference import scale as zalpha_scale
 
 PAIRS_23 = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0)]
+PAIRS_6 = PAIRS_23 + [(5, 0)]
 
 
 def poly(p, ints):
@@ -401,13 +405,11 @@ def test_ap_zero_vanishing_rows():
 
 def test_half_logs_intrinsic_pairs_explicitly():
     # the (0,1)- and (two_tilde-1, two_tilde)-variants agree mod p^8, cap 50
-    from padic_ladders.ladders import _intrinsic_variant
-
     for (p, ap) in [(3, 3), (2, -2)]:
         tt = period_constants(p, ap).two_tilde
         hl = half_logs(p, ap, 50, 8)
         m = ladder_infinity(p, ap, 1 - tt, 50, 10)
-        v_theta, v_ups = _intrinsic_variant(p, ap, m, tt - 1, tt)
+        v_theta, v_ups = intrinsic_variant(p, ap, m, tt - 1, tt)
         assert v_theta.congruent(hl.log_theta, 8)
         assert v_ups.congruent(hl.log_upsilon, 8)
 
@@ -418,9 +420,9 @@ def _half_logs_from_two_limits(p, ap, cap, prec):
     m0 = ladder_infinity(p, ap, 0, cap, prec + 2)
     log_theta = combine_with_conjugate_root(p, ap, m0.theta_top, m0.theta_bot)
     log_upsilon = combine_with_conjugate_root(p, ap, m0.upsilon_top, m0.upsilon_bot)
-    variants = [_intrinsic_variant(p, ap, m0, 0, 1)]
+    variants = [intrinsic_variant(p, ap, m0, 0, 1)]
     m_shift = ladder_infinity(p, ap, 1 - tt, cap, prec + 2)
-    variants.append(_intrinsic_variant(p, ap, m_shift, tt - 1, tt))
+    variants.append(intrinsic_variant(p, ap, m_shift, tt - 1, tt))
     for v_theta, v_upsilon in variants:
         if not (v_theta.congruent(log_theta, prec) and v_upsilon.congruent(log_upsilon, prec)):
             raise IdentityViolation(f"intrinsicness cross-check failed for (p, a_p) = "
@@ -522,6 +524,17 @@ def test_half_log_json_round_trip():
     assert (again.p, again.ap, again.cap, again.prec) == (3, 3, 10, 4)
 
 
+def test_half_log_json_round_trip_is_byte_exact():
+    # from_json(to_json(x)) serializes to the same bytes, on fresh half-logs
+    # and on the recorded golden artifact
+    dump = lambda pair: json.dumps(pair.to_json(), indent=2)
+    for p, ap in PAIRS_6:
+        text = dump(half_logs(p, ap, 30, 6))
+        assert dump(HalfLogPair.from_json(json.loads(text))) == text, (p, ap)
+    golden = (Path(__file__).parent / "golden" / "halflog_3_0.stdout").read_text()
+    assert dump(HalfLogPair.from_json(json.loads(golden))) + "\n" == golden
+
+
 def test_quadext_gauss_norm_is_coefficientwise():
     # |a_k + b_k alpha| = p^-min(v(a_k), v(b_k) + 1/2), maximised over k
     hl = half_logs(3, 3, 30, 6)
@@ -591,25 +604,27 @@ def test_ladder_matrix_from_json_rejects_bad_fields(edit):
         LadderMatrix.from_json(data)
 
 
-def test_quadext_series_scale_matches_scalarwise():
-    # series-level (a + b alpha) * s against coefficient-by-coefficient products
+def test_reference_scale_matches_integer_coordinates():
+    # the tests' coefficient-by-coefficient product by a Z[alpha] scalar
+    # against the integer coordinates the package uses:
+    # (a + b alpha)(sa + sb alpha) = (a sa - p b sb) + (a sb + b sa + a_p b sb) alpha
     import random
 
     from padic_ladders.ladders import QuadExtSeries
-    from padic_ladders.padics import QuadExtScalar
 
     rng = random.Random(59)
     for _ in range(40):
         p, ap = rng.choice(PAIRS_23)
         n = rng.randint(1, 6)
-        a = poly(p, [rng.randint(-9, 9) for _ in range(n)])
-        b = poly(p, [rng.randint(-9, 9) for _ in range(n)])
+        a = [rng.randint(-9, 9) for _ in range(n)]
+        b = [rng.randint(-9, 9) for _ in range(n)]
         s = QuadExtScalar.from_rationals(p, ap, rng.randint(-9, 9), rng.randint(-9, 9))
-        out = QuadExtSeries(p, ap, a, b).scale(s)
-        for k in range(n):
-            ref = QuadExtScalar(p, ap, a.coefficient_raw(k), b.coefficient_raw(k)) * s
-            assert out.a.coefficient_raw(k) == ref.a
-            assert out.b.coefficient_raw(k) == ref.b
+        out = zalpha_scale(QuadExtSeries(p, ap, poly(p, a), poly(p, b)), s)
+        den, (sa, sb) = _int_coords([s])
+        assert den == 1
+        bs = [sb * x for x in b]
+        assert out.a == poly(p, _lincomb(sa, a, -p, bs, None))
+        assert out.b == poly(p, _lincomb(1, _lincomb(sb, a, sa, b, None), ap, bs, None))
 
 
 def test_mul_cap_equals_truncated_full_product():
