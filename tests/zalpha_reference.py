@@ -25,18 +25,6 @@ from padic_ladders.series import reduce_mod as series_reduce_mod
 from padic_ladders.trace import period_constants
 
 
-def scalars(f: QuadExtSeries) -> list:
-    """The coefficients a_k + b_k alpha of f, one QuadExtScalar each."""
-    n = max(len(f.a.coeffs), len(f.b.coeffs))
-    return [QuadExtScalar(f.p, f.ap, f.a.coefficient_raw(k), f.b.coefficient_raw(k))
-            for k in range(n)]
-
-
-def series(p: int, ap: int, xs: list, cap) -> QuadExtSeries:
-    return QuadExtSeries(p, ap, PowerSeries(p, [x.a for x in xs], cap),
-                         PowerSeries(p, [x.b for x in xs], cap))
-
-
 def combine_with_conjugate_root(p: int, ap: int, f0: PowerSeries, f1: PowerSeries):
     """f0 - conj(alpha) * f1 = (f0 - a_p f1) + f1 * alpha, as a QuadExtSeries."""
     return QuadExtSeries(p, ap, f0 - f1 * ap, f1)
@@ -47,7 +35,12 @@ def from_plain(p: int, ap: int, f: PowerSeries) -> QuadExtSeries:
 
 
 def scale(f: QuadExtSeries, s: QuadExtScalar) -> QuadExtSeries:
-    return series(f.p, f.ap, [x * s for x in scalars(f)], f.cap)
+    """f * s, coefficient by coefficient: each one a QuadExtScalar product."""
+    n = max(len(f.a.coeffs), len(f.b.coeffs))
+    xs = [QuadExtScalar(f.p, f.ap, f.a.coefficient_raw(k), f.b.coefficient_raw(k)) * s
+          for k in range(n)]
+    part = lambda key: PowerSeries(f.p, [getattr(x, key) for x in xs], f.cap)
+    return QuadExtSeries(f.p, f.ap, part("a"), part("b"))
 
 
 def add(f: QuadExtSeries, g: QuadExtSeries) -> QuadExtSeries:
