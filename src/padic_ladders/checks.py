@@ -23,7 +23,7 @@ from .coleman import (
     phi_apply,
     projection_compatibility_check,
 )
-from .errors import NotConverged, PadicLaddersError
+from .errors import PadicLaddersError
 from .ladders import (
     _int_approx_congruent,
     _limits,
@@ -270,8 +270,6 @@ def check_intrinsicness(cfg: CheckConfig) -> Optional[str]:
 
 
 def check_pollack_comparison(cfg: CheckConfig) -> Optional[str]:
-    if cfg.ap != 0 or cfg.p == 2:
-        return None
     p, prec, cap = cfg.p, cfg.prec, cfg.cap
     hl = half_logs(p, 0, cap, prec)
     even = pollack_product(p, "even", cap, prec + 2)
@@ -338,13 +336,13 @@ def run_suite(configs: Iterable[CheckConfig]) -> List[CheckReport]:
         for name, fn in CHECKS:
             if cfg.include is not None and name not in cfg.include:
                 continue
+            if name == "pollack_comparison" and (cfg.ap != 0 or cfg.p == 2):
+                continue  # parity products need a_p = 0 and odd p; no hollow pass
             cfg_dict = dict(cfg.base(), check=name)
             try:
                 failure = fn(cfg)
             except PadicLaddersError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
-            if name == "pollack_comparison" and cfg.ap != 0:
-                continue  # not applicable; emit nothing rather than a hollow pass
             reports.append(_report(name, cfg_dict, failure))
     reports.sort(key=lambda r: (r.name, r.config.get("p", 0), r.config.get("ap", 0)))
     return reports
@@ -388,10 +386,7 @@ def factorization_check(
                           mod), e) for (t, u), e in zip(rows, exps)]
 
     try:
-        found = _limits(p, ap, [0], cap, prec + 2)[0]
-        if isinstance(found, NotConverged):
-            raise found
-        n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = found
+        n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = _limits(p, ap, [0], cap, prec + 2)[0]
         s = applied([[t0, u0], [t1, u1]], (e0, e1))
         for n in (n_used + 1, n_used + 2):
             N = n_shift(p, n)

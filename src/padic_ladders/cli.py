@@ -78,10 +78,10 @@ def _cmd_halflog(args) -> int:
 
 
 def _read_pair(path: str, p: int, level: int) -> LambdaPair:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SerializationError(f"{path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SerializationError(f"{path} must hold a JSON object")

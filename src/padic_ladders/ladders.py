@@ -7,8 +7,9 @@ so every finite-level entry is an exact integer polynomial.
 
 The infinity-level object scales row i-N of the level-n ladder by
 p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and iterates n until the
-approximants stabilize modulo p^prec, by the rule of ``_stabilized`` that
-the parity products share.  Half-
+approximants stabilize modulo p^prec.  One rule, ``_stabilized``, says when
+an approximant has agreed twice in a row; the level loop ``_limits`` and the
+factor loop of ``pollack_product`` call it and raise NotConverged.  Half-
 logarithms combine the index-0 limit rows with the conjugate root
 (row_0 - conj(alpha) * row_{-1}) and carry Z[alpha]-coordinate coefficients;
 the Z[alpha] identities are checked on integer rows and scalar coordinates.
@@ -167,10 +168,11 @@ def ladder_infinity(
 ) -> LadderMatrix:
     """Scaled limit rows (i, i-1) mod X^cap, stabilized modulo p^prec.
 
-    Iterates the level n upward from the least n with p^n >= cap and
-    n_shift(p, n) >= i - 1 until the scaled approximants stabilize (see
-    ``_stabilized``).  Raises NotConverged past the step cap, which grows
-    by one per two steps of the index below 0 and which the
+    The level loop ``_limits`` for the one index i: it iterates the level n
+    upward from the least n with p^n >= cap and n_shift(p, n) >= i - 1 and
+    asks ``_stabilized`` of each level's scaled approximant whether it has
+    agreed twice in a row.  Raises NotConverged past the step cap, which
+    grows by one per two steps of the index below 0 and which the
     SPRUNG_MAX_LIMIT_STEPS environment variable sets exactly.
 
     Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n
@@ -190,11 +192,13 @@ def ladder_infinity(
 
 def _limits(p: int, ap: int, idxs: List[int], cap: int, prec: int,
             _corrupt_parity: bool = False) -> dict:
-    """``ladder_infinity``'s (n_used, approx) or NotConverged for each i in idxs.
+    """``ladder_infinity``'s {i: (n_used, approx)} for each i in idxs.
 
     One level loop: level n is built once, mod the largest p^T_n(i) that a
     pending index needs (p^T_(n_start)(i) before its n_start), so each index
-    sees every level at least as precisely as its own schedule would.
+    sees every level at least as precisely as its own schedule would.  After
+    the loop, raises the NotConverged of the first index in idxs that did
+    not stabilize.
     """
     period_constants(p, ap)
     if cap < 1 or prec < 1:
@@ -202,62 +206,48 @@ def _limits(p: int, ap: int, idxs: List[int], cap: int, prec: int,
     start = {i: _first_level(p, cap, i) for i in idxs}
     stop = {i: start[i] + _max_limit_steps(p, cap, prec, i) for i in idxs}
     found: dict = {}
+    last: dict = {}
 
     def exps(i, n):  # the row exponents e of rows (i, i-1) at level n
         return -((i - n_shift(p, n)) // 2), -((i - 1 - n_shift(p, n)) // 2)
 
-    def approx(i, n, rows1, mod):  # rows (i, i-1) of level n as (x, e) for x / p^e
-        rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
-        return [(s, e) for row, e in zip(rows, exps(i, n)) for s in row]
-
-    def approximants():
-        rows1 = [[[1], []], [[], [1]]]
-        for n in range(1, max(stop.values()) + 1):
-            pending = [i for i in idxs if i not in found and n <= stop[i]]
-            if not pending:
-                return
-            mod = max(p ** (prec + max(exps(i, max(n, start[i]))) + 1) for i in pending)
-            rows1 = append_factor(p, ap, rows1, n, cap, mod)
-            yield n, {i: approx(i, n, rows1, mod) if n >= start[i] else None for i in pending}
-
-    _stabilized(p, prec, approximants(), found)
-    return {i: found.get(i) or NotConverged(
-        f"no stabilization mod {p}^{prec} within {stop[i] - start[i]} steps "
-        f"(p={p}, a_p={ap}, i={i}, cap={cap})") for i in idxs}
+    rows1 = [[[1], []], [[], [1]]]
+    for n in range(1, max(stop.values()) + 1):
+        pending = [i for i in start if i not in found and n <= stop[i]]
+        if not pending:
+            break
+        mod = max(p ** (prec + max(exps(i, max(n, start[i]))) + 1) for i in pending)
+        rows1 = append_factor(p, ap, rows1, n, cap, mod)
+        for i in pending:
+            if n >= start[i]:  # rows (i, i-1) of level n as (x, e) for x / p^e
+                rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
+                approx = [(s, e) for row, e in zip(rows, exps(i, n)) for s in row]
+                if _stabilized(p, prec, last, i, approx):
+                    found[i] = n, approx
+    for i in start:
+        if i not in found:
+            raise NotConverged(f"no stabilization mod {p}^{prec} within {stop[i] - start[i]} "
+                               f"steps (p={p}, a_p={ap}, i={i}, cap={cap})")
+    return found
 
 
 def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> LadderMatrix:
-    if isinstance(found, NotConverged):
-        raise found
     n, approx = found
     entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]] for r in (0, 2)]
     return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
 
 
-def _stabilized(p: int, prec: int, approximants, found: Optional[dict] = None) -> dict:
-    """Accept each stream at the first approx that agrees mod p^prec with its
-    predecessor, which itself agreed with the one before: two consecutive
-    agreements (a single agreement can be a parity stall when a_p = 0).
-    approximants yields (tag, {stream: approx}) over the streams not accepted
-    yet: None before a stream starts, else a list of (int poly, e) for
-    poly / p^e.  Sets found[stream] = (tag, approx); returns found once a
-    yield's streams are all accepted, or when exhausted.
+def _stabilized(p: int, prec: int, last: dict, key, approx) -> bool:
+    """Whether approx agrees mod p^prec with key's previous approximant, which
+    itself agreed with the one before: two consecutive agreements (a single
+    agreement can be a parity stall when a_p = 0).  approx is a list of
+    (int poly, e) for poly / p^e; last keeps (approx, agreements) per key.
     """
-    found = {} if found is None else found
-    last: dict = {}  # stream -> (approx, consecutive agreements)
-    for tag, approxs in approximants:
-        for key, approx in approxs.items():
-            if approx is None:
-                continue
-            prev, agreements = last.get(key, (None, 0))
-            agree = prev is not None and _int_approx_congruent(p, prev, approx, prec)
-            agreements = agreements + 1 if agree else 0
-            if agreements >= 2:
-                found[key] = tag, approx
-            last[key] = approx, agreements
-        if all(key in found for key in approxs):
-            return found
-    return found
+    prev, agreements = last.get(key, (None, 0))
+    agree = prev is not None and _int_approx_congruent(p, prev, approx, prec)
+    agreements = agreements + 1 if agree else 0
+    last[key] = approx, agreements
+    return agreements >= 2
 
 
 def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
@@ -402,8 +392,6 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     # f0 - abar*f1 = (f0 - a_p f1) + f1*alpha, per column
     log_theta, log_upsilon = (QuadExtSeries(p, ap, f0 - f1 * ap, f1)
                               for f0, f1 in zip(m0.entries[0], m0.entries[1]))
-    if isinstance(limits[1 - tt], NotConverged):
-        raise limits[1 - tt]
     # rows (theta, upsilon) at index -i, then at -i-1, as numerators over p^E
     E = max(e for idx in (0, 1 - tt) for _, e in limits[idx][1])
     rows = {idx: [[c * p ** (E - e) for c in x] for x, e in limits[idx][1]]
@@ -445,19 +433,14 @@ def pollack_product(
     js = range(2 if parity == "even" else 1, 2 * max_steps + 1, 2)
     d = sum(1 for j in js if p ** (j - 1) < cap)
 
-    def approximants():
-        P = [1]
-        for k, j in enumerate(js, 1):
-            P = phi_mul(p, j, [P], cap, p ** (prec + max(k, d)))[0]
-            yield k, {parity: [(P, k)]}
-
-    found = _stabilized(p, prec, approximants())
-    if parity not in found:
-        raise NotConverged(
-            f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
-        )
-    k, [(P, _)] = found[parity]
-    return _ints_to_series(p, P, k, cap, prec)
+    P, last = [1], {}
+    for k, j in enumerate(js, 1):
+        P = phi_mul(p, j, [P], cap, p ** (prec + max(k, d)))[0]
+        if _stabilized(p, prec, last, parity, [(P, k)]):
+            return _ints_to_series(p, P, k, cap, prec)
+    raise NotConverged(
+        f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
+    )
 
 
 def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:

@@ -186,10 +186,10 @@ class PowerSeries:
             return self
         return PowerSeries(self.p, self._raw[:cap], cap)
 
-    def congruent(self, other: "PowerSeries", k: int, upto: Optional[int] = None) -> bool:
+    def congruent(self, other: "PowerSeries", k: int) -> bool:
         """Coefficientwise congruence mod p^k on the shared tracked range."""
         other = self._coerce(other)
-        n = min((c for c in (self._cap_min(other), upto) if c is not None), default=None)
+        n = self._cap_min(other)
         pairs = zip_longest(self.coeffs[:n], other.coeffs[:n], fillvalue=PadicScalar.zero(self.p))
         return all(x.congruent(y, k) for x, y in pairs)
 

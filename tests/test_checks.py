@@ -39,10 +39,11 @@ def test_default_config_all_pass():
 
 
 def test_pollack_check_only_for_ap_zero():
-    names_nonzero = {r.name for r in run_suite([small(3, 3)])}
-    assert "pollack_comparison" not in names_nonzero
-    names_zero = {r.name for r in run_suite([small(3, 0)])}
-    assert "pollack_comparison" in names_zero
+    # parity products need a_p = 0 and odd p; elsewhere the suite reports
+    # nothing, not a hollow pass
+    for (p, ap), applies in (((3, 3), False), ((2, 0), False), ((3, 0), True)):
+        names = {r.name for r in run_suite([small(p, ap)])}
+        assert ("pollack_comparison" in names) == applies, (p, ap)
 
 
 def test_suite_deterministic():

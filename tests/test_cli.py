@@ -6,13 +6,18 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import padic_ladders
 from padic_ladders import cli
-from padic_ladders.ladders import HalfLogPair, LadderMatrix
+from padic_ladders.coleman import LambdaPair
+from padic_ladders.ladders import HalfLogPair, LadderMatrix, half_logs, ladder, ladder_infinity
+from padic_ladders.padics import PadicScalar
 from padic_ladders.report import CheckReport
 from padic_ladders.series import PowerSeries
 
@@ -206,6 +211,7 @@ def test_verify_p_without_ap_is_usage_error(capsys):
 
 
 NOT_JSON = "{not json"
+NOT_UTF8 = b'{"first": "\xff\xfe"}'
 BAD_NUM = json.dumps({
     "first": {"p": 3, "cap": None, "coeffs": [{"num": "1.5", "den_pow": 0, "absprec": "inf"}]},
     "second": {"p": 3, "cap": None, "coeffs": []},
@@ -247,14 +253,16 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
     (["verify", "--p", "3", "--ap", "3", "--trials", "-1"], {}, None, cli.EXIT_USAGE,
      "--trials"),
     (["verify", "--p", "4", "--ap", "0"], {}, None, cli.EXIT_DOMAIN, "NotSupersingular"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, NOT_UTF8,
+     cli.EXIT_DOMAIN, "SerializationError"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
-        "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair"])
+        "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"
-        path.write_text(infile)
+        path.write_bytes(infile if isinstance(infile, bytes) else infile.encode())
         argv = argv + ["--in", str(path)]
     src = str(Path(padic_ladders.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -267,3 +275,94 @@ def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code
     assert needle in proc.stderr
     if code == cli.EXIT_DOMAIN or env:
         assert len(proc.stderr.strip().splitlines()) == 1
+
+
+PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
+
+
+@st.composite
+def _artifact(draw):
+    """(type, value) for every artifact type, at small sizes."""
+    p, ap = draw(st.sampled_from(PAIRS_8))
+    small = lambda lo, hi: draw(st.integers(lo, hi))
+    cap = lambda lo: draw(st.none() | st.integers(lo, 9))
+    ints = lambda: draw(st.lists(st.integers(-99, 99), max_size=6))
+    kind = draw(st.sampled_from(("ints", "scalars", "finite", "infinity", "halflog", "lambda")))
+    if kind == "ints":
+        return PowerSeries, PowerSeries(p, ints(), cap(0))
+    if kind == "scalars":
+        absprec = lambda: draw(st.none() | st.integers(-1, 6))
+        coeffs = [PadicScalar(p, Fraction(x, p ** small(0, 2)), absprec()) for x in ints()]
+        return PowerSeries, PowerSeries(p, coeffs, cap(0))
+    if kind == "finite":
+        return LadderMatrix, ladder(p, ap, small(1, 3), small(-3, 5), cap(1))
+    if kind == "infinity":
+        return LadderMatrix, ladder_infinity(p, ap, small(-3, 5), small(1, 8), small(1, 4))
+    if kind == "halflog":
+        return HalfLogPair, half_logs(p, ap, small(1, 8), small(1, 4))
+    return LambdaPair, LambdaPair.from_ints(p, small(0, 2), ints(), ints())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_artifact())
+def test_artifact_json_round_trip_is_byte_exact(case):
+    # seeded fault: QuadExtSeries.from_json passing "cap": None to its parts
+    # turns a half-log's cap into null on the second write
+    cls, value = case
+    text = json.dumps(value.to_json())
+    assert json.dumps(cls.from_json(json.loads(text)).to_json()) == text
+
+
+# Hypothesis draws the first values of a list most often: the hostile --in
+# files come first, so that most decompose runs reach a reader error, and
+# well-formed option values come first, so that most argv reach a subcommand.
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"not-utf8": NOT_UTF8, "not-json": NOT_JSON.encode(), "pair": json.dumps(
+        {"first": {"p": 3, "cap": None, "coeffs": [{"num": "3", "den_pow": 0, "absprec": "inf"}]},
+         "second": {"p": 3, "coeffs": []}}).encode()}
+    for name, content in files.items():
+        (root / name).write_bytes(content)
+    return [str(root / name) for name in (*files, "missing")]
+
+
+_OPTIONS = {  # subcommand -> the options the fuzz may pass, by kind of value
+    "table": {"--p": "p", "--ap": "ap", "--imin": "i", "--imax": "i", "--format": "format"},
+    "ladder": {"--p": "p", "--ap": "ap", "--level": "level", "--index": "i", "--cap": "n",
+               "--prec": "n"},
+    "halflog": {"--p": "p", "--ap": "ap", "--cap": "n", "--prec": "n"},
+    "decompose": {"--p": "p", "--ap": "ap", "--level": "n", "--in": "file"},
+    "ap": {"--p": "p", "--a1": "i", "--a4": "i", "--a6": "i"},
+    "verify": {"--p": "p", "--ap": "ap", "--nmax": "small", "--cap": "n", "--prec": "n",
+               "--trials": "small"},
+}
+_VALUES = {"p": ["3", "2", "5", "7", "4", "1", "0", "-1", "x"],
+           "ap": ["3", "0", "2", "-2", "-3", "1", "5"],
+           "i": ["1", "0", "-1", "2", "-3", "5"], "n": ["3", "1", "6", "0", "-1", "x"],
+           "small": ["1", "2", "-1"], "level": ["1", "2", "infinity", "0", "x"],
+           "format": ["json", "csv", "xml"]}
+
+
+@pytest.mark.parametrize("cmd", sorted(_OPTIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cli_argv_fuzz_exits_with_one_line(input_files, cmd, data):
+    # seeded fault: _read_pair catching JSONDecodeError only lets the
+    # UnicodeDecodeError of a non-UTF-8 --in file escape main
+    argv = [cmd]
+    for opt, kind in _OPTIONS[cmd].items():
+        if data.draw(st.integers(0, 9)) < 9:  # an option is sometimes left out
+            values = input_files if kind == "file" else _VALUES[kind]
+            argv += [opt, data.draw(st.sampled_from(values))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+    # beyond argparse's usage synopsis, a failure is one line on stderr
+    lines = [l for l in err.getvalue().splitlines() if not l.startswith(("usage:", " "))]
+    assert len(lines) == (code != 0), (argv, err.getvalue())

@@ -246,13 +246,14 @@ def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, phis):
                 exps = (-((i - N) // 2), -((i - 1 - N) // 2))
                 yield n, [(s, e) for row, e in zip(shifted, exps) for s in row]
 
-    found = _stabilized(p, prec, ((n, {i: a}) for n, a in approximants())).get(i)
-    if found is None:
-        raise NotConverged(f"no stabilization mod {p}^{prec} within {max_steps} steps "
-                           f"(p={p}, a_p={ap}, i={i}, cap={cap})")
-    n, approx = found
-    entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]] for r in (0, 2)]
-    return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
+    last = {}
+    for n, approx in approximants():
+        if _stabilized(p, prec, last, i, approx):
+            entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
+                       for r in (0, 2)]
+            return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
+    raise NotConverged(f"no stabilization mod {p}^{prec} within {max_steps} steps "
+                       f"(p={p}, a_p={ap}, i={i}, cap={cap})")
 
 
 def _outcome(fn):
@@ -282,9 +283,9 @@ PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
 
 def test_shared_level_loop_matches_separate_limits(monkeypatch):
-    # one level loop for several indices gives each index the bytes, n_used
-    # and NotConverged text of its own ladder_infinity call, also when a
-    # small step cap stops one index and not the other
+    # one level loop for several indices gives each index the bytes and
+    # n_used of its own ladder_infinity call; when a small step cap stops
+    # some index, it raises the NotConverged text of the first such index
     for steps in (None, "3", "6"):
         if steps is not None:
             monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, steps)
@@ -293,11 +294,18 @@ def test_shared_level_loop_matches_separate_limits(monkeypatch):
             for idxs in ([0, 1 - tt], [1, 5], [-3, 12], [12, -3, 0]):
                 for cap, prec in ((1, 1), (5, 3), (20, 5)):
                     for corrupt in (False, True):
-                        found = _limits(p, ap, idxs, cap, prec, corrupt)
-                        for i in idxs:
-                            got = _outcome(lambda: _limit_matrix(p, ap, i, cap, prec, found[i]))
-                            ref = _outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
-                            assert got == ref, (steps, p, ap, idxs, i, cap, prec, corrupt)
+                        where = (steps, p, ap, idxs, cap, prec, corrupt)
+                        refs = [_outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
+                                for i in idxs]
+                        failed = [ref for ref in refs if ref[0] == "NotConverged"]
+                        try:
+                            found = _limits(p, ap, idxs, cap, prec, corrupt)
+                        except NotConverged as exc:
+                            assert failed[:1] == [("NotConverged", str(exc))], where
+                            continue
+                        got = [_outcome(lambda: _limit_matrix(p, ap, i, cap, prec, found[i]))
+                               for i in idxs]
+                        assert got == refs, where
 
 
 def test_pollack_schedule_matches_fixed_modulus():
@@ -307,11 +315,12 @@ def test_pollack_schedule_matches_fixed_modulus():
                 for prec in (1, 3, 5, 12):
                     max_steps = math.ceil(math.log(max(cap, 2), p)) + prec + 10
                     mod = p ** (prec + max_steps)
-                    P, approx = [1], []
-                    for j in range(2 if parity == "even" else 1, 2 * max_steps + 1, 2):
+                    P, last = [1], {}
+                    for k, j in enumerate(range(2 if parity == "even" else 1,
+                                                2 * max_steps + 1, 2), 1):
                         P = poly_mul(P, phi_coeffs(p, j, cap), cap, mod)
-                        approx.append((len(approx) + 1, [(P, len(approx) + 1)]))
-                    k, [(P, _)] = _stabilized(p, prec, ((k, {0: a}) for k, a in approx))[0]
+                        if _stabilized(p, prec, last, 0, [(P, k)]):
+                            break
                     want = _ints_to_series(p, P, k, cap, prec).to_json()
                     got = pollack_product(p, parity, cap, prec)
                     assert got.to_json() == want
