@@ -11,7 +11,10 @@ random inexact operands, and ``coleman_ops.json`` pins the level-n Coleman
 algebra on seeded exact, finite-precision and p-power-denominator inputs.
 ``fingerprints.json`` holds one SHA-256 per acceptance-scale output (the
 cap-200 limits and half-logs, ``verify --all``, the suite under the parity
-fault and ``n_used``), so that a failure names the output that moved.
+fault and ``n_used``, and two outcome sweeps: ``ladder_infinity`` and
+``half_logs`` over small caps and precisions, one digest per pair and parity
+fault setting of the JSON bytes or exception text of each call), so that a
+failure names the output that moved.
 
 To record the files again after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -32,7 +35,7 @@ from padic_ladders import cli
 from padic_ladders.checks import CheckConfig, default_configs, run_suite
 from padic_ladders.coleman import LambdaPair, decompose, kernel_basis, kernel_member, phi_apply
 from padic_ladders.errors import PadicLaddersError
-from padic_ladders.ladders import ladder_infinity, pollack_product
+from padic_ladders.ladders import half_logs, ladder_infinity, pollack_product
 from padic_ladders.padics import PadicScalar
 from padic_ladders.series import LambdaElement, PowerSeries, divmod_monic, omega, phi
 
@@ -185,9 +188,37 @@ def _cli_stdout(argv):
     return code, buf.getvalue().encode()
 
 
+SWEEP_PAIRS = ((2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0))
+
+
+def _sweep(calls):
+    """One line per call: its JSON, or its exception's type and text."""
+    lines = []
+    for fn, args in calls:
+        try:
+            lines.append(json.dumps(fn(*args).to_json()))
+        except PadicLaddersError as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
+    return "\n".join(lines).encode()
+
+
+def sweep_outputs():
+    """The ladder_infinity and half_logs outcome sweeps, per pair (and fault)."""
+    out = {}
+    for p, ap in SWEEP_PAIRS:
+        for corrupt in (False, True):
+            out[f"sweep_ladder_infinity_{p}_{ap}_fault{int(corrupt)}"] = _sweep(
+                (ladder_infinity, (p, ap, i, cap, prec, corrupt))
+                for cap in (1, 5, 20) for prec in (1, 3, 5) for i in range(-3, 5))
+        out[f"sweep_half_logs_{p}_{ap}"] = _sweep(
+            (half_logs, (p, ap, cap, prec))
+            for cap in (1, 2, 3, 4, 5, 8, 9, 20, 60) for prec in (1, 2, 3, 5, 8))
+    return out
+
+
 def fingerprint_outputs(tmp_dir):
     """name -> bytes of each output that fingerprints.json pins."""
-    out = {}
+    out = sweep_outputs()
     for p, ap in LIMIT_PAIRS:
         for i in (0, 1):
             code, out[f"ladder_{p}_{ap}_inf_i{i}_c200_p26"] = _cli_stdout(
