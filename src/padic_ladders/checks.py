@@ -4,7 +4,9 @@ run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
 witness), never exceptions.  factorization_check exercises the finite-level
 decomposition against the half-logarithm limit on synthetic integral inputs,
-on integer rows built mod the p-power that the comparison reads.
+on integer rows built mod the p-power that the comparison reads, compared
+coefficientwise.  The limit-level checks read the integer level loop
+``ladders._limits``: the row recursion takes indices 1 and 0 from one loop.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from .coleman import (
 from .errors import PadicLaddersError
 from .ladders import (
     _int_approx_congruent,
+    _limit_matrix,
     _limits,
+    _row_exps,
     half_logs,
     kappa_identity_check,
     ladder,
@@ -35,8 +39,7 @@ from .ladders import (
     pollack_product,
 )
 from .report import CheckReport
-from .series import (PowerSeries, _lincomb, ladder_rows, log_series, omega, phi_coeffs,
-                     poly_mul, poly_rem)
+from .series import PowerSeries, _lincomb, ladder_rows, log_series, omega, poly_mul
 from .trace import (
     a_matrix,
     beta,
@@ -246,8 +249,8 @@ def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
 
 
 def check_infinity_row_recursion(cfg: CheckConfig) -> Optional[str]:
-    m1 = ladder_infinity(cfg.p, cfg.ap, 1, cfg.cap, cfg.prec)
-    m0 = ladder_infinity(cfg.p, cfg.ap, 0, cfg.cap, cfg.prec)
+    limits = _limits(cfg.p, cfg.ap, [1, 0], cfg.cap, cfg.prec)
+    m1, m0 = (_limit_matrix(cfg.p, cfg.ap, i, cfg.cap, cfg.prec, limits[i]) for i in (1, 0))
     for col in range(2):
         top = m0.entries[0][col] * cfg.ap - m0.entries[1][col] * cfg.p
         if not m1.entries[0][col].congruent(top, cfg.prec):
@@ -297,7 +300,7 @@ def check_factorization_synthetic(cfg: CheckConfig) -> Optional[str]:
         PowerSeries(cfg.p, [rng.randint(-5, 5) for _ in range(4)]),
     )
     for lt, lu in basis + [rand]:
-        rep = factorization_check(cfg.p, cfg.ap, lt, lu, cfg.cap, cfg.prec, j_max=1)
+        rep = factorization_check(cfg.p, cfg.ap, lt, lu, cfg.cap, cfg.prec)
         if not rep.passed:
             return rep.witness
     return None
@@ -359,7 +362,6 @@ def factorization_check(
     lupsilon: PowerSeries,
     cap: int,
     prec: int,
-    j_max: int = 1,
 ) -> CheckReport:
     """Finite levels against the half-log limit on synthetic integral inputs.
 
@@ -369,16 +371,17 @@ def factorization_check(
                - conj(alpha) p^[(-N-1)/2] (theta_n^{-N-1} ltheta
                                            + upsilon_n^{-N-1} lupsilon),
     converges to S (the first beta scalar is 1); this is asserted modulo
-    p^prec at the two levels past stabilization, both coefficientwise and
-    after evaluation at the root-of-unity levels j = 1..j_max, below the
+    p^prec coefficientwise at the two levels past stabilization, below the
     least of cap and the inputs' caps.  As a_p is an integer, D_n and S agree
     exactly when their two rows x/p^e do; level n's rows are built mod
-    p^(prec + e), the residues that comparison reads (a ring map).
+    p^(prec + e), the residues that comparison reads (a ring map).  A root-
+    of-unity stage could never fail: the remainder by the monic integer
+    Phi_j(1+X) is Z-linear, so congruent rows stay congruent after it.
     """
     for name, f in (("ltheta", ltheta), ("lupsilon", lupsilon)):
         if getattr(f, "_ints", None) is None:
             raise ValueError(f"{name} must be a PowerSeries with exact integer coefficients")
-    config = {"p": p, "ap": ap, "cap": cap, "prec": prec, "j_max": j_max}
+    config = {"p": p, "ap": ap, "cap": cap, "prec": prec}
     c = min(x for x in (cap, ltheta.cap, lupsilon.cap) if x is not None)
 
     def applied(rows, exps, mod=None):  # (theta*ltheta + upsilon*lupsilon, e) per row
@@ -389,25 +392,14 @@ def factorization_check(
         n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = _limits(p, ap, [0], cap, prec + 2)[0]
         s = applied([[t0, u0], [t1, u1]], (e0, e1))
         for n in (n_used + 1, n_used + 2):
-            N = n_shift(p, n)
-            exps = (-(-N // 2), -((-N - 1) // 2))
+            exps = _row_exps(p, 0, n)
             mod = p ** (prec + max(exps))
-            d_n = applied(ladder_rows(p, ap, n, -N, cap, mod), exps, mod)
+            d_n = applied(ladder_rows(p, ap, n, -n_shift(p, n), cap, mod), exps, mod)
             if not _int_approx_congruent(p, d_n, s, prec):
                 return _report(
                     "factorization", config,
                     f"finite level n={n} disagrees with the limit mod {p}^{prec}",
                 )
-            for j in range(1, j_max + 1):
-                g = phi_coeffs(p, j)
-                if len(g) - 1 > cap:
-                    break
-                rem = lambda rows: [(poly_rem(x, g), e) for x, e in rows]
-                if not _int_approx_congruent(p, rem(d_n), rem(s), prec):
-                    return _report(
-                        "factorization", config,
-                        f"evaluation at root level j={j} disagrees at n={n}",
-                    )
     except PadicLaddersError as exc:
         return _report("factorization", config, f"{type(exc).__name__}: {exc}")
     return _report("factorization", config, None)

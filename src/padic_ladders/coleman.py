@@ -11,7 +11,6 @@ the input is outside the image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
 
@@ -201,29 +200,28 @@ def _limit_lemma_residues(p: int, ap: int, m: int, nu: int) -> list:
 def projection_compatibility_check(
     p: int, ap: int, n: int, i: int, v: LambdaPair
 ) -> CheckReport:
-    """Level n+1 -> n compatibility under the diagonal 1/p scalings.
+    """Level n+1 -> n compatibility under the diagonal p scalings.
 
-    diag(1/p, 1) for odd i (diag(1, 1/p) for even i) applied to the reduced
-    level-(n+1) image equals the level-n image at index i+1, exactly.
+    The reduced level-(n+1) image equals the level-n image at index i+1 with
+    diag(p, 1) applied for odd i (diag(1, p) for even i), exactly: the
+    diagonal 1/p scalings of the level-(n+1) side, moved across.
     """
     period_constants(p, ap)
     if v.level != n + 1:
         raise ValueError("input pair must live at level n+1")
     w = omega(p, n)
     up = phi_apply(p, ap, n + 1, i, v)
-    first = reduce_mod(up.first.poly, w)
-    second = reduce_mod(up.second.poly, w)
-    inv_p = Fraction(1, p)
-    if i % 2 != 0:
-        first = first.scale(inv_p)
-    else:
-        second = second.scale(inv_p)
     v_down = LambdaPair(
         LambdaElement(p, n, reduce_mod(v.first.poly, w)),
         LambdaElement(p, n, reduce_mod(v.second.poly, w)),
     )
     down = phi_apply(p, ap, n, i + 1, v_down)
-    if not (down.first.poly == first and down.second.poly == second):
+    first, second = down.first.poly, down.second.poly
+    if i % 2 != 0:
+        first = first.scale(p)
+    else:
+        second = second.scale(p)
+    if not (reduce_mod(up.first.poly, w) == first and reduce_mod(up.second.poly, w) == second):
         raise IdentityViolation(
             f"projection compatibility failed at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
         )

@@ -11,8 +11,8 @@ approximants stabilize modulo p^prec.  One rule, ``_stabilized``, says when
 an approximant has agreed twice in a row; the level loop ``_limits`` and the
 factor loop of ``pollack_product`` call it and raise NotConverged.  Half-
 logarithms combine the index-0 limit rows with the conjugate root
-(row_0 - conj(alpha) * row_{-1}) and carry Z[alpha]-coordinate coefficients;
-the Z[alpha] identities are checked on integer rows and scalar coordinates.
+(row_0 - conj(alpha) * row_{-1}) into Z[alpha]-coordinate coefficients, built
+from the integer rows on which their Z[alpha] identities are checked.
 """
 
 from __future__ import annotations
@@ -137,6 +137,11 @@ def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> Ladder
     return LadderMatrix(p, ap, n, i, entries, cap)
 
 
+def _row_exps(p: int, i: int, n: int):
+    """The exponents e of rows (i, i-1) at level n, each row read as x / p^e."""
+    return tuple(-((j - n_shift(p, n)) // 2) for j in (i, i - 1))
+
+
 def _first_level(p: int, cap: int, i: int = 1) -> int:
     """The least n >= 1 with p^n >= cap and n_shift(p, n) >= i - 1."""
     n = 1
@@ -177,8 +182,8 @@ def ladder_infinity(
 
     Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n
     reads both rows shifted to index i (an integer matrix: it keeps the
-    smaller precision of its two inputs) and scaled by p^-e, e <= e_n =
-    max(-((i-N)//2), -((i-1-N)//2)); e_n grows by one every second level.
+    smaller precision of its two inputs) and scaled by p^-e, e <= e_n, the
+    larger of ``_row_exps(p, i, n)``; e_n grows by one every second level.
     Its top row is computed mod p^T_n, T_n = prec + e_n + c.  For n > n_start,
     p^(n-1) >= cap and p | a_p, so the step (phi_mul) gives the top row mod
     p^(min(T_(n-1), T_(n-2)) + 1) = p^T_n.  The levels up to n_start - 1 gain
@@ -207,21 +212,17 @@ def _limits(p: int, ap: int, idxs: List[int], cap: int, prec: int,
     stop = {i: start[i] + _max_limit_steps(p, cap, prec, i) for i in idxs}
     found: dict = {}
     last: dict = {}
-
-    def exps(i, n):  # the row exponents e of rows (i, i-1) at level n
-        return -((i - n_shift(p, n)) // 2), -((i - 1 - n_shift(p, n)) // 2)
-
     rows1 = [[[1], []], [[], [1]]]
     for n in range(1, max(stop.values()) + 1):
         pending = [i for i in start if i not in found and n <= stop[i]]
         if not pending:
             break
-        mod = max(p ** (prec + max(exps(i, max(n, start[i]))) + 1) for i in pending)
+        mod = max(p ** (prec + max(_row_exps(p, i, max(n, start[i]))) + 1) for i in pending)
         rows1 = append_factor(p, ap, rows1, n, cap, mod)
         for i in pending:
             if n >= start[i]:  # rows (i, i-1) of level n as (x, e) for x / p^e
                 rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
-                approx = [(s, e) for row, e in zip(rows, exps(i, n)) for s in row]
+                approx = [(s, e) for row, e in zip(rows, _row_exps(p, i, n)) for s in row]
                 if _stabilized(p, prec, last, i, approx):
                     found[i] = n, approx
     for i in start:
@@ -314,10 +315,10 @@ class QuadExtSeries:
     @classmethod
     def from_json(cls, data: dict) -> "QuadExtSeries":
         p, ap = _json_int(data, "p"), _json_int(data, "ap")
-        coeffs = data.get("coeffs", [])
+        coeffs = data.get("coeffs")
 
         def part(key: str) -> PowerSeries:
-            # PowerSeries.from_json rejects a non-list coeffs and a missing key
+            # PowerSeries.from_json rejects a missing or non-list coeffs and a missing key
             cs = coeffs
             if isinstance(coeffs, list):
                 cs = [c.get(key) if isinstance(c, dict) else c for c in coeffs]
@@ -376,25 +377,23 @@ def _int_coords(scalars: List[QuadExtScalar]):
 def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     """Half-logarithm pair from the index-0 limit rows, intrinsicness-checked.
 
-    The same series are recomputed as the variants (row_{-i} abar^i -
-    row_{-i-1} abar^(i+1)) / (beta_i - beta_(i-1)) for i = 0 and
-    two_tilde - 1, on the integer rows of one level loop over one denominator
-    p^E; disagreement beyond p^prec raises IdentityViolation.  The scalars
-    have integer coordinates (the beta difference has norm 1 on every
-    admissible pair), so series precisions would stay >= prec + 2: the same
-    congruence.  The i = 0 variant reads the artifact's own rows with scalars
-    1 and abar, so it checks beta and abar only; a wrong limit row is caught
-    by the i = two_tilde - 1 variant, which reads the rows at 1 - two_tilde.
+    One level loop gives the rows at indices 0 and 1 - two_tilde at prec + 2,
+    read mod p^(prec + 2) over one denominator p^E.  The artifact is row_0 -
+    abar row_{-1} = (row_0 - a_p row_{-1}) + row_{-1} alpha on those
+    numerators, and the variants (row_{-i} abar^i - row_{-i-1} abar^(i+1)) /
+    (beta_i - beta_(i-1)) for i = 0 and two_tilde - 1 must agree with it mod
+    p^prec, else IdentityViolation.  The scalars have integer coordinates (the
+    beta difference has norm 1 on every admissible pair), so series precisions
+    would stay >= prec + 2: the same congruence.  The i = 0 variant reads the
+    artifact's own rows with scalars 1 and abar, so it checks beta and abar
+    only; a wrong limit row is caught by the i = two_tilde - 1 variant.
     """
     tt = period_constants(p, ap).two_tilde
     limits = _limits(p, ap, [0, 1 - tt], cap, prec + 2)
-    m0 = _limit_matrix(p, ap, 0, cap, prec + 2, limits[0])
-    # f0 - abar*f1 = (f0 - a_p f1) + f1*alpha, per column
-    log_theta, log_upsilon = (QuadExtSeries(p, ap, f0 - f1 * ap, f1)
-                              for f0, f1 in zip(m0.entries[0], m0.entries[1]))
-    # rows (theta, upsilon) at index -i, then at -i-1, as numerators over p^E
     E = max(e for idx in (0, 1 - tt) for _, e in limits[idx][1])
-    rows = {idx: [[c * p ** (E - e) for c in x] for x, e in limits[idx][1]]
+    # rows (theta, upsilon) at index -i, then -i-1: (x mod p^(prec+2+e)) * p^(E-e)
+    M = p ** (prec + 2 + E)
+    rows = {idx: [[c * p ** (E - e) % M for c in x] for x, e in limits[idx][1]]
             for idx in (0, 1 - tt)}
     logs = [(_lincomb(1, f0, -ap, f1, None), f1) for f0, f1 in zip(rows[0][:2], rows[0][2:])]
     abar = QuadExtScalar.alpha_bar(p, ap)
@@ -409,6 +408,9 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
             for u, w, log in ((ua, wa, la), (ub, wb, lb)):
                 if any(_lincomb(1, _lincomb(u, top, -w, bot, None), -1, log, p ** (prec + E))):
                     raise failed
+    part = lambda xs: PowerSeries(p, [PadicScalar(p, Fraction(x, p ** E), prec + 2)
+                                      for x in xs], cap)
+    log_theta, log_upsilon = (QuadExtSeries(p, ap, part(la), part(lb)) for la, lb in logs)
     return HalfLogPair(p, ap, "alpha", log_theta, log_upsilon, cap, prec)
 
 

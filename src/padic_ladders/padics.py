@@ -371,8 +371,8 @@ class QuadExtScalar:
         self.b = b
 
     @classmethod
-    def from_rationals(cls, p, ap, a=0, b=0, absprec=None) -> "QuadExtScalar":
-        return cls(p, ap, PadicScalar(p, a, absprec), PadicScalar(p, b, absprec))
+    def from_rationals(cls, p, ap, a=0, b=0) -> "QuadExtScalar":
+        return cls(p, ap, PadicScalar(p, a), PadicScalar(p, b))
 
     @classmethod
     def alpha(cls, p, ap) -> "QuadExtScalar":

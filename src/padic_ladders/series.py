@@ -223,9 +223,9 @@ class PowerSeries:
         p = _json_int(data, "p")
         cap = data.get("cap")
         cap = None if cap in (None, "inf") else _json_int(data, "cap", minimum=0)
-        coeffs = data.get("coeffs", [])
+        coeffs = data.get("coeffs")
         if not isinstance(coeffs, list):
-            raise SerializationError(f"coeffs must be a JSON list, got {coeffs!r}")
+            raise SerializationError(f"field 'coeffs' must be a JSON list, got {coeffs!r}")
         return cls(p, [PadicScalar.from_json(p, c) for c in coeffs], cap)
 
     def to_csv_rows(self) -> list:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ladders import ladders, series
+from padic_ladders import checks, ladders, series
 from padic_ladders.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -93,21 +93,21 @@ def test_all_check_names_unique_and_sorted():
 def test_factorization_basis_cases():
     one = PowerSeries.one(3)
     zero = PowerSeries.zero(3)
-    assert factorization_check(3, 3, one, zero, 20, 4, j_max=2).passed
-    assert factorization_check(3, 3, zero, one, 20, 4, j_max=2).passed
+    assert factorization_check(3, 3, one, zero, 20, 4).passed
+    assert factorization_check(3, 3, zero, one, 20, 4).passed
 
 
 def test_factorization_random_integral_pair():
     lt = PowerSeries(3, [1, -2, 0, 3])
     lu = PowerSeries(3, [2, 1, 1])
-    rep = factorization_check(3, 3, lt, lu, 24, 5, j_max=2)
+    rep = factorization_check(3, 3, lt, lu, 24, 5)
     assert rep.passed, rep.witness
 
 
 def test_factorization_ap_zero():
     lt = PowerSeries(3, [1, 1])
     lu = PowerSeries(3, [0, 2])
-    assert factorization_check(3, 0, lt, lu, 20, 4, j_max=1).passed
+    assert factorization_check(3, 0, lt, lu, 20, 4).passed
 
 
 def test_factorization_check_input_contract(monkeypatch):
@@ -123,8 +123,8 @@ def test_factorization_check_input_contract(monkeypatch):
     # a finite-row fault at X^4 and above is read only without that cap
     lt, lu = PowerSeries(3, [1, -2, 0, 3], 3), PowerSeries(3, [2, 1, 1, 5])
     for cap in (2, 8, 24):
-        rep = factorization_check(3, 3, lt, lu, cap, 5, j_max=2)
-        assert rep == factorization_check_reference(3, 3, lt, lu, cap, 5, j_max=2)
+        rep = factorization_check(3, 3, lt, lu, cap, 5)
+        assert rep == factorization_check_reference(3, 3, lt, lu, cap, 5)
         assert rep.passed
     real_append = series.append_factor
 
@@ -145,6 +145,34 @@ def test_factorization_check_input_contract(monkeypatch):
 PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
 
+def test_infinity_row_recursion_catches_index_0_row_fault(monkeypatch):
+    # seeded fault: one coefficient of an index-0 limit row (theta_0 or
+    # upsilon_0) moved by a unit times p^(e + prec - 1), one digit inside
+    # prec; as p | a_p the top-row recursion cannot see it, the bottom row can
+    real_limits = checks._limits
+
+    def perturbed(col, k):
+        def limits(p, ap, idxs, cap, prec, *args):
+            found = real_limits(p, ap, idxs, cap, prec, *args)
+            n, approx = found[0]
+            x, e = approx[col]
+            x = list(x) + [0] * (k + 1 - len(x))
+            x[k] += (1 + p * k) * p ** (e + prec - 1)
+            found[0] = n, approx[:col] + [(x, e)] + approx[col + 1:]
+            return found
+        return limits
+
+    for p, ap in PAIRS_8:
+        cfg = CheckConfig(p, ap, cap=12, prec=4)
+        monkeypatch.setattr(checks, "_limits", real_limits)
+        assert checks.check_infinity_row_recursion(cfg) is None
+        for col in (0, 1):
+            for k in (0, 5, 11):
+                monkeypatch.setattr(checks, "_limits", perturbed(col, k))
+                assert checks.check_infinity_row_recursion(cfg) == (
+                    f"bottom row should repeat the index-0 top row (column {col})"), (p, ap, col, k)
+
+
 def _outcome(fn, *args):
     try:
         return fn(*args)
@@ -161,12 +189,10 @@ def test_zalpha_checks_match_series_references(monkeypatch):
     #   mismatch when v is small; the kappa identity is a relation of the
     #   row shifts and holds for any rows, so it passes on both sides.
     # - "beta": beta read at m + 1 (kappa only; factorization reads no beta).
-    # Left out for time: j_max = 2 where Phi_2 has degree above the cap (the
-    # same computation as j_max = 1), and n = 3 at p = 5, 7 (rows of degree
-    # 125 and 343 take the scalar-by-scalar reference 0.6 s).
+    # Left out for time: n = 3 at p = 5, 7 (rows of degree 125 and 343 take
+    # the scalar-by-scalar reference 0.6 s).
     rng = random.Random(11)
-    fact = [(p, ap, cap, prec, j_max) for p, ap in PAIRS_8 for cap in (1, 8, 24)
-            for prec in (1, 5) for j_max in (1, 2) if j_max == 1 or p * (p - 1) <= cap]
+    fact = [(p, ap, cap, prec) for p, ap in PAIRS_8 for cap in (1, 8, 24) for prec in (1, 5)]
     kappa = [(p, ap, n, i) for p, ap in PAIRS_8 for n in (1, 2, 3) for i in range(-4, 8)
              if n < 3 or p < 5]
     real_append, real_beta = series.append_factor, ladders.beta
@@ -190,14 +216,14 @@ def test_zalpha_checks_match_series_references(monkeypatch):
             monkeypatch.setattr(ladders, "beta", lambda p, ap, m: real_beta(p, ap, m + 1))
 
     failed = {None: 0, "row": 0, "beta": 0}
-    for k, (p, ap, cap, prec, j_max) in enumerate(fact):
+    for k, (p, ap, cap, prec) in enumerate(fact):
         fault = (None, "row")[k % 2]
         setting(fault)
         lt = PowerSeries(p, [rng.randint(-5, 5) for _ in range(4)])
         lu = PowerSeries(p, [rng.randint(-5, 5) for _ in range(3)], 5 if p == 3 else None)
-        got = _outcome(factorization_check, p, ap, lt, lu, cap, prec, j_max)
-        assert got == _outcome(factorization_check_reference, p, ap, lt, lu, cap, prec,
-                               j_max), (fault, p, ap, cap, prec, j_max)
+        got = _outcome(factorization_check, p, ap, lt, lu, cap, prec)
+        assert got == _outcome(factorization_check_reference, p, ap, lt, lu, cap, prec), (
+            fault, p, ap, cap, prec)
         failed[fault] += not got.passed
     for k, case in enumerate(kappa):
         fault = (None, "row", "beta")[k % 3]

@@ -223,6 +223,10 @@ def _pair_with_first(**fields):
     return json.dumps({"first": first, "second": {"p": 3, "cap": None, "coeffs": []}})
 
 
+COEFS_TYPO = json.dumps({key: {"p": 3, "cap": None, "coefs": [{"num": "1", "den_pow": 0}]}
+                         for key in ("first", "second")})
+
+
 INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
               "--cap", "8", "--prec", "4"]
 
@@ -249,6 +253,8 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
      cli.EXIT_DOMAIN, "SerializationError"),
     (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, _pair_with_first(cap=-3),
      cli.EXIT_DOMAIN, "SerializationError"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, COEFS_TYPO,
+     cli.EXIT_DOMAIN, "SerializationError: field 'coeffs'"),
     (["verify", "--p", "3", "--ap", "3", "--nmax", "-2"], {}, None, cli.EXIT_USAGE, "--nmax"),
     (["verify", "--p", "3", "--ap", "3", "--trials", "-1"], {}, None, cli.EXIT_USAGE,
      "--trials"),
@@ -258,6 +264,7 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
+        "decompose-coeffs-missing",
         "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:

@@ -6,6 +6,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padic_ladders import coleman
 from padic_ladders.coleman import (
     LambdaPair,
     _limit_lemma_residues,
@@ -16,7 +17,7 @@ from padic_ladders.coleman import (
     phi_apply,
     projection_compatibility_check,
 )
-from padic_ladders.errors import InexactDivision, SerializationError
+from padic_ladders.errors import IdentityViolation, InexactDivision, SerializationError
 from padic_ladders.series import (
     LambdaElement,
     PowerSeries,
@@ -144,6 +145,27 @@ def test_projection_compatibility():
             for i in (0, 1, 2):
                 v = rand_pair(rng, p, n + 1)
                 assert projection_compatibility_check(p, ap, n, i, v).passed
+
+
+def test_projection_compatibility_catches_level_n_index_fault(monkeypatch):
+    # seeded fault: the level-n image reads index i instead of i + 1
+    real_apply = coleman.phi_apply
+
+    def index_i_at_level(n):
+        def phi_apply(p, ap, level, idx, v):
+            return real_apply(p, ap, level, idx - 1 if level == n else idx, v)
+        return phi_apply
+
+    rng = random.Random(48)
+    for p, ap in PAIRS + [(5, 0)]:
+        for n in (1, 2):
+            for i in (0, 1, 2):
+                v = rand_pair(rng, p, n + 1)
+                monkeypatch.setattr(coleman, "phi_apply", real_apply)
+                assert projection_compatibility_check(p, ap, n, i, v).passed
+                monkeypatch.setattr(coleman, "phi_apply", index_i_at_level(n))
+                with pytest.raises(IdentityViolation, match="projection compatibility"):
+                    projection_compatibility_check(p, ap, n, i, v)
 
 
 def test_limit_lemma_examples():

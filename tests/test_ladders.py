@@ -567,6 +567,7 @@ def test_quadext_gauss_norm_is_coefficientwise():
     lambda d: d.update(cap="abc"),
     lambda d: d["log_upsilon"]["coeffs"][0].pop("b"),
     lambda d: d["log_theta"].update(coeffs=5),
+    lambda d: d["log_upsilon"].pop("coeffs"),
     lambda d: d.update(p="abc"),
     lambda d: d.update(ap=None),
     lambda d: d.pop("ap"),
@@ -575,8 +576,8 @@ def test_quadext_gauss_norm_is_coefficientwise():
     lambda d: d.pop("log_upsilon"),
     lambda d: d.update(root_tag=[1]),
 ], ids=["series-cap-not-int", "pair-cap-not-int", "coeff-without-b", "coeffs-not-list",
-        "p-not-int", "ap-null", "ap-missing", "series-not-object", "series-ap-not-int",
-        "series-missing", "root-tag-not-string"])
+        "coeffs-missing", "p-not-int", "ap-null", "ap-missing", "series-not-object",
+        "series-ap-not-int", "series-missing", "root-tag-not-string"])
 def test_half_log_from_json_rejects_bad_fields(edit):
     data = half_logs(3, 3, 6, 3).to_json()
     edit(data)

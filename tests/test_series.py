@@ -351,6 +351,13 @@ def test_series_json_round_trip():
     assert rows[0] == (0, "2", 1, 5)
 
 
+def test_series_from_json_requires_coeffs():
+    # a missing (or misspelt) coeffs is an error naming the field, not a zero series
+    for data in ({"p": 3, "cap": None}, {"p": 3, "cap": 4, "coefs": [{"num": "1"}]}):
+        with pytest.raises(SerializationError, match="field 'coeffs'"):
+            PowerSeries.from_json(data)
+
+
 @pytest.mark.parametrize("data", [5, [], "x", None])
 def test_series_and_scalar_from_json_reject_non_objects(data):
     with pytest.raises(SerializationError):
