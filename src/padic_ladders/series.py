@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InexactDivision, PrecisionExhausted, SerializationError
-from .padics import PadicScalar, _json_int, require_prime
+from .padics import PadicScalar, _json_int, rational_valuation, require_prime
 from .trace import ap_parity_value, period_constants
 
 ScalarLike = Union[int, Fraction, PadicScalar]
@@ -264,6 +264,8 @@ def _exact_ints(p: int, cs: list) -> Optional[list]:
 # zero term leaves the value and absprec of a sum as they are).  Int operands
 # with _KRONECKER_MIN_LEN or more kept coefficients are packed into one int
 # each for one big-int product (Kronecker substitution, arXiv:0712.4046).
+# A ladder step reads Phi_j(1+X) as p + c*H_j (_phi_split): one product H_j*y
+# and one pass a_p*x - p*y - c*(H_j*y) mod the step's modulus per row.
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
@@ -301,40 +303,38 @@ def phi_coeffs(p: int, j: int, cap: Optional[int] = None, mod: Optional[int] = N
 
 
 def _phi_split(p: int, j: int, cap: Optional[int], mod: Optional[int]):
-    """(p^s, G_j mod mod/p^s) with Phi_j(1+X) = p + p^s G_j below X^cap, or None.
-
-    Only for a cap, a mod that is a power of p and q = p^(j-1) >= cap.  Then for
-    0 < i < cap, v_p(tq - i) = v_p(i), so with u(k!) the unit part of k!,
-    C(tq, k) = p^(j-1-v_p(k)) t prod_{0<i<k} ((tq - i)/p^v_p(i)) / u(k!), and
-    s = j-1-L >= 1 for p^L <= cap-1 < p^(L+1) (for cap 1, Phi_j = p): unit
-    products mod mod/p^s and one inverse, not binomials of thousands of bits.
-    """
-    q = p ** (j - 1)
-    if cap is None or mod is None or q < cap:
-        return None
-    if mod < 1 or p ** round(math.log(mod, p)) != mod:  # not a power of p
-        return None
-    pv, L = [1] * cap, 0  # pv[i] = p^v_p(i)
-    while p ** (L + 1) < cap:
-        L += 1
-        for i in range(p ** L, cap, p ** L):
-            pv[i] *= p
-    shift = p ** (j - 1 - L)
-    low = max(mod // shift, 1)
-    if low == 1 or cap == 1:
-        return shift, [0] * cap
-    if cap * (j - 1) * p.bit_length() < 2000:  # short exact binomials win (BENCH_8.json)
-        return shift, [0] + [c // shift % low for c in phi_coeffs(p, j, cap)[1:]]
-    mulmod = lambda a, b: a * b % low
-    units = [i // pv[i] for i in range(1, cap)]
-    inv = pow(reduce(mulmod, units), -1, low)  # 1/u((cap-1)!)
-    inv_fact = list(accumulate(reversed(units[1:]), mulmod, initial=inv))[::-1]
-    sums = [0] * (cap - 1)
+    """(c, H_j, low) with Phi_j(1+X) = p + c H_j below X^cap and mod mod, H_j
+    reduced into [0, low), low = mod/c or 1: (p^s, G_j) for a cap, mod = p^w
+    and q = p^(j-1) >= cap, else (1, Phi_j - p).  There s = j-1-L >= 1, p^L <=
+    cap-1 < p^(L+1), and C(tq, k) = p^(j-1-v_p(k)) t prod_{0<i<k} ((tq - i)/
+    p^v_p(i)) / u(k!) (v_p(tq - i) = v_p(i) for i < cap, u the unit part): unit
+    products mod low and a table (_split_tables), not thousand-bit binomials."""
+    q, w = p ** (j - 1), round(math.log(mod, p)) if mod is not None and mod > 1 else 0
+    if cap is None or mod is None or q < cap or p ** w != mod:
+        return 1, [0] + phi_coeffs(p, j, cap, mod)[1:], mod  # Phi_j - p
+    L, pv, table = _split_tables(p, cap, 1 << (w - 1).bit_length())
+    shift, low = p ** (j - 1 - L), p ** max(w - (j - 1 - L), 0)
+    if low == 1:
+        return shift, [0] * cap, low
+    sums = [0] * (cap - 1)  # k-1 -> sum_t t prod_{0<i<k} (tq - i)/p^v_p(i)
     for t in range(1, p):
-        falling = accumulate([(t * q - i) // pv[i] for i in range(1, cap - 1)], mulmod, initial=t)
-        sums = [s + u for s, u in zip(sums, falling)]
-    return shift, [0] + [p ** L // pv[k] * f * s % low
-                         for k, f, s in zip(range(1, cap), inv_fact, sums)]
+        f, tq = t, t * q
+        falling = [t] + [f := f * ((tq - i) // d) % low for i, d in zip(range(1, cap - 1), pv[1:])]
+        sums = [s + g for s, g in zip(sums, falling)]
+    return shift, [0] + [a * s % low for a, s in zip(table, sums)], low
+
+
+@lru_cache(maxsize=32)
+def _split_tables(p: int, cap: int, K: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """(L, pv, table) with p^L <= cap-1 < p^(L+1), pv[k] = p^v_p(k) and
+    table[k-1] = p^(L-v_p(k))/u(k!) mod p^K for 0 < k < cap.  K is a power of two
+    >= w, so a limit's levels (w up by one every second level) share few tables."""
+    vs = [0] + [rational_valuation(i, p) for i in range(1, cap)]  # the largest is L
+    L, pv, mod = max(vs), tuple(p ** v for v in vs), p ** K
+    units = [i // pv[i] for i in range(cap - 1, 1, -1)]
+    f = pow(math.prod(units), -1, mod)  # 1/u((cap-1)!)
+    inv = [f] + [f := f * u % mod for u in units]  # 1/u(k!) for k = cap-1 down to 1
+    return L, pv, tuple(p ** L // d * f % mod for d, f in zip(pv[1:], reversed(inv)))
 
 
 @lru_cache(maxsize=64)
@@ -362,19 +362,20 @@ def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None, mod: Optional[int] = N
 
 def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
     """The first count coefficients of a*b, from one product of packed ints."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))  # >= every |(a*b)_k|
+    (lo_a, hi_a), (lo_b, hi_b) = (min(a), max(a)), (min(b), max(b))
+    bound = max(hi_a, -lo_a) * max(hi_b, -lo_b) * min(len(a), len(b))  # >= every |(a*b)_k|
     if not bound:
         return [0] * count
     width = (bound.bit_length() + 8) // 8  # bytes per slot: the bound plus a sign bit
 
-    def pack(cs):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
-        if min(cs) < 0:
-            return pack([max(c, 0) for c in cs]) - pack([max(-c, 0) for c in cs])
+    def pack(cs, signed):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
+        if signed:
+            return pack([max(c, 0) for c in cs], False) - pack([max(-c, 0) for c in cs], False)
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
 
     half = 1 << (8 * width - 1)
     offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")  # half in every slot
-    packed = (pack(a) * pack(b) + offset) & ((1 << (8 * width * count)) - 1)
+    packed = (pack(a, lo_a < 0) * pack(b, lo_b < 0) + offset) & ((1 << (8 * width * count)) - 1)
     buf = packed.to_bytes(width * count, "little")
     return [int.from_bytes(buf[k:k + width], "little") - half for k in range(0, len(buf), width)]
 
@@ -398,34 +399,33 @@ def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:
 
 
 def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
-    """s*x + t*y, as long as the longer operand."""
-    return _reduced([s * xk + t * yk for xk, yk in zip_longest(x, y, fillvalue=0)], mod)
+    """s*x + t*y, as long as the longer operand, reduced mod mod in the same pass."""
+    pairs = zip_longest(x, y, fillvalue=0)
+    if mod is None:
+        return [s * xk + t * yk for xk, yk in pairs]
+    return [(s * xk + t * yk) % mod for xk, yk in pairs]
 
 
 def phi_mul(p: int, j: int, ys: List[Poly], cap: Optional[int] = None,
             mod: Optional[int] = None) -> List[Poly]:
-    """Phi_j(1+X) * y below X^cap and mod mod, for each y in ys.
-
-    Where mod = p^w and Phi_j(1+X) = p + p^s G_j (_phi_split) it is p*y +
-    p^s (G_j * y mod p^(w-s)): the operands shrink as s grows, and it is p*y
-    once s >= w.  As s >= 1 and p | a_p, a ladder step then gains one p-adic
-    digit.
-    """
-    split = _phi_split(p, j, cap, mod)
-    if split is None:
-        phi = phi_coeffs(p, j, cap, mod)
-        return [poly_mul(phi, y, cap, mod) for y in ys]
-    q, g = split
-    low = max(mod // q, 1)
-    return [_lincomb(p, y, q, poly_mul(g, _reduced(y, low), cap, low), mod) for y in ys]
+    """Phi_j(1+X) * y below X^cap and mod mod for each y in ys, in one pass each:
+    (p*y + c*(H_j*y)) mod mod with Phi_j(1+X) = p + c H_j (_phi_split).  For
+    mod = p^w, c = p^s and the product is p*y once s >= w; as s >= 1 and
+    p | a_p, a ladder step then gains one p-adic digit."""
+    c, h, low = _phi_split(p, j, cap, mod)
+    return [_lincomb(p, y[:cap], c, poly_mul(h, _reduced(y, low), cap), mod) for y in ys]
 
 
 def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = None,
                   mod: Optional[int] = None) -> IntRows:
-    """[[a_p, -Phi_k(1+X)], [1, 0]] applied to (top; bottom), Phi_k through phi_mul."""
-    top, bot = rows
-    prods = phi_mul(p, k, bot, cap, mod)
-    return [[_lincomb(ap, x, -1, prod, mod) for x, prod in zip(top, prods)], top]
+    """[[a_p, -Phi_k(1+X)], [1, 0]] applied to (top; bottom): the new top row is
+    (a_p*x - p*y - c*(H_k*y)) mod mod, one pass per column (_phi_split)."""
+    (top, bot), (c, h, low), new_top = rows, _phi_split(p, k, cap, mod), []
+    for x, y in zip(top, bot):
+        terms = zip_longest(x, y[:cap], poly_mul(h, _reduced(y, low), cap), fillvalue=0)
+        new_top.append([ap * xk - p * yk - c * hk for xk, yk, hk in terms] if mod is None else
+                       [(ap * xk - p * yk - c * hk) % mod for xk, yk, hk in terms])
+    return [new_top, top]
 
 
 def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None,

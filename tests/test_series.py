@@ -1,5 +1,6 @@
 """Series layer: cyclotomic polynomials, quotient reduction, norms, log."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import (
     LambdaElement,
     PowerSeries,
+    _phi_split,
+    append_factor,
     divmod_monic,
     eval_at_root,
     exact_divide,
@@ -253,27 +256,61 @@ def test_int_core_matches_sympy():
         assert _trim(got) == from_poly(to_poly(a) * to_poly(b), cap, mod)
 
 
+@functools.lru_cache(maxsize=None)
+def _exact_phi(p, j, cap):
+    return tuple(phi_coeffs(p, j, cap))  # exact binomials
+
+
+def _check_phi_step(p, j, xs, ys, ap, cap, mod):
+    """phi_mul and append_factor against Phi_j(1+X) from the exact binomials."""
+    red = (lambda cs: list(cs)) if mod is None else (lambda cs: [c % mod for c in cs])
+    full = red(_exact_phi(p, j, cap))
+    c, h, low = _phi_split(p, j, cap, mod)  # Phi_j = p + c H_j, H_j reduced mod low
+    assert red([p] + [c * hk for hk in h[1:]])[:cap] == full and h[:1] in ([], [0])
+    assert mod is None or (c * low in (mod, c) and all(0 <= hk < low for hk in h))
+    prods = [red(poly_mul(full, y, cap)) for y in ys]
+    assert phi_mul(p, j, ys, cap, mod) == prods, (p, j, cap, mod)
+    top = [red([ap * xk - zk for xk, zk in zip_longest(x, z, fillvalue=0)])
+           for x, z in zip(xs, prods)]
+    rows = append_factor(p, ap, [xs, ys], j, cap, mod)
+    assert rows == [top, xs], (p, j, ap, cap, mod)
+    return rows
+
+
 def test_phi_mul_split_matches_full_product():
     # Phi_j(1+X) = p + p^s G_j below X^cap with s = j-1-L, p^L <= cap-1 < p^(L+1):
     # j runs over s < 0, s = 0, 0 < s < w and s >= w; rows are empty, short,
-    # full, signed and unreduced
+    # full, longer than cap 0, signed and unreduced, and the identity rows of
+    # unequal lengths
     rng = random.Random(8)
+    identity = [[[1], []], [[], [1]]]
     for p in (2, 3, 5, 7):
-        for cap in (1, 2, 5, 20, 200):
+        for cap in (0, 1, 2, 5, 20, 200):
             L = max(l for l in range(9) if l == 0 or p ** l <= cap - 1)
-            for w in (1, 4, 9):
-                mod = p ** w
-                ys = [[], [rng.randint(-p ** (w + 3), p ** (w + 3)) for _ in range(cap)]]
-                ys += [[rng.randrange(mod) for _ in range(rng.randint(1, cap))] for _ in range(2)]
-                for j in range(1, L + w + 3):
-                    full = [c % mod for c in phi_coeffs(p, j, cap)]  # exact binomials
-                    want = [[c % mod for c in poly_mul(full, y, cap)] for y in ys]
-                    assert phi_mul(p, j, ys, cap, mod) == want, (p, cap, w, j)
-    # a modulus that is not a power of p takes the full product
+            for w in (1, 4, 9, None):
+                bound = p ** (w or 9)
+                ys = [[], [rng.randint(-bound * p ** 3, bound * p ** 3) for _ in range(cap)]]
+                ys += [[rng.randrange(bound) for _ in range(rng.randint(1, max(cap, 1)))]
+                       for _ in range(2)]
+                for j in range(1, L + (w or 0) + 3):
+                    mod = None if w is None else p ** w
+                    ap = rng.choice((0, p, -p))
+                    _check_phi_step(p, j, ys[:2], ys[2:], ap, cap, mod)
+                    _check_phi_step(p, j, ys[2:], ys[:2], ap, cap, mod)
+                    _check_phi_step(p, j, *identity, ap, cap, mod)
+    # a modulus that is not a power of p takes (c, H_j) = (1, Phi_j - p)
     for p, j, cap, mod in ((3, 3, 2, 10), (2, 6, 5, 12), (5, 4, 20, 7 ** 9)):
-        y = [rng.randrange(mod) for _ in range(cap)]
-        want = [c % mod for c in poly_mul(phi_coeffs(p, j, cap), y, cap)]
-        assert phi_mul(p, j, [y], cap, mod) == [want], (p, j, cap, mod)
+        ys = [[rng.randrange(mod) for _ in range(cap)] for _ in range(2)]
+        _check_phi_step(p, j, ys, ys[::-1], p, cap, mod)
+        _check_phi_step(p, j, *identity, p, cap, mod)
+    # consecutive levels at cap 200 as the limit loop runs them: mod = p^w with
+    # w from 30 up by one every second level while s grows by one per level, so
+    # G_j's tables are read at a falling p^(w-s) and the last levels reach s >= w
+    for p, ap in ((2, 2), (3, 0)):
+        L = max(l for l in range(9) if p ** l <= 199)
+        rows = identity
+        for j in range(1, L + 66):
+            rows = _check_phi_step(p, j, *rows, ap, 200, p ** (30 + max(j - L, 0) // 2))
 
 
 def _shift_step_by_step(p, ap, rows, i, mod, parity_flip):
