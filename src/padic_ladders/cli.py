@@ -211,10 +211,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run every check (the default; kept for scripts)")
     v.add_argument("--p", type=int)
     v.add_argument("--ap", type=int)
-    v.add_argument("--nmax", type=_positive_int, default=3)
-    v.add_argument("--cap", type=_positive_int, default=24)
-    v.add_argument("--prec", type=_positive_int, default=5)
-    v.add_argument("--trials", type=_positive_int, default=10)
+    v.add_argument("--nmax", type=_positive_int, default=CheckConfig.n_max)
+    v.add_argument("--cap", type=_positive_int, default=CheckConfig.cap)
+    v.add_argument("--prec", type=_positive_int, default=CheckConfig.prec)
+    v.add_argument("--trials", type=_positive_int, default=CheckConfig.trials)
     v.add_argument("--out")
     v.set_defaults(fn=_cmd_verify)
 

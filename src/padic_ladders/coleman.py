@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-from .errors import IdentityViolation, SerializationError
+from .errors import IdentityViolation, PrecisionExhausted, SerializationError
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
@@ -134,6 +134,12 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
     (u, v) becomes (v, (a_p v - u)/Phi_j), dividing canonical lifts exactly.
     InexactDivision from any step witnesses that the input is not in the
     image.  The result is one representative of the kernel coset.
+
+    The reconstruction check cannot fail on exact inputs: the factor
+    [[a_p, -Phi_j], [1, 0]] undoes each exact division.  An inexact input's
+    divisions accept remainders that are zero only at their precision, and
+    the rebuilt pair can then differ from the input inside it (seen at p = 2):
+    PrecisionExhausted.
     """
     period_constants(p, ap)
     if n < 1:
@@ -147,9 +153,8 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
     out = LambdaPair(LambdaElement(p, n, u), LambdaElement(p, n, v))
     back = phi_apply(p, ap, n, 1, out)
     if not (back.first == P1 and back.second == P0):
-        raise IdentityViolation(
-            f"peeling reconstruction failed at (p, a_p, n) = ({p}, {ap}, {n})"
-        )
+        raise PrecisionExhausted(f"the peeled pair does not rebuild the inexact input at its "
+                                 f"precision at (p, a_p, n) = ({p}, {ap}, {n})")
     return out
 
 

@@ -369,7 +369,7 @@ class HalfLogPair:
 
 def _int_coords(scalars: List[QuadExtScalar]):
     """(d, [a*d, b*d for each a + b*alpha]) as ints, d the least common denominator."""
-    values = [c.value for s in scalars for c in (s.a, s.b)]
+    values = [c for s in scalars for c in (s.a, s.b)]
     d = math.lcm(*(v.denominator for v in values))
     return d, [int(v * d) for v in values]
 

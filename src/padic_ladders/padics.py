@@ -1,13 +1,15 @@
-"""Exact scalar arithmetic: p-adic rationals with precision intervals and Z_p[alpha].
+"""Exact scalar arithmetic: p-adic rationals with precision intervals and Q[alpha].
 
-Values are exact rationals.  A scalar either is exact (absprec None, read
-"infinite precision") or is known modulo p^absprec.  Precision propagates
-conservatively: add/sub take the minimum of the operand precisions, mul/div
-shift by valuations.  Nothing ever raises precision.
+A PadicScalar, the one scalar with a precision, is exact (absprec None, read
+"infinite precision") or known modulo p^absprec; its value is an exact
+rational.  Precision propagates conservatively: add/sub take the minimum of
+the operand precisions, mul/div shift by valuations.  Nothing ever raises
+precision.
 
-The quadratic extension adjoins a symbolic root alpha of
-X^2 - a_p*X + p; every product is reduced through that relation, and no
-embedding of alpha into a completed field is ever chosen.
+The quadratic extension adjoins a symbolic root alpha of X^2 - a_p*X + p;
+every product is reduced through that relation, and no embedding of alpha
+into a completed field is ever chosen.  Its scalars (alpha, conj(alpha), the
+beta_m) are exact, so QuadExtScalar keeps exact rational coordinates.
 """
 
 from __future__ import annotations
@@ -360,19 +362,16 @@ def padic_valuation(x: PadicScalar):
 
 
 class QuadExtScalar:
-    """a + b*alpha in Z_p[alpha] coordinates, alpha^2 = a_p*alpha - p."""
+    """a + b*alpha in Q[alpha] coordinates, alpha^2 = a_p*alpha - p; a, b exact Fractions."""
 
     __slots__ = ("p", "ap", "a", "b")
 
-    def __init__(self, p: int, ap: int, a: PadicScalar, b: PadicScalar):
-        self.p = p
-        self.ap = ap
-        self.a = a
-        self.b = b
+    def __init__(self, p: int, ap: int, a: RationalLike, b: RationalLike):
+        self.p, self.ap, self.a, self.b = p, ap, Fraction(a), Fraction(b)
 
     @classmethod
     def from_rationals(cls, p, ap, a=0, b=0) -> "QuadExtScalar":
-        return cls(p, ap, PadicScalar(p, a), PadicScalar(p, b))
+        return cls(p, ap, a, b)
 
     @classmethod
     def alpha(cls, p, ap) -> "QuadExtScalar":
@@ -401,10 +400,8 @@ class QuadExtScalar:
     def _coerce(self, other):
         if isinstance(other, QuadExtScalar):
             return other
-        if isinstance(other, PadicScalar):
-            return QuadExtScalar(self.p, self.ap, other, PadicScalar.zero(self.p))
         if isinstance(other, (int, Fraction)):
-            return QuadExtScalar.from_rationals(self.p, self.ap, other, 0)
+            return QuadExtScalar(self.p, self.ap, other, 0)
         return NotImplemented
 
     def __add__(self, other):
@@ -449,13 +446,13 @@ class QuadExtScalar:
         """a + b*alpha -> (a + a_p b) - b*alpha."""
         return QuadExtScalar(self.p, self.ap, self.a + self.b * self.ap, -self.b)
 
-    def norm(self) -> PadicScalar:
-        """x * conj(x) as a scalar: a^2 + a_p a b + p b^2."""
+    def norm(self) -> Fraction:
+        """x * conj(x) as a rational: a^2 + a_p a b + p b^2."""
         return self.a * self.a + self.a * self.b * self.ap + self.b * self.b * self.p
 
     def inverse(self) -> "QuadExtScalar":
         n = self.norm()
-        if n.is_zero():
+        if n == 0:
             raise DivisionByZero(f"{self!r} is not invertible")
         c = self.conj()
         return QuadExtScalar(self.p, self.ap, c.a / n, c.b / n)
@@ -479,7 +476,7 @@ class QuadExtScalar:
         return out
 
     def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
+        return self.a == 0 and self.b == 0
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -491,10 +488,7 @@ class QuadExtScalar:
     __hash__ = None
 
     def __repr__(self):
-        return f"({self.a!r}) + ({self.b!r})*alpha[{self.p},{self.ap}]"
-
-    def to_json(self) -> dict:
-        return {"a": self.a.to_json(), "b": self.b.to_json()}
+        return f"({self.a}) + ({self.b})*alpha[{self.p},{self.ap}]"
 
 
 def quadext_arith(op: str, x: QuadExtScalar, y: QuadExtScalar) -> QuadExtScalar:

@@ -510,7 +510,7 @@ def _require_monic_exact(g: PowerSeries):
         raise ValueError("modulus must be nonzero")
     if not g.is_exact():
         raise ValueError("modulus must be exact")
-    if g.coefficient_raw(d).value != 1:
+    if g._raw[d] != 1:
         raise ValueError("modulus must be monic")
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import List, Tuple
 
 from .errors import IdentityViolation, NonIntegralCoefficient, NotSupersingular
-from .padics import PadicScalar, QuadExtScalar, is_prime
+from .padics import QuadExtScalar, is_prime
 from .report import CheckReport
 
 Matrix = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
@@ -214,7 +214,7 @@ def beta(p: int, ap: int, m: int) -> QuadExtScalar:
 
 @lru_cache(maxsize=1024)
 def _beta(p: int, ap: int, m0: int) -> QuadExtScalar:
-    scale = PadicScalar.exact(p, Fraction(p) ** (m0 // 2) * delta_coeffs(p, ap, m0).y)
+    scale = Fraction(p) ** (m0 // 2) * delta_coeffs(p, ap, m0).y
     return QuadExtScalar.alpha(p, ap).pow_int(-m0) * scale
 
 
@@ -229,7 +229,7 @@ def y_beta_identity_check(p: int, ap: int, i: int, k: int) -> CheckReport:
     yik = delta_coeffs(p, ap, i - k).y
     lhs = (
         QuadExtScalar.from_rationals(p, ap, Fraction(p) ** (i // 2) * yi)
-        - abar.pow_int(k) * PadicScalar.exact(p, Fraction(p) ** ((i - k) // 2) * yik)
+        - abar.pow_int(k) * (Fraction(p) ** ((i - k) // 2) * yik)
     )
     rhs = beta(p, ap, k - 1) * alpha.pow_int(i)
     if lhs != rhs:

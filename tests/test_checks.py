@@ -46,6 +46,14 @@ def test_pollack_check_only_for_ap_zero():
         assert ("pollack_comparison" in names) == applies, (p, ap)
 
 
+def test_inadmissible_pair_fails_every_check():
+    # delta_table validates the pair like every other check: no hollow pass
+    reports = run_suite([CheckConfig(5, 5)])
+    assert len(reports) == len(CHECK_NAMES) - 1  # no parity products at a_p != 0
+    assert {(r.status, r.witness) for r in reports} == {
+        ("fail", "NotSupersingular: a_p = 5 violates the Hasse bound at p = 5")}
+
+
 def test_suite_deterministic():
     cfgs = [small(3, 3, seed=5)]
     a = [r.to_json() for r in run_suite(cfgs)]

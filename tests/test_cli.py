@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import padic_ladders
 from padic_ladders import cli
+from padic_ladders.checks import CheckConfig, default_configs
 from padic_ladders.coleman import LambdaPair
 from padic_ladders.ladders import HalfLogPair, LadderMatrix, half_logs, ladder, ladder_infinity
 from padic_ladders.padics import PadicScalar
@@ -170,6 +171,14 @@ def test_decompose_non_image_exits_domain(tmp_path, capsys):
     assert "InexactDivision" in err
 
 
+def test_verify_defaults_are_the_check_config_defaults():
+    # verify --all runs exactly run_suite(default_configs())
+    args = cli.build_parser().parse_args(["verify", "--all"])
+    configs = [CheckConfig(c.p, c.ap, n_max=args.nmax, cap=args.cap, prec=args.prec,
+                           trials=args.trials) for c in default_configs()]
+    assert configs == default_configs()
+
+
 def test_verify_healthy_pair_exits_zero(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--all", "--p", "3", "--ap", "3",
@@ -223,6 +232,13 @@ def _pair_with_first(**fields):
     return json.dumps({"first": first, "second": {"p": 3, "cap": None, "coeffs": []}})
 
 
+# every division passes at its precision, but the peeled pair does not
+# rebuild the input: a precision failure, not a broken identity
+LOST_PRECISION = json.dumps({
+    "first": {"coeffs": [{"num": "-2", "den_pow": 0, "absprec": "inf"}]},
+    "second": {"coeffs": [{"num": "0", "den_pow": 0, "absprec": 0}]},
+})
+
 COEFS_TYPO = json.dumps({key: {"p": 3, "cap": None, "coefs": [{"num": "1", "den_pow": 0}]}
                          for key in ("first", "second")})
 
@@ -261,11 +277,15 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
     (["verify", "--p", "4", "--ap", "0"], {}, None, cli.EXIT_DOMAIN, "NotSupersingular"),
     (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, NOT_UTF8,
      cli.EXIT_DOMAIN, "SerializationError"),
+    (["decompose", "--p", "2", "--ap", "2", "--level", "2"], {}, LOST_PRECISION,
+     cli.EXIT_DOMAIN, "error: PrecisionExhausted: the peeled pair does not rebuild the inexact "
+                      "input at its precision at (p, a_p, n) = (2, 2, 2)\n"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
         "decompose-coeffs-missing",
-        "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8"])
+        "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8",
+        "decompose-lost-precision"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"

@@ -1,10 +1,12 @@
 """Scalar layer: p-adic rationals with precision, and the quadratic extension."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from padic_ladders.errors import (
     DivisionByZero,
@@ -20,6 +22,7 @@ from padic_ladders.padics import (
     padic_valuation,
     quadext_arith,
     quadext_conj,
+    rational_valuation,
 )
 
 SUPERSINGULAR_PAIRS = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
@@ -141,6 +144,38 @@ def test_serialization_round_trip():
     assert PadicScalar.from_json(2, e.to_json()) == e
 
 
+@st.composite
+def _scalar(draw, p):
+    """An exact or inexact scalar; values with p-power and unit denominators."""
+    den = p ** draw(st.integers(0, 2)) * draw(st.sampled_from((1, 1, p + 1)))
+    value = Fraction(draw(st.integers(-500, 500)), den)
+    return PadicScalar(p, value, draw(st.none() | st.integers(-2, 6)))
+
+
+@st.composite
+def _representative(draw, x):
+    """Any rational in the interval of x: value + t * p^absprec with t p-integral."""
+    if x.absprec is None:
+        return x.value
+    t = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from((1, x.p + 1))))
+    return x.value + t * Fraction(x.p) ** x.absprec
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_scalar_arithmetic_is_sound(data):
+    """Representatives of the operands land in the computed interval of add/sub/mul/div."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    x, y = data.draw(_scalar(p)), data.draw(_scalar(p))
+    op = data.draw(st.sampled_from(("add", "sub", "mul", "div")))
+    assume(op != "div" or y.value != 0)
+    z = padic_arith(op, x, y)
+    rx, ry = data.draw(_representative(x)), data.draw(_representative(y))
+    d = getattr(operator, {"div": "truediv"}.get(op, op))(rx, ry) - z.value
+    assert d == 0 or (z.absprec is not None and rational_valuation(d, p) >= z.absprec), (
+        op, x, y, rx, ry, z)
+
+
 # -- quadratic extension -------------------------------------------------------
 
 
@@ -202,3 +237,16 @@ def test_alpha_two_tilde_power_identity():
         c = period_constants(p, ap)
         lhs = QuadExtScalar.alpha(p, ap).pow_int(c.two_tilde)
         assert lhs == QuadExtScalar.from_rationals(p, ap, -(Fraction(p) ** c.one_tilde), 0)
+
+
+def test_quadext_scalars_are_exact_rationals():
+    for (p, ap) in SUPERSINGULAR_PAIRS:
+        x = QuadExtScalar.alpha(p, ap).pow_int(-3) + Fraction(1, 2)
+        assert type(x.a) is type(x.b) is Fraction
+        assert x.norm() == x.a * x.a + x.a * x.b * ap + x.b * x.b * p
+        assert type(x.norm()) is Fraction
+        assert x * x.inverse() == QuadExtScalar.one(p, ap)
+    x = QuadExtScalar.from_rationals(3, 3, Fraction(-2, 3), 1)
+    assert repr(x) == "(-2/3) + (1)*alpha[3,3]"
+    with pytest.raises(TypeError):  # precision-carrying parts are not Z[alpha] data
+        QuadExtScalar(3, 3, PadicScalar(3, 1, 4), 0)

@@ -5,7 +5,7 @@ integer coordinates (``ladders._int_coords``).  The references here compute
 the same identities the plain way, on the ``QuadExtSeries`` artifact type:
 sums, products by a plain series and remainders part by part on the a and b
 ``PowerSeries``, and products by a Z[alpha] scalar coefficient by
-coefficient, each one a ``QuadExtScalar`` product.
+coefficient, written out on the ``PadicScalar`` parts.
 ``factorization_check_reference`` and ``kappa_identity_check_reference`` are
 the series-level forms of ``checks.factorization_check`` and
 ``ladders.kappa_identity_check``; ``intrinsic_variant`` is the series form
@@ -36,12 +36,16 @@ def from_plain(p: int, ap: int, f: PowerSeries) -> QuadExtSeries:
 
 
 def scale(f: QuadExtSeries, s: QuadExtScalar) -> QuadExtSeries:
-    """f * s, coefficient by coefficient: each one a QuadExtScalar product."""
-    n = max(len(f.a.coeffs), len(f.b.coeffs))
-    xs = [QuadExtScalar(f.p, f.ap, f.a.coefficient_raw(k), f.b.coefficient_raw(k)) * s
-          for k in range(n)]
-    part = lambda key: PowerSeries(f.p, [getattr(x, key) for x in xs], f.cap)
-    return QuadExtSeries(f.p, f.ap, part("a"), part("b"))
+    """f * s, coefficient by coefficient on the PadicScalar parts, which keep
+    their precisions: (a + b alpha)(c + d alpha) = (ac - p bd) + (ad + bc + a_p bd) alpha."""
+    c, d = s.a, s.b
+    xs = []
+    for k in range(max(len(f.a.coeffs), len(f.b.coeffs))):
+        a, b = f.a.coefficient_raw(k), f.b.coefficient_raw(k)
+        bd = b * d
+        xs.append((a * c - bd * f.p, a * d + b * c + bd * f.ap))
+    part = lambda j: PowerSeries(f.p, [x[j] for x in xs], f.cap)
+    return QuadExtSeries(f.p, f.ap, part(0), part(1))
 
 
 def add(f: QuadExtSeries, g: QuadExtSeries) -> QuadExtSeries:
