@@ -107,6 +107,8 @@ def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
     """(theta_i a + upsilon_i b, theta_{i-1} a + upsilon_{i-1} b) mod omega_n."""
     period_constants(p, ap)
     rows = _rows_mod_omega(p, ap, n, i)
+    if (v.p, v.level) != (p, n):
+        raise ValueError("inputs must live at the requested (p, level)")
     a, b = v.first.poly, v.second.poly
     return LambdaPair(*(LambdaElement(p, n, theta.mul(a) + upsilon.mul(b))
                         for theta, upsilon in rows))

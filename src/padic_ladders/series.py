@@ -258,18 +258,20 @@ def _exact_ints(p: int, cs: list) -> Optional[list]:
 # integer and reduction mod a monic polynomial are ring maps, so applying them
 # after every step is sound.
 #
-# poly_divmod and poly_mul's schoolbook loop use only +, - and * on the
+# The schoolbook loops of poly_divmod and poly_mul use only +, - and * on the
 # coefficients, so PowerSeries also runs them on its PadicScalar tuples; their
 # ``if c:`` skips int zeros only (a PadicScalar is always truthy, and an exact
 # zero term leaves the value and absprec of a sum as they are).  Int operands
 # with _KRONECKER_MIN_LEN or more kept coefficients are packed into one int
-# each for one big-int product (Kronecker substitution, arXiv:0712.4046).
+# each for one big-int product (Kronecker substitution, arXiv:0712.4046); int
+# division by a monic g of degree >= _RECIPROCAL_MIN_DEG takes two, with 1/rev(g).
 # A ladder step reads Phi_j(1+X) as p + c*H_j (_phi_split): one product H_j*y
 # and one pass a_p*x - p*y - c*(H_j*y) mod the step's modulus per row.
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
 _KRONECKER_MIN_LEN = 32  # crossover measured in BENCH_7.json
+_RECIPROCAL_MIN_DEG = 100  # poly_divmod's crossover, measured in BENCH_16.json
 
 
 def _reduced(coeffs: Poly, mod: Optional[int]) -> Poly:
@@ -381,16 +383,32 @@ def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
 
 
 def poly_divmod(f: Poly, g: Poly, mod: Optional[int] = None) -> Tuple[Poly, Poly]:
-    """Quotient and remainder of f by the monic polynomial g (g[-1] == 1)."""
-    d = len(g) - 1
+    """Quotient and remainder of f by the monic polynomial g (g[-1] == 1).  Int f at most
+    d = deg g >= _RECIPROCAL_MIN_DEG bits wide, with m >= _KRONECKER_MIN_LEN quotient terms,
+    takes rev(q) = rev(f)/rev(g) mod X^m and r = f - q*g mod X^d (the same lists)."""
+    d, m = len(g) - 1, len(f) - len(g) + 1
+    if d >= _RECIPROCAL_MIN_DEG and m >= _KRONECKER_MIN_LEN and \
+            all(type(c) is int for c in (*f, *g)) and max(map(abs, f)).bit_length() <= d:
+        quot = poly_mul(f[::-1], _reversed_inverse(tuple(g), 1 << (m - 1).bit_length()), m)[::-1]
+        return _reduced(quot, mod), _reduced([a - b for a, b in zip(f, poly_mul(quot, g, d))], mod)
     rem, quot = list(f), []
     while len(rem) > d:
         c = rem.pop()
         quot.append(c)
-        if c:
-            for t in range(d):
-                rem[t - d] -= c * g[t]
+        if c and d:
+            rem[-d:] = [r - c * t for r, t in zip(rem[-d:], g)]
     return _reduced(quot[::-1], mod), _reduced(rem, mod)
+
+
+@lru_cache(maxsize=32)
+def _reversed_inverse(g: Tuple[int, ...], m: int) -> Tuple[int, ...]:
+    """1/rev(g) mod X^m (m a power of two) by Newton steps h <- h(2 - rev(g) h), von zur
+    Gathen-Gerhard 9.1: if rev(g) h = 1 + X^k E mod X^2k, h gains -h E mod X^k."""
+    rev, h = list(g[::-1]) + [0] * (m - len(g)), [1]
+    while len(h) < m:
+        e = poly_mul(rev, h, 2 * len(h))[len(h):]
+        h += [-c for c in poly_mul(h, e, len(h))]
+    return tuple(h)
 
 
 def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:

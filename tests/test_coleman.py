@@ -1,12 +1,13 @@
 """Quotient-level linear algebra: the ladder map, its kernel, decomposition."""
 
+import json
 import random
 from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_ladders import coleman
+from padic_ladders import coleman, series
 from padic_ladders.coleman import (
     LambdaPair,
     _limit_lemma_residues,
@@ -30,6 +31,8 @@ from padic_ladders.series import (
     reduce_mod,
     shift_rows,
 )
+
+from divmod_reference import poly_divmod_reference
 
 PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0)]
 
@@ -262,3 +265,37 @@ def test_decompose_inverts_phi_apply_mod_kernel(case):
     p, ap, n, v = case
     image = phi_apply(p, ap, n, 1, v)
     assert kernel_member(p, ap, n, decompose(p, ap, n, image.first, image.second) - v)
+
+
+def test_phi_apply_rejects_pair_from_another_prime_or_level():
+    msg = r"inputs must live at the requested \(p, level\)"
+    for bad in (LambdaPair.from_ints(2, 2, [1, 1], [0, 1]),  # another prime
+                LambdaPair.from_ints(3, 1, [1, 1], [0, 1])):  # another level
+        with pytest.raises(ValueError, match=msg):
+            phi_apply(3, 3, 2, 1, bad)
+        with pytest.raises(ValueError, match=msg):
+            kernel_member(3, 3, 2, bad)
+
+
+def test_coleman_layer_matches_index_loop_division(monkeypatch):
+    """phi_apply, decompose and the off-image rejection above the reciprocal
+    crossover, byte for byte against the same calls on the index-loop divide."""
+    rng = random.Random(161)
+
+    def run(p, ap, n, v):
+        image = phi_apply(p, ap, n, 1, v)
+        pre = decompose(p, ap, n, image.first, image.second)
+        off = image.first + LambdaElement.from_ints(p, n, [1])
+        with pytest.raises(InexactDivision) as rejected:
+            decompose(p, ap, n, off, image.second)
+        return json.dumps([image.to_json(), pre.to_json(), str(rejected.value)])
+
+    cases = [(p, ap, n, LambdaPair.from_ints(p, n, *([rng.randint(-9, 9) for _ in range(p ** n)]
+                                                       for _ in range(2))))
+             for p, ap, n in ((3, 3, 5), (5, 0, 3), (2, 2, 7))]
+    before = series._reversed_inverse.cache_info()
+    got = [run(*case) for case in cases]
+    after = series._reversed_inverse.cache_info()
+    assert after.hits + after.misses > before.hits + before.misses  # the reciprocal path ran
+    monkeypatch.setattr(series, "poly_divmod", poly_divmod_reference)
+    assert [run(*case) for case in cases] == got

@@ -9,11 +9,13 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from padic_ladders import series
 from padic_ladders.errors import InexactDivision, SerializationError
 from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import (
     LambdaElement,
     PowerSeries,
+    _KRONECKER_MIN_LEN,
     _phi_split,
     append_factor,
     divmod_monic,
@@ -37,6 +39,8 @@ from padic_ladders.series import (
     shift_rows,
 )
 from padic_ladders.trace import ap_parity_value
+
+from divmod_reference import poly_divmod_reference
 
 
 def poly(p, ints):
@@ -478,3 +482,38 @@ def test_mul_and_divmod_precision_is_sound(data):
     for got, want in ((quot, want_q), (rem, want_r)):
         assert all(_in_interval(Fraction(w), got.coefficient_raw(k)) for k, w in enumerate(want))
         assert len(got.coeffs) <= len(want)
+
+
+def test_poly_divmod_matches_index_loop_across_crossover():
+    """poly_divmod against the coefficient-at-a-time loop, below and above the
+    reciprocal crossover: d = 0, every short and boundary length of f, with and
+    without mod, mixed-sign coefficients up to 2^200, omega_n and Phi_j(1+X) at
+    the coleman-deep degrees, and random monic divisors of degree 90-260."""
+    rng = random.Random(16)
+    divisors = [[1], phi_coeffs(2, 5), phi_coeffs(3, 4), phi_coeffs(2, 7), phi_coeffs(5, 3),
+                phi_coeffs(3, 5), list(omega_coeffs(3, 5)), list(omega_coeffs(2, 7)),
+                list(omega_coeffs(5, 3))]
+    divisors += [[rng.randint(-9, 9) for _ in range(d)] + [1] for d in (90, 99, 100, 173, 260)]
+    before = series._reversed_inverse.cache_info()
+    for g in divisors:
+        d = len(g) - 1
+        lengths = {0, 1, d - 1, d, d + 1, d + _KRONECKER_MIN_LEN - 1, d + _KRONECKER_MIN_LEN,
+                   2 * d - 1}
+        for n in sorted(k for k in lengths if k >= 0):
+            bits = rng.choice((4, 64, 200))
+            f = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
+            want = poly_divmod_reference(f, g)
+            assert poly_divmod(tuple(f), tuple(g)) == want, (d, n, bits)
+            for mod in (3 ** 40, 2 ** 7):  # the reference reduces only at the end
+                assert poly_divmod(f, g, mod) == tuple([c % mod for c in part] for part in want)
+    after = series._reversed_inverse.cache_info()
+    assert after.hits + after.misses > before.hits + before.misses  # the reciprocal path ran
+
+    # PadicScalar coefficients above the crossover take the slice loop, whose
+    # operations are the index loop's in the same order: values and precisions agree
+    g = [PadicScalar(5, c) for c in phi_coeffs(5, 3)]
+    f = [PadicScalar(5, Fraction(rng.randint(-99, 99), 5 ** rng.randint(0, 2)),
+                     rng.choice((None, 5, 9))) for _ in range(100 + _KRONECKER_MIN_LEN)]
+    got, want = poly_divmod(f, g), poly_divmod_reference(f, g)
+    assert [[c.to_json() for c in part] for part in got] == \
+        [[c.to_json() for c in part] for part in want]
