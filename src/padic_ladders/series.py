@@ -404,7 +404,7 @@ def poly_divmod(f: Poly, g: Poly, mod: Optional[int] = None) -> Tuple[Poly, Poly
 def _reversed_inverse(g: Tuple[int, ...], m: int) -> Tuple[int, ...]:
     """1/rev(g) mod X^m (m a power of two) by Newton steps h <- h(2 - rev(g) h), von zur
     Gathen-Gerhard 9.1: if rev(g) h = 1 + X^k E mod X^2k, h gains -h E mod X^k."""
-    rev, h = list(g[::-1]) + [0] * (m - len(g)), [1]
+    rev, h = g[::-1], [1]
     while len(h) < m:
         e = poly_mul(rev, h, 2 * len(h))[len(h):]
         h += [-c for c in poly_mul(h, e, len(h))]
