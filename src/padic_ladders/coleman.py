@@ -137,11 +137,11 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
     InexactDivision from any step witnesses that the input is not in the
     image.  The result is one representative of the kernel coset.
 
-    The reconstruction check cannot fail on exact inputs: the factor
-    [[a_p, -Phi_j], [1, 0]] undoes each exact division.  An inexact input's
-    divisions accept remainders that are zero only at their precision, and
-    the rebuilt pair can then differ from the input inside it (seen at p = 2):
-    PrecisionExhausted.
+    Exact inputs (PowerSeries.is_exact) are not rebuilt: exact_divide accepts only
+    a zero remainder, so Phi_j v' = a_p v - u and [[a_p, -Phi_j], [1, 0]] undoes
+    each step; their product maps the output onto (P1, P0) before reduction mod
+    omega_n, so after it too.  An inexact input is rebuilt: a remainder zero only at
+    its precision can leave the rebuild off the input (seen at p = 2): PrecisionExhausted.
     """
     period_constants(p, ap)
     if n < 1:
@@ -153,8 +153,8 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
         w = v * ap - u
         u, v = v, exact_divide(w, phi(p, j))
     out = LambdaPair(LambdaElement(p, n, u), LambdaElement(p, n, v))
-    back = phi_apply(p, ap, n, 1, out)
-    if not (back.first == P1 and back.second == P0):
+    if not (P1.poly.is_exact() and P0.poly.is_exact()) and \
+            phi_apply(p, ap, n, 1, out) != LambdaPair(P1, P0):
         raise PrecisionExhausted(f"the peeled pair does not rebuild the inexact input at its "
                                  f"precision at (p, a_p, n) = ({p}, {ap}, {n})")
     return out

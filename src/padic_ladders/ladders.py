@@ -452,6 +452,8 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
     asserts kappa_{-N} row_0 - kappa_{-N-1} row_{-1}
     = p^[(-N-i)/2] row_{-N-i} * conj(alpha)^i, entrywise for theta and
     upsilon, exactly: in each Z[alpha] coordinate over one common denominator.
+    The identity relates row shifts and holds for any index-1 rows, so it checks
+    beta, alpha and the shift parities only; it cannot see a wrong ladder row.
     """
     period_constants(p, ap)
     if n < 1:

@@ -483,9 +483,14 @@ def ladder_rows(p: int, ap: int, n: int, i: int, cap: Optional[int] = None,
 # -- cyclotomic building blocks ----------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _phi_exact(p: int, j: int) -> Tuple[int, ...]:
+    return tuple(phi_coeffs(p, j))
+
+
 def phi(p: int, j: int) -> PowerSeries:
-    """Phi_j(1+X) = sum_{t<p} (1+X)^(p^(j-1) t): monic, constant term p."""
-    return PowerSeries(p, phi_coeffs(p, j))
+    """Phi_j(1+X) = sum_{t<p} (1+X)^(p^(j-1) t): monic, constant term p (cached per (p, j))."""
+    return PowerSeries(p, _phi_exact(p, j))
 
 
 def phi_truncated(p: int, j: int, cap: int) -> PowerSeries:
@@ -561,9 +566,7 @@ def exact_divide(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     quot, rem = divmod_monic(f, g)
     for k, c in enumerate(rem.coeffs):
         if not c.is_zero():
-            raise InexactDivision(
-                f"remainder coefficient of X^{k} is {c!r}, not zero"
-            )
+            raise InexactDivision(f"remainder coefficient of X^{k} is {c!r}, not zero")
     return quot
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
@@ -18,7 +19,12 @@ from padic_ladders.coleman import (
     phi_apply,
     projection_compatibility_check,
 )
-from padic_ladders.errors import IdentityViolation, InexactDivision, SerializationError
+from padic_ladders.errors import (
+    IdentityViolation,
+    InexactDivision,
+    PrecisionExhausted,
+    SerializationError,
+)
 from padic_ladders.series import (
     LambdaElement,
     PowerSeries,
@@ -33,6 +39,7 @@ from padic_ladders.series import (
 )
 
 from divmod_reference import poly_divmod_reference
+from test_cli import LOST_PRECISION
 
 PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0)]
 
@@ -265,6 +272,40 @@ def test_decompose_inverts_phi_apply_mod_kernel(case):
     p, ap, n, v = case
     image = phi_apply(p, ap, n, 1, v)
     assert kernel_member(p, ap, n, decompose(p, ap, n, image.first, image.second) - v)
+
+
+@st.composite
+def _exact_image(draw):
+    """phi_apply of an exact pair over the acceptance pairs and (5, 0), n <= 3; the
+    coefficients are integers over p^k, k <= 2, so some images are not int-backed."""
+    p, ap = draw(st.sampled_from([(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0)]))
+    n, den = draw(st.integers(1, 3)), p ** draw(st.integers(0, 2))
+    coeffs = st.lists(st.integers(-9, 9).map(lambda c: Fraction(c, den)), max_size=p ** n)
+    v = LambdaPair(*(LambdaElement(p, n, PowerSeries(p, draw(coeffs))) for _ in range(2)))
+    return p, ap, n, phi_apply(p, ap, n, 1, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exact_image())
+def test_decompose_rebuilds_exact_input(case):
+    """decompose returns exact inputs unchecked; the peel alone must rebuild them."""
+    p, ap, n, image = case
+    assert image.first.poly.is_exact() and image.second.poly.is_exact()
+    assert phi_apply(p, ap, n, 1, decompose(p, ap, n, image.first, image.second)) == image
+
+
+def test_decompose_rebuilds_only_inexact_input(monkeypatch):
+    calls = []
+    monkeypatch.setattr(coleman, "phi_apply", lambda *args: calls.append(args) or phi_apply(*args))
+    image = phi_apply(3, 3, 3, 1, rand_pair(random.Random(17), 3, 3))
+    decompose(3, 3, 3, image.first, image.second)
+    assert calls == []
+    pair = LambdaPair.from_json({"p": 2, "level": 2, **json.loads(LOST_PRECISION)})
+    msg = (r"^the peeled pair does not rebuild the inexact input at its precision "
+           r"at \(p, a_p, n\) = \(2, 2, 2\)$")
+    with pytest.raises(PrecisionExhausted, match=msg):
+        decompose(2, 2, 2, pair.first, pair.second)
+    assert len(calls) == 1
 
 
 def test_phi_apply_rejects_pair_from_another_prime_or_level():
