@@ -22,7 +22,7 @@ class PrecisionExhausted(PadicLaddersError):
 
 
 class MixedExtension(PadicLaddersError):
-    """Operands live in quadratic extensions with different (p, a_p)."""
+    """Operands live over different primes, or quadratic extensions with different (p, a_p)."""
 
 
 class NotSupersingular(PadicLaddersError):

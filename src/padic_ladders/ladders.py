@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import List, Optional, Union
 
 from .errors import IdentityViolation, NotConverged, SerializationError, UsageError
-from .padics import PadicScalar, QuadExtScalar, _json_int
+from .padics import PadicScalar, QuadExtScalar, _json_int, _operand
 from .report import CheckReport
 from .series import (
     PowerSeries,
@@ -281,12 +281,17 @@ class QuadExtSeries:
     def cap(self) -> Optional[int]:
         return self.a._cap_min(self.b)
 
+    _check_same = QuadExtScalar._check_same  # the same (p, a_p) check
+
+    def _coerce(self, other):
+        return other if isinstance(other, QuadExtSeries) else NotImplemented
+
+    @_operand
     def congruent(self, other: "QuadExtSeries", k: int) -> bool:
         return self.a.congruent(other.a, k) and self.b.congruent(other.b, k)
 
+    @_operand
     def __eq__(self, other):
-        if not isinstance(other, QuadExtSeries):
-            return NotImplemented
         return self.a == other.a and self.b == other.b
 
     __hash__ = None
@@ -298,18 +303,13 @@ class QuadExtSeries:
         return max((v for v in norms if v is not None), default=None)
 
     def to_json(self) -> dict:
-        n = max(len(self.a.coeffs), len(self.b.coeffs))
+        a, b = self.a.to_json()["coeffs"], self.b.to_json()["coeffs"]
+        zero = PadicScalar.zero(self.p).to_json()  # pads the shorter part
         return {
             "p": self.p,
             "ap": self.ap,
             "cap": self.cap,
-            "coeffs": [
-                {
-                    "a": self.a.coefficient_raw(k).to_json(),
-                    "b": self.b.coefficient_raw(k).to_json(),
-                }
-                for k in range(n)
-            ],
+            "coeffs": [{"a": x, "b": y} for x, y in zip_longest(a, b, fillvalue=zero)],
         }
 
     @classmethod

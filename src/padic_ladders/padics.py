@@ -14,6 +14,7 @@ beta_m) are exact, so QuadExtScalar keeps exact rational coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Optional, Union
@@ -64,6 +65,25 @@ def rational_valuation(x: Fraction, p: int) -> int:
         d //= p
         v -= 1
     return v
+
+
+def _operand(method):
+    """Guard a binary method of an exact value type: coerce the other operand with the
+    class's _coerce, then reject another prime or extension with its _check_same.  On a
+    foreign operand an operator returns NotImplemented and a named method raises TypeError."""
+    dunder = method.__name__.startswith("__")
+
+    @functools.wraps(method)
+    def guarded(self, other, *args, **kwargs):
+        given, other = other, self._coerce(other)
+        if other is NotImplemented:
+            if dunder:
+                return NotImplemented
+            raise TypeError(f"{method.__qualname__}: unsupported operand {type(given).__name__}")
+        self._check_same(other)
+        return method(self, other, *args, **kwargs)
+
+    return guarded
 
 
 class PadicScalar:
@@ -135,26 +155,18 @@ class PadicScalar:
             return self.absprec
         return min(self.absprec, other.absprec)
 
+    @_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         return PadicScalar(self.p, self.value + other.value, self._min_absprec(other))
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         return PadicScalar(self.p, self.value - other.value, self._min_absprec(other))
 
+    @_operand
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
     def __neg__(self):
@@ -166,11 +178,8 @@ class PadicScalar:
             return rational_valuation(self.value, self.p)
         return self.absprec  # None for exact zero
 
+    @_operand
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         if self.is_exact_zero() or other.is_exact_zero():
             return PadicScalar(self.p, 0, None)
         candidates = []
@@ -187,11 +196,8 @@ class PadicScalar:
 
     __rmul__ = __mul__
 
+    @_operand
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         if other.value == 0:
             raise DivisionByZero(f"division by {other!r}")
         vo = rational_valuation(other.value, self.p)
@@ -205,17 +211,12 @@ class PadicScalar:
         absprec = min(candidates) if candidates else None
         return PadicScalar(self.p, self.value / other.value, absprec)
 
+    @_operand
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
+    @_operand
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         d = self.value - other.value
         k = self._min_absprec(other)
         if d == 0:
@@ -264,10 +265,9 @@ class PadicScalar:
         red = (num * den_inv) % modulus
         return PadicScalar(p, Fraction(red) * Fraction(p) ** v, self.absprec)
 
+    @_operand
     def congruent(self, other, k: int) -> bool:
         """True when self - other has valuation >= k at the tracked precision."""
-        other = self._coerce(other)
-        self._check_same(other)
         d = self.value - other.value
         if d == 0:
             return True
@@ -404,37 +404,26 @@ class QuadExtScalar:
             return QuadExtScalar(self.p, self.ap, other, 0)
         return NotImplemented
 
+    @_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         return QuadExtScalar(self.p, self.ap, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         return QuadExtScalar(self.p, self.ap, self.a - other.a, self.b - other.b)
 
+    @_operand
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
     def __neg__(self):
         return QuadExtScalar(self.p, self.ap, -self.a, -self.b)
 
+    @_operand
     def __mul__(self, other):
         # (a1 + b1 A)(a2 + b2 A) with A^2 = ap*A - p
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         bb = self.b * other.b
         a = self.a * other.a - bb * self.p
         b = self.a * other.b + self.b * other.a + bb * self.ap
@@ -457,10 +446,8 @@ class QuadExtScalar:
         c = self.conj()
         return QuadExtScalar(self.p, self.ap, c.a / n, c.b / n)
 
+    @_operand
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inverse()
 
     def pow_int(self, k: int) -> "QuadExtScalar":
@@ -478,11 +465,8 @@ class QuadExtScalar:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
+    @_operand
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        self._check_same(other)
         return self.a == other.a and self.b == other.b
 
     __hash__ = None

@@ -20,7 +20,7 @@ from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InexactDivision, PrecisionExhausted, SerializationError
-from .padics import PadicScalar, _json_int, rational_valuation, require_prime
+from .padics import PadicScalar, _json_int, _operand, rational_valuation, require_prime
 from .trace import ap_parity_value, period_constants
 
 ScalarLike = Union[int, Fraction, PadicScalar]
@@ -125,6 +125,8 @@ class PowerSeries:
 
     # -- ring operations -----------------------------------------------------
 
+    _check_same = PadicScalar._check_same  # the same ring check: both read only .p
+
     def _coerce(self, other):
         if isinstance(other, PowerSeries):
             return other
@@ -132,28 +134,22 @@ class PowerSeries:
             return PowerSeries(self.p, [other])
         return NotImplemented
 
+    @_operand
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self._pair(other)
         out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
         return PowerSeries(self.p, out, self._cap_min(other))
 
     __radd__ = __add__
 
+    @_operand
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self._pair(other)
         out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
         return PowerSeries(self.p, out, self._cap_min(other))
 
+    @_operand
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
     def __neg__(self):
@@ -164,9 +160,9 @@ class PowerSeries:
             s = s if isinstance(s, PadicScalar) else PadicScalar(self.p, s)
         return PowerSeries(self.p, [c * s for c in self._raw], self.cap)
 
+    @_operand
     def mul(self, other: "PowerSeries", cap: Optional[int] = None) -> "PowerSeries":
         """Product truncated at X^cap (and at the operands' own caps)."""
-        other = self._coerce(other)
         caps = [c for c in (self.cap, other.cap, cap) if c is not None]
         eff = min(caps) if caps else None
         a, b = self._pair(other)
@@ -186,17 +182,15 @@ class PowerSeries:
             return self
         return PowerSeries(self.p, self._raw[:cap], cap)
 
+    @_operand
     def congruent(self, other: "PowerSeries", k: int) -> bool:
         """Coefficientwise congruence mod p^k on the shared tracked range."""
-        other = self._coerce(other)
         n = self._cap_min(other)
         pairs = zip_longest(self.coeffs[:n], other.coeffs[:n], fillvalue=PadicScalar.zero(self.p))
         return all(x.congruent(y, k) for x, y in pairs)
 
+    @_operand
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         a, b = self._pair(other)
         n = self._cap_min(other)
         return all(x == y for x, y in zip_longest(a[:n], b[:n], fillvalue=0))
@@ -236,7 +230,7 @@ class PowerSeries:
 
 def _exact_ints(p: int, cs: list) -> Optional[list]:
     """The coefficients as ints when every one is an exact integer, else None."""
-    if all(type(c) is int for c in cs):
+    if {int}.issuperset(map(type, cs)):
         return cs
     out = []
     for c in cs:
@@ -543,6 +537,7 @@ def divmod_monic(f: PowerSeries, g: PowerSeries):
     f is taken as the polynomial spanned by its tracked coefficients;
     coefficient precision propagates through the subtractions.
     """
+    f._check_same(g)
     _require_monic_exact(g)
     quot, rem = poly_divmod(*f._pair(g))
     return PowerSeries(f.p, quot), PowerSeries(f.p, rem)

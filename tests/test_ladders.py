@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from padic_ladders import ladders
-from padic_ladders.errors import IdentityViolation, NotConverged, SerializationError
+from padic_ladders.errors import IdentityViolation, MixedExtension, NotConverged, SerializationError
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
     HalfLogPair,
@@ -635,6 +635,39 @@ def test_reference_scale_matches_integer_coordinates():
         bs = [sb * x for x in b]
         assert out.a == poly(p, _lincomb(sa, a, -p, bs, None))
         assert out.b == poly(p, _lincomb(1, _lincomb(sb, a, sa, b, None), ap, bs, None))
+
+
+@pytest.mark.parametrize("op", ["eq", "congruent"])
+def test_quadext_series_mixed_extension_rejected(op):
+    from padic_ladders.ladders import QuadExtSeries
+
+    def same_coeffs(p, ap):
+        return QuadExtSeries(p, ap, poly(p, [1, 2]), poly(p, [0, 1]))
+
+    compare = (lambda f, g: f == g) if op == "eq" else (lambda f, g: f.congruent(g, 4))
+    with pytest.raises(MixedExtension, match=r"\(p, a_p\) = \(3, 3\) vs \(3, -3\)"):
+        compare(same_coeffs(3, 3), same_coeffs(3, -3))
+    with pytest.raises(MixedExtension):
+        compare(same_coeffs(3, 3), same_coeffs(2, 2))
+    assert compare(same_coeffs(3, -3), same_coeffs(3, -3))
+    with pytest.raises(TypeError):
+        same_coeffs(3, 3).congruent(poly(3, [1, 2]), 4)
+
+
+def test_quadext_series_json_pads_the_shorter_part():
+    # the artifact's (a, b) pairs are the parts' own encodings, the shorter part
+    # padded with exact zeros; a zero known only mod 3^2 stays tracked
+    from padic_ladders.ladders import QuadExtSeries
+
+    ints = PowerSeries(3, [1, -2, 0, 4], 6)
+    scalars = PowerSeries(3, [PadicScalar(3, Fraction(1, 3), 4), PadicScalar(3, 0, 2)], 6)
+    for a, b in ((ints, scalars), (scalars, ints), (ints, PowerSeries.zero(3, 6))):
+        f = QuadExtSeries(3, 0, a, b)
+        n = max(len(a.coeffs), len(b.coeffs))
+        assert f.to_json()["coeffs"] == [
+            {"a": a.coefficient_raw(k).to_json(), "b": b.coefficient_raw(k).to_json()}
+            for k in range(n)]
+        assert QuadExtSeries.from_json(json.loads(json.dumps(f.to_json()))) == f
 
 
 def test_mul_cap_equals_truncated_full_product():

@@ -94,8 +94,17 @@ def test_zero_at_precision_is_canonical():
 
 
 def test_mixed_primes_rejected():
-    with pytest.raises(MixedExtension):
-        PadicScalar.one(3) + PadicScalar.one(5)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq,
+               lambda x, y: x.congruent(y, 2)):
+        with pytest.raises(MixedExtension, match="mixed primes 3 and 5"):
+            op(PadicScalar.one(3), PadicScalar.one(5))
+
+
+def test_foreign_operand_to_named_method_is_a_type_error():
+    # a named method must not hand back the (truthy) NotImplemented of an operator
+    with pytest.raises(TypeError):
+        PadicScalar.one(3).congruent("1", 2)
+    assert PadicScalar.one(3).__eq__("1") is NotImplemented
 
 
 def test_precision_propagation_mul():
@@ -201,8 +210,11 @@ def test_conj_examples():
 
 
 def test_mixed_extension_rejected():
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv, operator.eq):
+        with pytest.raises(MixedExtension, match=r"\(p, a_p\) = \(2, 2\) vs \(2, -2\)"):
+            op(QuadExtScalar.alpha(2, 2), QuadExtScalar.alpha(2, -2))
     with pytest.raises(MixedExtension):
-        quadext_arith("add", QuadExtScalar.alpha(2, 2), QuadExtScalar.alpha(2, -2))
+        quadext_arith("add", QuadExtScalar.alpha(2, 2), QuadExtScalar.alpha(3, 0))
 
 
 def test_conj_involution_and_multiplicative():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_ladders import series
-from padic_ladders.errors import InexactDivision, SerializationError
+from padic_ladders.errors import InexactDivision, MixedExtension, SerializationError
 from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import (
     LambdaElement,
@@ -405,6 +405,38 @@ def test_series_and_scalar_from_json_reject_non_objects(data):
         PowerSeries.from_json(data)
     with pytest.raises(SerializationError):
         PadicScalar.from_json(3, data)
+
+
+MIXED_SERIES_OPS = {
+    "add": lambda f, g: f + g,
+    "sub": lambda f, g: f - g,
+    "eq": lambda f, g: f == g,
+    "mul": lambda f, g: f.mul(g),
+    "congruent": lambda f, g: f.congruent(g, 2),
+    "congruent_to_zero": lambda f, g: f.congruent(PowerSeries.zero(g.p), 2),
+    "series_arith": lambda f, g: series_arith("mul", f, g, 4),
+    "divmod_monic": lambda f, g: divmod_monic(f, omega(g.p, 1)),
+}
+
+
+@pytest.mark.parametrize("op", sorted(MIXED_SERIES_OPS))
+@pytest.mark.parametrize("backing", ["int", "padic"])
+def test_series_mixed_primes_rejected(op, backing):
+    """Series over 2 and 3 do not meet, whether int-backed or with a 1/p coefficient."""
+    f = PowerSeries(2, [1, 2] if backing == "int" else [Fraction(1, 2), 1])
+    g = PowerSeries(3, [1, 2] if backing == "int" else [Fraction(1, 3), 1])
+    assert (f._ints is None) == (g._ints is None) == (backing == "padic")
+    with pytest.raises(MixedExtension, match="mixed primes 2 and 3"):
+        MIXED_SERIES_OPS[op](f, g)
+
+
+def test_series_foreign_operand():
+    f = PowerSeries(3, [1, 2])
+    with pytest.raises(TypeError):
+        f.mul("1")
+    with pytest.raises(TypeError):
+        f.congruent(None, 2)
+    assert f.__eq__("1") is NotImplemented and f != "1"
 
 
 def test_lambda_element_reduction():
