@@ -9,7 +9,7 @@ as well as its passes.
 
 import pytest
 
-from padic_ladders import checks, trace
+from padic_ladders import checks, coleman, trace
 from padic_ladders.checks import CheckConfig, run_suite
 from padic_ladders.coleman import LambdaPair
 from padic_ladders.ladders import HalfLogPair, QuadExtSeries
@@ -175,3 +175,53 @@ def test_y_beta_identity_witness(monkeypatch, pair, want):
     real_beta = trace.beta
     monkeypatch.setattr(trace, "beta", lambda p, ap, m: real_beta(p, ap, m + 1))
     assert witnesses("y_beta_identity", pair) == [want]
+
+
+def test_infinity_determinant_congruence_witness(monkeypatch):
+    # log_p(1+X) read with an extra X: the limit determinant no longer matches it
+    real_log = checks.log_series
+    monkeypatch.setattr(checks, "log_series",
+                        lambda p, cap: real_log(p, cap) + PowerSeries.x_power(p, 1))
+    got = witnesses("infinity_determinant", (2, 2), (3, 0), (3, 3))
+    assert got == [
+        "p^2 * X * det differs from log_p(1+X) mod 2^5; "
+        "det head = -1023/4 + O(2^8), 836607/8 + O(2^7)",
+        "p^1 * X * det differs from log_p(1+X) mod 3^5; "
+        "det head = -59048/3 + O(3^8), -435870194/3 + O(3^8)",
+        "p^1 * X * det differs from log_p(1+X) mod 3^5; "
+        "det head = -59048/3 + O(3^8), -415065263/3 + O(3^8)",
+    ]
+
+
+def test_limit_lemma_witness(monkeypatch):
+    # p^(m-1) added to the constant term of the first residue: valuation m - 1 < m
+    real_residues = coleman._limit_lemma_residues
+
+    def residues(p, ap, m, nu):
+        out = real_residues(p, ap, m, nu)
+        first = list(out[0]) or [0]
+        first[0] += p ** (m - 1)
+        return [first] + out[1:]
+
+    monkeypatch.setattr(coleman, "_limit_lemma_residues", residues)
+    got = witnesses("limit_lemma", (2, 0), (3, 3))
+    assert got == [
+        f"IdentityViolation: coefficient of X^0 has valuation 0 < 1 at (p, a_p, m, nu) = {pair}"
+        for pair in ("(2, 0, 1, 0)", "(3, 3, 1, 0)")
+    ]
+
+
+def test_a_matrix_identity_witness(monkeypatch):
+    # a_p(i) read one index late: a_p = 0 hides it, a_p != 0 fails at l = 2
+    real_parity = trace.ap_parity_value
+    monkeypatch.setattr(trace, "ap_parity_value", lambda p, ap, i: real_parity(p, ap, i + 1))
+    got = witnesses("a_matrix_identity", (2, 2), (3, 0), (3, 3))
+    assert got == [
+        "IdentityViolation: A_l inversion identity failed at (p, a_p, l) = (2, 2, 2): "
+        "((Fraction(0, 1), Fraction(2, 1)), (Fraction(-1, 1), Fraction(4, 1))) != "
+        "((Fraction(0, 1), Fraction(2, 1)), (Fraction(-1, 1), Fraction(2, 1)))",
+        None,
+        "IdentityViolation: A_l inversion identity failed at (p, a_p, l) = (3, 3, 2): "
+        "((Fraction(0, 1), Fraction(3, 1)), (Fraction(-1, 1), Fraction(9, 1))) != "
+        "((Fraction(0, 1), Fraction(3, 1)), (Fraction(-1, 1), Fraction(3, 1)))",
+    ]
