@@ -235,7 +235,7 @@ def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
         cfg.p, cfg.ap, 1, cfg.cap, cfg.prec + 4, _corrupt_parity=cfg.corrupt_ap_parity
     )
     det = m.det(cfg.cap)
-    shift = 1 if cfg.p != 2 else 2
+    shift = n_shift(cfg.p, 0)
     lhs = PowerSeries.x_power(cfg.p, 1).mul(det, cfg.cap).scale(cfg.p ** shift)
     if not lhs.congruent(log_series(cfg.p, cfg.cap), cfg.prec):
         return (

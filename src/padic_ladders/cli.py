@@ -81,7 +81,7 @@ def _read_pair(path: str, p: int, level: int) -> LambdaPair:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise SerializationError(f"{path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SerializationError(f"{path} must hold a JSON object")
@@ -133,8 +133,7 @@ def _cmd_verify(args) -> int:
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} (p={r.config.get('p')}, ap={r.config.get('ap')})")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([r.to_json() for r in reports], fh, indent=2)
+        _write(json.dumps([r.to_json() for r in reports], indent=2), args.out)
     failed = [r for r in reports if not r.passed]
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)
@@ -162,19 +161,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Supersingular trace ladders, half-logarithms, and decomposition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--p", type=int, required=True)
+    pair.add_argument("--ap", type=int, required=True)
 
-    t = sub.add_parser("table", help="delta-coefficient table rows")
-    t.add_argument("--p", type=int, required=True)
-    t.add_argument("--ap", type=int, required=True)
+    t = sub.add_parser("table", parents=[pair], help="delta-coefficient table rows")
     t.add_argument("--imin", type=int, required=True)
     t.add_argument("--imax", type=int, required=True)
     t.add_argument("--format", choices=["json", "csv"], default="json")
     t.add_argument("--out")
     t.set_defaults(fn=_cmd_table)
 
-    l = sub.add_parser("ladder", help="finite or infinity-level ladder matrix")
-    l.add_argument("--p", type=int, required=True)
-    l.add_argument("--ap", type=int, required=True)
+    l = sub.add_parser("ladder", parents=[pair], help="finite or infinity-level ladder matrix")
     l.add_argument("--level", type=_level_arg, required=True,
                    help="integer level or 'infinity'")
     l.add_argument("--index", type=int, required=True)
@@ -183,17 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--out")
     l.set_defaults(fn=_cmd_ladder)
 
-    h = sub.add_parser("halflog", help="half-logarithm pair")
-    h.add_argument("--p", type=int, required=True)
-    h.add_argument("--ap", type=int, required=True)
+    h = sub.add_parser("halflog", parents=[pair], help="half-logarithm pair")
     h.add_argument("--cap", type=_positive_int, required=True)
     h.add_argument("--prec", type=_positive_int, required=True)
     h.add_argument("--out")
     h.set_defaults(fn=_cmd_halflog)
 
-    d = sub.add_parser("decompose", help="invert the ladder map on a pair")
-    d.add_argument("--p", type=int, required=True)
-    d.add_argument("--ap", type=int, required=True)
+    d = sub.add_parser("decompose", parents=[pair], help="invert the ladder map on a pair")
     d.add_argument("--level", type=_positive_int, required=True)
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--out")

@@ -15,6 +15,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
+from .ladders import ladder
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
@@ -41,8 +42,7 @@ class LambdaPair:
     second: LambdaElement
 
     def __post_init__(self):
-        if (self.first.p, self.first.level) != (self.second.p, self.second.level):
-            raise ValueError("components live at different (p, level)")
+        self.first._check(self.second)
 
     @property
     def p(self) -> int:
@@ -97,10 +97,7 @@ class KernelBasis:
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
     """Ladder rows (i, i-1) at level n: degrees < p^n, so already reduced mod omega_n."""
-    if n < 1:
-        raise ValueError("level n must be >= 1")
-    rows = ladder_rows(p, ap, n, i)
-    return tuple(tuple(PowerSeries(p, s) for s in row) for row in rows)
+    return tuple(map(tuple, ladder(p, ap, n, i).entries))
 
 
 def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:

@@ -282,23 +282,18 @@ class PadicScalar:
         factor in its denominator is first replaced by its canonical reduced
         representative (same residue class), an exact one cannot be encoded.
         """
-        x = self
-        den = x.value.denominator
-        d = den
+        x, d, den_pow = self, self.value.denominator, 0
         while d % x.p == 0:
             d //= x.p
+            den_pow += 1
         if d != 1:
             if x.absprec is None:
                 raise SerializationError(
                     f"{x!r} has a unit denominator {d}; not encodable exactly"
                 )
             x = x.reduce()
-        den = x.value.denominator
-        den_pow = 0
-        while den % x.p == 0:
-            den //= x.p
-            den_pow += 1
-        assert den == 1
+            den_pow = max(0, -rational_valuation(x.value, x.p))
+        assert x.value.denominator == x.p ** den_pow
         return {
             "num": str(x.value.numerator),
             "den_pow": den_pow,

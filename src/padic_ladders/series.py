@@ -37,6 +37,7 @@ class PowerSeries:
     __slots__ = ("p", "cap", "_ints", "_coeffs")
 
     def __init__(self, p: int, coeffs: Iterable[ScalarLike], cap: Optional[int] = None):
+        self.p = p
         cs = list(coeffs)
         ints = _exact_ints(p, cs)
         if ints is None:
@@ -44,7 +45,7 @@ class PowerSeries:
                 if not isinstance(c, PadicScalar):
                     cs[k] = PadicScalar(p, c)
                 elif c.p != p:
-                    raise ValueError("coefficient prime mismatch")
+                    self._check_same(c)
         else:
             cs = ints
         if cap is not None:
@@ -55,7 +56,6 @@ class PowerSeries:
         # strip trailing exact zeros; inexact zeros stay tracked
         while cs and (cs[-1].is_exact_zero() if ints is None else not cs[-1]):
             cs.pop()
-        self.p = p
         self.cap = cap
         self._ints = None if ints is None else tuple(cs)
         self._coeffs = tuple(cs) if ints is None else None
@@ -626,7 +626,8 @@ class LambdaElement:
     __rmul__ = __mul__
 
     def _check(self, other):
-        if (self.p, self.level) != (other.p, other.level):
+        self.poly._check_same(other.poly)
+        if self.level != other.level:
             raise ValueError("mixed (p, level)")
 
     def is_zero(self) -> bool:

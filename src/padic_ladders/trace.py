@@ -78,6 +78,10 @@ class DeltaCoeffs:
     y: int
     y_prime: int
 
+    @property
+    def rendered(self) -> str:
+        return render_delta(self.y, self.y_prime)
+
 
 @lru_cache(maxsize=256)
 def period_constants(p: int, ap: int) -> PeriodConstants:
@@ -161,20 +165,8 @@ def render_delta(y: int, y_prime: int) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True)
-class TableRow:
-    i: int
-    y: int
-    y_prime: int
-    rendered: str
-
-
-def delta_table(p: int, ap: int, i_min: int, i_max: int) -> List[TableRow]:
-    rows = []
-    for i in range(i_min, i_max + 1):
-        d = delta_coeffs(p, ap, i)
-        rows.append(TableRow(i, d.y, d.y_prime, render_delta(d.y, d.y_prime)))
-    return rows
+def delta_table(p: int, ap: int, i_min: int, i_max: int) -> List[DeltaCoeffs]:
+    return [delta_coeffs(p, ap, i) for i in range(i_min, i_max + 1)]
 
 
 def a_matrix(p: int, ap: int, l: int) -> Matrix:

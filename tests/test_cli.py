@@ -280,12 +280,14 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
     (["decompose", "--p", "2", "--ap", "2", "--level", "2"], {}, LOST_PRECISION,
      cli.EXIT_DOMAIN, "error: PrecisionExhausted: the peeled pair does not rebuild the inexact "
                       "input at its precision at (p, a_p, n) = (2, 2, 2)\n"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, "[" * 100_000 + "]" * 100_000,
+     cli.EXIT_DOMAIN, "is not JSON: maximum recursion depth exceeded"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
         "decompose-coeffs-missing",
         "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8",
-        "decompose-lost-precision"])
+        "decompose-lost-precision", "decompose-deep-nesting"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"

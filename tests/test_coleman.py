@@ -22,6 +22,7 @@ from padic_ladders.coleman import (
 from padic_ladders.errors import (
     IdentityViolation,
     InexactDivision,
+    MixedExtension,
     PrecisionExhausted,
     SerializationError,
 )
@@ -316,6 +317,17 @@ def test_phi_apply_rejects_pair_from_another_prime_or_level():
             phi_apply(3, 3, 2, 1, bad)
         with pytest.raises(ValueError, match=msg):
             kernel_member(3, 3, 2, bad)
+        with pytest.raises(ValueError, match=msg):
+            decompose(3, 3, 2, bad.first, bad.second)
+
+
+def test_lambda_element_and_pair_reject_another_prime_or_level():
+    e3, e5 = LambdaElement.from_ints(3, 1, [1]), LambdaElement.from_ints(5, 1, [1])
+    for build in (lambda: e3 + e5, lambda: e3 == e5, lambda: LambdaPair(e3, e5)):
+        with pytest.raises(MixedExtension, match="mixed primes 3 and 5"):
+            build()
+    with pytest.raises(ValueError, match=r"mixed \(p, level\)"):
+        LambdaPair(e3, LambdaElement.from_ints(3, 2, [1]))
 
 
 def test_coleman_layer_matches_index_loop_division(monkeypatch):

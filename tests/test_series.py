@@ -416,13 +416,17 @@ MIXED_SERIES_OPS = {
     "congruent_to_zero": lambda f, g: f.congruent(PowerSeries.zero(g.p), 2),
     "series_arith": lambda f, g: series_arith("mul", f, g, 4),
     "divmod_monic": lambda f, g: divmod_monic(f, omega(g.p, 1)),
+    "add_scalar": lambda f, g: f + PadicScalar.one(g.p),
+    "mul_scalar": lambda f, g: f * PadicScalar.one(g.p),
+    "scalar_coeff": lambda f, g: PowerSeries(f.p, [PadicScalar.one(g.p)]),
 }
 
 
 @pytest.mark.parametrize("op", sorted(MIXED_SERIES_OPS))
 @pytest.mark.parametrize("backing", ["int", "padic"])
 def test_series_mixed_primes_rejected(op, backing):
-    """Series over 2 and 3 do not meet, whether int-backed or with a 1/p coefficient."""
+    """Series over 2 and 3 do not meet, whether int-backed or with a 1/p coefficient,
+    nor does a series over 2 take a scalar over 3."""
     f = PowerSeries(2, [1, 2] if backing == "int" else [Fraction(1, 2), 1])
     g = PowerSeries(3, [1, 2] if backing == "int" else [Fraction(1, 3), 1])
     assert (f._ints is None) == (g._ints is None) == (backing == "padic")
