@@ -97,12 +97,11 @@ class KernelBasis:
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
     """Ladder rows (i, i-1) at level n: degrees < p^n, so already reduced mod omega_n."""
-    return tuple(map(tuple, ladder(p, ap, n, i).entries))
+    return tuple(map(tuple, ladder(p, ap, n, i).entries))  # ladder checks (p, a_p) and n
 
 
 def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
     """(theta_i a + upsilon_i b, theta_{i-1} a + upsilon_{i-1} b) mod omega_n."""
-    period_constants(p, ap)
     rows = _rows_mod_omega(p, ap, n, i)
     if (v.p, v.level) != (p, n):
         raise ValueError("inputs must live at the requested (p, level)")
@@ -113,7 +112,6 @@ def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
 
 def kernel_basis(p: int, ap: int, n: int, i: int = 1) -> KernelBasis:
     """Generators X*(upsilon_i, -theta_i) and X*(upsilon_{i-1}, -theta_{i-1})."""
-    period_constants(p, ap)
     rows = _rows_mod_omega(p, ap, n, i)
     x = PowerSeries.x_power(p, 1)
     return KernelBasis(tuple(
