@@ -3,10 +3,11 @@
 run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
 witness), never exceptions.  factorization_check exercises the finite-level
-decomposition against the half-logarithm limit on synthetic integral inputs,
-on integer rows built mod the p-power that the comparison reads, compared
-coefficientwise.  The limit-level checks read the integer level loop
-``ladders._limits``: the row recursion takes indices 1 and 0 from one loop.
+decomposition against the half-logarithm limit (the suite runs the two basis
+inputs, which span every integral input) on one chain of integer rows mod the
+p-power the comparisons read, compared coefficientwise.  The limit checks read
+the integer level loop ``ladders._limits``: the row recursion takes indices 1
+and 0 from one loop.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ from .ladders import (
     pollack_product,
 )
 from .report import CheckReport
-from .series import PowerSeries, _lincomb, ladder_rows, log_series, omega, poly_mul
+from .series import (PowerSeries, _lincomb, append_factor, ladder_rows, log_series, omega,
+                     poly_mul, shift_rows)
 from .trace import (
     a_matrix,
+    ap_parity_value,
     beta,
     delta_coeffs,
     delta_table,
@@ -123,11 +126,11 @@ def check_integrality_antiperiodicity(cfg: CheckConfig) -> Optional[str]:
 def check_parity_recursion(cfg: CheckConfig) -> Optional[str]:
     p, ap = cfg.p, cfg.ap
     for i in range(-8 * p, 8 * p):
-        a = Fraction(ap, p) if i % 2 != 0 else Fraction(ap)
         cur = delta_coeffs(p, ap, i)
         prev = delta_coeffs(p, ap, i - 1)
         nxt = delta_coeffs(p, ap, i + 1)
-        if Fraction(nxt.y) != a * cur.y - prev.y or Fraction(nxt.y_prime) != a * cur.y_prime - prev.y_prime:
+        a = ap_parity_value(p, ap, i)  # after delta_coeffs, which validates the pair
+        if nxt.y != a * cur.y - prev.y or nxt.y_prime != a * cur.y_prime - prev.y_prime:
             return f"parity recursion broken at i={i}"
     # direct scaled-power cross-check on the C^i formula
     for i in range(0, 4 * p + 1):
@@ -290,16 +293,10 @@ def check_pollack_comparison(cfg: CheckConfig) -> Optional[str]:
 
 
 def check_factorization_synthetic(cfg: CheckConfig) -> Optional[str]:
-    rng = random.Random(cfg.seed + 3)
-    basis = [
-        (PowerSeries.one(cfg.p), PowerSeries.zero(cfg.p)),
-        (PowerSeries.zero(cfg.p), PowerSeries.one(cfg.p)),
-    ]
-    rand = (
-        PowerSeries(cfg.p, [rng.randint(-5, 5) for _ in range(4)]),
-        PowerSeries(cfg.p, [rng.randint(-5, 5) for _ in range(4)]),
-    )
-    for lt, lu in basis + [rand]:
+    # Two basis inputs suffice: an integral (lt, lu) compares lt*dtheta + lu*dupsilon,
+    # zero mod p^prec when both basis differences are; every raise comes from one limit.
+    one, zero = PowerSeries.one(cfg.p), PowerSeries.zero(cfg.p)
+    for lt, lu in ((one, zero), (zero, one)):
         rep = factorization_check(cfg.p, cfg.ap, lt, lu, cfg.cap, cfg.prec)
         if not rep.passed:
             return rep.witness
@@ -373,9 +370,11 @@ def factorization_check(
     converges to S (the first beta scalar is 1); this is asserted modulo
     p^prec coefficientwise at the two levels past stabilization, below the
     least of cap and the inputs' caps.  As a_p is an integer, D_n and S agree
-    exactly when their two rows x/p^e do; level n's rows are built mod
-    p^(prec + e), the residues that comparison reads (a ring map).  A root-
-    of-unity stage could never fail: the remainder by the monic integer
+    exactly when their two rows x/p^e do.  Both levels are one chain of rows,
+    all mod p^(prec + e) for the largest e at level n_used + 2: it holds the
+    residues each comparison reads (a ring map), and one modulus keeps the
+    finite rows independent of the limit's precision schedule.  A root-of-
+    unity stage could never fail: the remainder by the monic integer
     Phi_j(1+X) is Z-linear, so congruent rows stay congruent after it.
     """
     for name, f in (("ltheta", ltheta), ("lupsilon", lupsilon)):
@@ -391,15 +390,14 @@ def factorization_check(
     try:
         n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = _limits(p, ap, [0], cap, prec + 2)[0]
         s = applied([[t0, u0], [t1, u1]], (e0, e1))
+        mod = p ** (prec + max(_row_exps(p, 0, n_used + 2)))
+        rows = ladder_rows(p, ap, n_used, 1, cap, mod)
         for n in (n_used + 1, n_used + 2):
-            exps = _row_exps(p, 0, n)
-            mod = p ** (prec + max(exps))
-            d_n = applied(ladder_rows(p, ap, n, -n_shift(p, n), cap, mod), exps, mod)
+            rows = append_factor(p, ap, rows, n, cap, mod)
+            d_n = applied(shift_rows(p, ap, rows, -n_shift(p, n), mod), _row_exps(p, 0, n), mod)
             if not _int_approx_congruent(p, d_n, s, prec):
-                return _report(
-                    "factorization", config,
-                    f"finite level n={n} disagrees with the limit mod {p}^{prec}",
-                )
+                return _report("factorization", config,
+                               f"finite level n={n} disagrees with the limit mod {p}^{prec}")
     except PadicLaddersError as exc:
         return _report("factorization", config, f"{type(exc).__name__}: {exc}")
     return _report("factorization", config, None)

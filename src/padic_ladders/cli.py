@@ -81,14 +81,14 @@ def _read_pair(path: str, p: int, level: int) -> LambdaPair:
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # also an int literal past 4,300 digits
             raise SerializationError(f"{path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise SerializationError(f"{path} must hold a JSON object")
     first = data.get("first", data.get("theta"))
     second = data.get("second", data.get("upsilon"))
     if first is None or second is None:
-        raise UsageError("input JSON needs first/second (or theta/upsilon) series")
+        raise SerializationError("input JSON needs first/second (or theta/upsilon) series")
     return LambdaPair.from_json({"p": p, "level": level, "first": first, "second": second})
 
 

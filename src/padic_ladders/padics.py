@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -314,8 +315,8 @@ def _json_int(data: dict, key: str, default=None, minimum=None) -> int:
     if not isinstance(data, dict):
         raise SerializationError(f"expected a JSON object with field {key!r}, got {data!r}")
     value = data.get(key, default)
-    try:
-        if isinstance(value, (int, str)) and not isinstance(value, bool):
+    try:  # a string is ASCII decimal only: no "+5", "1_000", " 7 " or non-ASCII digits
+        if type(value) is int or isinstance(value, str) and re.fullmatch("-?[0-9]+", value):
             out = int(value)
             if minimum is None or out >= minimum:
                 return out

@@ -71,8 +71,8 @@ class PowerSeries:
         return cls(p, [1])
 
     @classmethod
-    def x_power(cls, p: int, k: int, coeff: ScalarLike = 1) -> "PowerSeries":
-        return cls(p, [0] * k + [coeff])
+    def x_power(cls, p: int, k: int) -> "PowerSeries":
+        return cls(p, [0] * k + [1])
 
     # -- structure -----------------------------------------------------------
 

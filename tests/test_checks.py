@@ -153,6 +153,55 @@ def test_factorization_check_input_contract(monkeypatch):
 PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
 
+def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
+    # Why factorization_synthetic runs only the basis pairs: the difference it
+    # compares is lt*(theta_n - theta) + lu*(upsilon_n - upsilon), so for
+    # integral (lt, lu) it vanishes mod p^prec whenever both basis differences
+    # do.  Seeded fault: one coefficient of one index-0 limit row moved by a
+    # unit times p^(e + v), v around prec.  A random integral pair passes
+    # whenever both basis pairs pass, and the suite's check reports what the
+    # three-input loop it replaced reported.
+    rng = random.Random(20)
+    real_limits, found = checks._limits, {}
+    one, zero = PowerSeries.one, PowerSeries.zero
+
+    def perturbed(row, k, shift):
+        def limits(p, ap, idxs, cap, prec, *args):
+            key = (p, ap, tuple(idxs), cap, prec) + args
+            if key not in found:
+                found[key] = real_limits(p, ap, idxs, cap, prec, *args)
+            n, approx = found[key][0]
+            x, e = approx[row]
+            x = list(x) + [0] * (k + 1 - len(x))
+            x[k] += (1 + p * k) * p ** (e + prec - 2 + shift)  # prec here is the check's + 2
+            return {**found[key], 0: (n, approx[:row] + [(x, e)] + approx[row + 1:])}
+        return limits
+
+    def three_inputs(cfg):  # the check's loop with its seeded random third input
+        r = random.Random(cfg.seed + 3)
+        rand = tuple(PowerSeries(cfg.p, [r.randint(-5, 5) for _ in range(4)]) for _ in "tu")
+        for lt, lu in ((one(cfg.p), zero(cfg.p)), (zero(cfg.p), one(cfg.p)), rand):
+            rep = factorization_check(cfg.p, cfg.ap, lt, lu, cfg.cap, cfg.prec)
+            if not rep.passed:
+                return rep.witness
+        return None
+
+    basis_failed = 0
+    for _ in range(120):
+        (p, ap), cap, prec = rng.choice(PAIRS_8), rng.choice((4, 8, 12)), rng.randint(1, 5)
+        monkeypatch.setattr(checks, "_limits",
+                            perturbed(rng.randrange(4), rng.randrange(cap), rng.randint(-2, 1)))
+        basis = all(factorization_check(p, ap, lt, lu, cap, prec).passed
+                    for lt, lu in ((one(p), zero(p)), (zero(p), one(p))))
+        lt, lu = (PowerSeries(p, [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+                  for _ in "tu")
+        assert factorization_check(p, ap, lt, lu, cap, prec).passed or not basis, (p, ap, cap)
+        cfg = CheckConfig(p, ap, cap=cap, prec=prec, seed=rng.randrange(100))
+        assert checks.check_factorization_synthetic(cfg) == three_inputs(cfg), (p, ap, cap)
+        basis_failed += not basis
+    assert 10 < basis_failed < 110  # the faults reach the check, and not always
+
+
 def test_infinity_row_recursion_catches_index_0_row_fault(monkeypatch):
     # seeded fault: one coefficient of an index-0 limit row (theta_0 or
     # upsilon_0) moved by a unit times p^(e + prec - 1), one digit inside

@@ -242,6 +242,8 @@ LOST_PRECISION = json.dumps({
 COEFS_TYPO = json.dumps({key: {"p": 3, "cap": None, "coefs": [{"num": "1", "den_pow": 0}]}
                          for key in ("first", "second")})
 
+# an integer literal past Python's 4,300-digit str -> int limit
+LONG_INT = '{"first": {"coeffs": [], "cap": ' + "1" * 5000 + '}, "second": {"coeffs": []}}'
 
 INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
               "--cap", "8", "--prec", "4"]
@@ -282,12 +284,19 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
                       "input at its precision at (p, a_p, n) = (2, 2, 2)\n"),
     (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, "[" * 100_000 + "]" * 100_000,
      cli.EXIT_DOMAIN, "is not JSON: maximum recursion depth exceeded"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, json.dumps({"first": {}}),
+     cli.EXIT_DOMAIN, "SerializationError: input JSON needs first/second"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, LONG_INT,
+     cli.EXIT_DOMAIN, "is not JSON: Exceeds the limit"),
+    (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, "[]",
+     cli.EXIT_DOMAIN, "must hold a JSON object"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
         "decompose-coeffs-missing",
         "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8",
-        "decompose-lost-precision", "decompose-deep-nesting"])
+        "decompose-lost-precision", "decompose-deep-nesting", "decompose-no-first-second",
+        "decompose-int-too-long", "decompose-not-object"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"

@@ -13,6 +13,7 @@ from padic_ladders.errors import (
     MixedExtension,
     NonPrimeModulus,
     PrecisionExhausted,
+    SerializationError,
 )
 from padic_ladders.padics import (
     PadicScalar,
@@ -151,6 +152,12 @@ def test_serialization_round_trip():
     assert PadicScalar.from_json(3, data) == x
     e = PadicScalar.exact(2, 5)
     assert PadicScalar.from_json(2, e.to_json()) == e
+    assert PadicScalar.from_json(3, {"num": "-0042", "den_pow": "1"}) == PadicScalar.exact(3, -14)
+    # the wire format's integer strings are ASCII decimal, as str(int) writes them
+    for bad in ("1_000", "+5", " 7 ", "5\n", "--5", "-", "", "\u0665", "\uff17", "1" * 5000):
+        for key in ("num", "den_pow", "absprec"):
+            with pytest.raises(SerializationError, match=f"field '{key}' must be an integer"):
+                PadicScalar.from_json(3, {"num": "1", key: bad})
 
 
 @st.composite
