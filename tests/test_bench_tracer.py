@@ -4,7 +4,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from padic_ladders import checks
+from padic_ladders import checks, ladders
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -28,7 +28,8 @@ def _bindings():
 
 def test_tracer_keeps_reports_and_restores_every_binding():
     # the tracer finds methods through cls.__dict__ and reads n_used off
-    # ladder_infinity's result, so a refactor of either breaks it here
+    # ladder_infinity's result, so a refactor of either breaks it here; the
+    # suite reads the level loop _limits directly, so the limit is called here
     bench_tracer = _load_tracer()
     configs = [checks.CheckConfig(3, 3)]
     untraced = [r.to_json() for r in checks.run_suite(configs)]
@@ -37,10 +38,12 @@ def test_tracer_keeps_reports_and_restores_every_binding():
     tracer.install()
     try:
         traced = [r.to_json() for r in checks.run_suite(configs)]
+        ladders.ladder_infinity(3, 3, 1, 24, 9)
     finally:
         tracer.uninstall()
     assert traced == untraced
     assert tracer.calls["checks.suite"] == 1
+    assert tracer.calls["ladders.limit"] == 1
     assert tracer.counts["ladders.limit_levels"] > 0
     assert bench_tracer.layer_metrics(tracer, 0)["checks.reports"] == (len(traced), "count")
     after = _bindings()
