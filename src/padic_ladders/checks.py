@@ -28,8 +28,17 @@ from .coleman import (
     projection_compatibility_check,
 )
 from .errors import PadicLaddersError
-from .ladders import (_int_approx_congruent, _ints_to_series, _limits, _row_exps, half_logs,
-                      kappa_identity_check, ladder, n_shift, pollack_product)
+from .ladders import (
+    _int_approx_congruent,
+    _limit_matrix,
+    _limits,
+    _row_exps,
+    half_logs,
+    kappa_identity_check,
+    ladder,
+    n_shift,
+    pollack_product,
+)
 from .padics import rational_valuation
 from .report import CheckReport
 from .series import (PowerSeries, _lincomb, append_factor, ladder_rows, log_series, omega,
@@ -226,23 +235,15 @@ def check_projection_compatibility(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def _det_head(p: int, approx, prec: int) -> tuple:
-    """Coefficients 0 and 1 of LadderMatrix.det on the limit rows approx (x / p^e mod p^prec),
-    from two coefficients of each entry: the schoolbook product sums them in the same order."""
-    t0, u0, t1, u1 = (_ints_to_series(p, x[:2], e, 2, prec) for x, e in approx)
-    det = t0.mul(u1, 2) - u0.mul(t1, 2)
-    return det.coefficient_raw(0), det.coefficient_raw(1)
-
-
 def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
-    """p^shift X det = log_p(1+X) mod p^prec on the index-1 limit rows x / p^e, each x read
-    mod p^(prec + 4 + e) as ``_ints_to_series`` reads it: det = (t0 u1 - u0 t1) / p^E exactly.
-    LadderMatrix.det of those PadicScalars never overclaims, so each of its coefficients is
-    this one mod p^absprec, and the verdicts agree while every absprec >= prec - shift (5 >= 3
-    on the default configs, 19 >= 18 at cap 200 and prec 20).  PadicScalars are built only
-    for the head that the witness prints."""
+    """p^shift X det = log_p(1+X) mod p^prec, on the index-1 limit rows x / p^e with x read
+    mod p^(prec + 4 + e): det = (t0 u1 - u0 t1) / p^E exactly.  LadderMatrix.det of the same
+    rows never overclaims, so each of its coefficients is this one mod p^absprec, and the
+    verdicts agree while every absprec >= prec - shift (5 >= 3 on the default configs, 19 >= 18
+    at cap 200 and prec 20).  A failure's witness prints the head of that LadderMatrix.det."""
     p, cap, work = cfg.p, cfg.cap, cfg.prec + 4
-    _, approx = _limits(p, cfg.ap, [1], cap, work, cfg.corrupt_ap_parity)[1]
+    found = _limits(p, cfg.ap, [1], cap, work, cfg.corrupt_ap_parity)[1]
+    approx = found[1]
     t0, u0, t1, u1 = ([c % p ** (work + e) for c in x] for x, e in approx)
     det = _lincomb(1, poly_mul(t0, u1, cap - 1), -1, poly_mul(u0, t1, cap - 1), None)
     log = [c.value for c in log_series(p, cap).coeffs[:cap]]
@@ -251,9 +252,9 @@ def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
     y = [c.numerator * den // c.denominator for c in log]
     if not _int_approx_congruent(p, [(lhs, approx[0][1] + approx[2][1])], [(y, 0)],
                                  cfg.prec + rational_valuation(den, p)):
-        head = _det_head(p, approx, work)
+        det = _limit_matrix(p, cfg.ap, 1, cap, work, found).det(cap)
         return (f"p^{shift} * X * det differs from log_p(1+X) mod {p}^{cfg.prec}; "
-                f"det head = {head[0]!r}, {head[1]!r}")
+                f"det head = {det.coefficient_raw(0)!r}, {det.coefficient_raw(1)!r}")
     return None
 
 

@@ -1,11 +1,13 @@
 """The integer infinity-determinant check against its PadicScalar reference.
 
 ``checks.check_infinity_determinant`` forms the determinant of the scaled
-index-1 limit on integer numerators and builds PadicScalars only for the head
-that its witness prints.  These tests hold it to the ``LadderMatrix.det`` path
-of ``tests/determinant_reference.py``: the same witness or None on passing,
-faulted and non-converging configurations, the same head scalars on random
-limit-shaped rows, and the precision margin on which the equal verdicts rest.
+index-1 limit on integer numerators and builds PadicScalars only for the
+witness of a failure.  These tests hold it to the ``LadderMatrix.det`` path of
+``tests/determinant_reference.py``: the same witness or None on passing,
+faulted and non-converging configurations, and the precision margin on which
+the equal verdicts rest.  On random limit-shaped rows, the reference det never
+overclaims: the exact det of any lift of the entries lies inside each of its
+coefficients' intervals.
 """
 
 from fractions import Fraction
@@ -97,33 +99,34 @@ def test_reference_det_keeps_the_precision_the_verdict_needs():
 
 @st.composite
 def limit_rows(draw):
-    """(p, cap, prec, rows): four int rows x, each read as x / p^e mod p^prec."""
+    """(p, cap, prec, rows, lifts): four int rows x, each read as x / p^e mod p^prec, and
+    for each coefficient a k that lifts it to another rational of that class."""
     p = draw(st.sampled_from([2, 3, 5]))
     cap, prec = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rows = []
+    rows, lifts = [], []
     for _ in range(4):
         e = draw(st.integers(0, 5))
         bound = p ** (prec + e + 1)
-        rows.append((draw(st.lists(st.integers(-bound, bound), max_size=cap)), e))
-    return p, cap, prec, rows
+        xs = draw(st.lists(st.integers(-bound, bound), max_size=cap))
+        rows.append((xs, e))
+        lifts.append(draw(st.lists(st.integers(-p, p), min_size=len(xs), max_size=len(xs))))
+    return p, cap, prec, rows, lifts
 
 
-def check_det_heads(det_head):
+def check_never_overclaims(det_of):
     @settings(max_examples=150, deadline=None)
     @given(limit_rows())
-    def heads_match(case):
-        p, cap, prec, rows = case
-        det = padic_det(p, rows, cap, prec)
-        for k, got in enumerate(det_head(p, rows, prec)):
-            want = det.coefficient_raw(k)
-            assert (got.value, got.absprec, repr(got)) == (want.value, want.absprec, repr(want))
-        # the exact det of the entries lies inside every coefficient's interval
-        entry = [[Fraction(x % p ** (prec + e), p ** e) for x in xs] for xs, e in rows]
+    def lifted_det_inside(case):
+        # the exact det of any lift of the entries lies inside every coefficient's interval
+        p, cap, prec, rows, lifts = case
+        det = det_of(p, rows, cap, prec)
+        entry = [[Fraction(x % p ** (prec + e) + k * p ** (prec + e), p ** e)
+                  for x, k in zip(xs, ks)] for (xs, e), ks in zip(rows, lifts)]
         for k, c in enumerate(det.coeffs):
             d = _exact_coefficient(entry, k) - c.value
             assert d == 0 or c.absprec is not None and rational_valuation(d, p) >= c.absprec
 
-    heads_match()
+    lifted_det_inside()
 
 
 def _exact_coefficient(entry, k):
@@ -133,15 +136,16 @@ def _exact_coefficient(entry, k):
     return prod(entry[0], entry[3]) - prod(entry[1], entry[2])
 
 
-def test_det_head_matches_padic_det():
-    check_det_heads(checks._det_head)
+def test_padic_det_never_overclaims():
+    check_never_overclaims(padic_det)
 
 
-def test_det_head_property_catches_a_one_digit_overclaim():
-    def overclaim(p, rows, prec):
-        head0, head1 = checks._det_head(p, rows, prec)
-        absprec = None if head0.absprec is None else head0.absprec + 1
-        return PadicScalar(p, head0.value, absprec), head1
+def test_never_overclaims_property_catches_a_one_digit_overclaim():
+    def overclaim(p, rows, cap, prec):
+        det = padic_det(p, rows, cap, prec)
+        head = det.coefficient_raw(0)
+        absprec = None if head.absprec is None else head.absprec + 1
+        return PowerSeries(p, (PadicScalar(p, head.value, absprec),) + det.coeffs[1:], det.cap)
 
     with pytest.raises(AssertionError):
-        check_det_heads(overclaim)
+        check_never_overclaims(overclaim)
