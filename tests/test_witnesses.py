@@ -225,3 +225,32 @@ def test_a_matrix_identity_witness(monkeypatch):
         "((Fraction(0, 1), Fraction(3, 1)), (Fraction(-1, 1), Fraction(9, 1))) != "
         "((Fraction(0, 1), Fraction(3, 1)), (Fraction(-1, 1), Fraction(3, 1)))",
     ]
+
+
+@pytest.mark.parametrize("row", [0, 3])
+def test_factorization_synthetic_limit_witness(monkeypatch, row):
+    # one index-0 limit row moved by p^(e + prec - 1) at X^2, one digit inside the
+    # check's prec (its limit runs at prec + 2): theta_0 fails the (1, 0) input,
+    # upsilon_{-1} only the (0, 1) input, both at the first level past n_used
+    real_limits = checks._limits
+
+    def limits(p, ap, idxs, cap, prec, *args):
+        found = real_limits(p, ap, idxs, cap, prec, *args)
+        n, approx = found[0]
+        x, e = approx[row]
+        x = list(x) + [0] * (3 - len(x))
+        x[2] += p ** (e + prec - 3)
+        found[0] = n, approx[:row] + [(x, e)] + approx[row + 1:]
+        return found
+
+    monkeypatch.setattr(checks, "_limits", limits)
+    got = witnesses("factorization_synthetic", (2, 2), (3, 0), (3, 3), (5, 0))
+    assert got == [f"finite level n={n} disagrees with the limit mod {p}^5"
+                   for n, p in ((18, 2), (14, 3), (14, 3), (12, 5))]
+
+
+def test_factorization_synthetic_not_converged_witness(monkeypatch):
+    monkeypatch.setenv("SPRUNG_MAX_LIMIT_STEPS", "1")
+    got = witnesses("factorization_synthetic", (2, 2), (3, 0), (5, 0))
+    assert got == [f"NotConverged: no stabilization mod {p}^7 within 1 steps "
+                   f"(p={p}, a_p={ap}, i=0, cap=24)" for p, ap in ((2, 2), (3, 0), (5, 0))]
