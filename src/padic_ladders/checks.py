@@ -3,9 +3,10 @@
 run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
 witness), never exceptions.  factorization_check exercises the finite-level
-decomposition against the half-logarithm limit (the suite runs the two basis
-inputs, which span every integral input) on one chain of integer rows mod the
-p-power the comparisons read, compared coefficientwise.  The limit checks read
+decomposition against the half-logarithm limit on a list of inputs (the suite
+passes the two basis inputs, which span every integral input), with one limit
+and one chain of integer rows mod the p-power the comparisons read, compared
+coefficientwise.  The limit checks read
 the integer level loop ``ladders._limits``: the row recursion takes indices 1
 and 0 from one loop.
 """
@@ -306,11 +307,8 @@ def check_factorization_synthetic(cfg: CheckConfig) -> Optional[str]:
     # Two basis inputs suffice: an integral (lt, lu) compares lt*dtheta + lu*dupsilon,
     # zero mod p^prec when both basis differences are; every raise comes from one limit.
     one, zero = PowerSeries.one(cfg.p), PowerSeries.zero(cfg.p)
-    for lt, lu in ((one, zero), (zero, one)):
-        rep = factorization_check(cfg.p, cfg.ap, lt, lu, cfg.cap, cfg.prec)
-        if not rep.passed:
-            return rep.witness
-    return None
+    return factorization_check(cfg.p, cfg.ap, [(one, zero), (zero, one)], cfg.cap,
+                               cfg.prec).witness
 
 
 # -- the suite -----------------------------------------------------------------
@@ -365,49 +363,53 @@ def default_configs() -> List[CheckConfig]:
 def factorization_check(
     p: int,
     ap: int,
-    ltheta: PowerSeries,
-    lupsilon: PowerSeries,
+    inputs: Sequence[Tuple[PowerSeries, PowerSeries]],
     cap: int,
     prec: int,
 ) -> CheckReport:
     """Finite levels against the half-log limit on synthetic integral inputs.
 
-    With S := log_theta * ltheta + log_upsilon * lupsilon, the k = 1 scaled
-    difference of consecutive ladder rows,
+    For each input (ltheta, lupsilon), with S := log_theta * ltheta +
+    log_upsilon * lupsilon, the k = 1 scaled difference of consecutive ladder rows,
         D_n := p^[-N/2] (theta_n^{-N} ltheta + upsilon_n^{-N} lupsilon)
                - conj(alpha) p^[(-N-1)/2] (theta_n^{-N-1} ltheta
                                            + upsilon_n^{-N-1} lupsilon),
     converges to S (the first beta scalar is 1); this is asserted modulo
     p^prec coefficientwise at the two levels past stabilization, below the
-    least of cap and the inputs' caps.  As a_p is an integer, D_n and S agree
-    exactly when their two rows x/p^e do.  Both levels are one chain of rows,
-    all mod p^(prec + e) for the largest e at level n_used + 2: it holds the
-    residues each comparison reads (a ring map), and one modulus keeps the
-    finite rows independent of the limit's precision schedule.  A root-of-
-    unity stage could never fail: the remainder by the monic integer
-    Phi_j(1+X) is Z-linear, so congruent rows stay congruent after it.
+    least of cap and the input's caps.  As a_p is an integer, D_n and S agree
+    exactly when their two rows x/p^e do.  One limit and one chain of rows
+    serve every input, compared in order, level by level; the first mismatch
+    is the report's witness.  The chain is kept mod p^(prec + e) for the
+    largest e at level n_used + 2: it holds the residues each comparison reads
+    (a ring map), and one modulus keeps the finite rows independent of the
+    limit's precision schedule.  A root-of-unity stage could never fail: the
+    remainder by the monic integer Phi_j(1+X) is Z-linear, so congruent rows
+    stay congruent after it.
     """
-    for name, f in (("ltheta", ltheta), ("lupsilon", lupsilon)):
-        if getattr(f, "_ints", None) is None:
-            raise ValueError(f"{name} must be a PowerSeries with exact integer coefficients")
+    for pair in inputs:
+        for name, f in zip(("ltheta", "lupsilon"), pair):
+            if getattr(f, "_ints", None) is None:
+                raise ValueError(f"{name} must be a PowerSeries with exact integer coefficients")
     config = {"p": p, "ap": ap, "cap": cap, "prec": prec}
-    c = min(x for x in (cap, ltheta.cap, lupsilon.cap) if x is not None)
 
-    def applied(rows, exps, mod=None):  # (theta*ltheta + upsilon*lupsilon, e) per row
-        return [(_lincomb(1, poly_mul(t, ltheta._ints, c), 1, poly_mul(u, lupsilon._ints, c),
-                          mod), e) for (t, u), e in zip(rows, exps)]
+    def applied(lt, lu, rows, exps, mod=None):  # (theta*lt + upsilon*lu, e) per row
+        c = min(x for x in (cap, lt.cap, lu.cap) if x is not None)
+        return [(_lincomb(1, poly_mul(t, lt._ints, c), 1, poly_mul(u, lu._ints, c), mod), e)
+                for (t, u), e in zip(rows, exps)]
 
     try:
         n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = _limits(p, ap, [0], cap, prec + 2)[0]
-        s = applied([[t0, u0], [t1, u1]], (e0, e1))
         mod = p ** (prec + max(_row_exps(p, 0, n_used + 2)))
-        rows = ladder_rows(p, ap, n_used, 1, cap, mod)
+        rows, levels = ladder_rows(p, ap, n_used, 1, cap, mod), []
         for n in (n_used + 1, n_used + 2):
             rows = append_factor(p, ap, rows, n, cap, mod)
-            d_n = applied(shift_rows(p, ap, rows, -n_shift(p, n), mod), _row_exps(p, 0, n), mod)
-            if not _int_approx_congruent(p, d_n, s, prec):
-                return _report("factorization", config,
-                               f"finite level n={n} disagrees with the limit mod {p}^{prec}")
+            levels.append((n, shift_rows(p, ap, rows, -n_shift(p, n), mod), _row_exps(p, 0, n)))
+        for lt, lu in inputs:
+            s = applied(lt, lu, [[t0, u0], [t1, u1]], (e0, e1))
+            for n, shifted, exps in levels:
+                if not _int_approx_congruent(p, applied(lt, lu, shifted, exps, mod), s, prec):
+                    return _report("factorization", config,
+                                   f"finite level n={n} disagrees with the limit mod {p}^{prec}")
     except PadicLaddersError as exc:
         return _report("factorization", config, f"{type(exc).__name__}: {exc}")
     return _report("factorization", config, None)

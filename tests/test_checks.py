@@ -101,21 +101,21 @@ def test_all_check_names_unique_and_sorted():
 def test_factorization_basis_cases():
     one = PowerSeries.one(3)
     zero = PowerSeries.zero(3)
-    assert factorization_check(3, 3, one, zero, 20, 4).passed
-    assert factorization_check(3, 3, zero, one, 20, 4).passed
+    assert factorization_check(3, 3, [(one, zero)], 20, 4).passed
+    assert factorization_check(3, 3, [(zero, one)], 20, 4).passed
 
 
 def test_factorization_random_integral_pair():
     lt = PowerSeries(3, [1, -2, 0, 3])
     lu = PowerSeries(3, [2, 1, 1])
-    rep = factorization_check(3, 3, lt, lu, 24, 5)
+    rep = factorization_check(3, 3, [(lt, lu)], 24, 5)
     assert rep.passed, rep.witness
 
 
 def test_factorization_ap_zero():
     lt = PowerSeries(3, [1, 1])
     lu = PowerSeries(3, [0, 2])
-    assert factorization_check(3, 0, lt, lu, 20, 4).passed
+    assert factorization_check(3, 0, [(lt, lu)], 20, 4).passed
 
 
 def test_factorization_check_input_contract(monkeypatch):
@@ -126,12 +126,12 @@ def test_factorization_check_input_contract(monkeypatch):
         for name, args in (("ltheta", (bad, one)), ("lupsilon", (one, bad))):
             with pytest.raises(ValueError, match=f"^{name} must be a PowerSeries with exact "
                                                  "integer coefficients$"):
-                factorization_check(3, 3, *args, 20, 4)
+                factorization_check(3, 3, [args], 20, 4)
     # an input with its own cap truncates everything at the smallest cap, so
     # a finite-row fault at X^4 and above is read only without that cap
     lt, lu = PowerSeries(3, [1, -2, 0, 3], 3), PowerSeries(3, [2, 1, 1, 5])
     for cap in (2, 8, 24):
-        rep = factorization_check(3, 3, lt, lu, cap, 5)
+        rep = factorization_check(3, 3, [(lt, lu)], cap, 5)
         assert rep == factorization_check_reference(3, 3, lt, lu, cap, 5)
         assert rep.passed
     real_append = series.append_factor
@@ -145,7 +145,7 @@ def test_factorization_check_input_contract(monkeypatch):
     monkeypatch.setattr(series, "append_factor", append_factor)
     for cap, prec in ((8, 1), (24, 5)):
         for lt_own, fails in ((lt, False), (PowerSeries(3, [1, -2]), True)):
-            rep = factorization_check(3, 3, lt_own, lu, cap, prec)
+            rep = factorization_check(3, 3, [(lt_own, lu)], cap, prec)
             assert rep == factorization_check_reference(3, 3, lt_own, lu, cap, prec)
             assert rep.passed is not fails
 
@@ -181,7 +181,7 @@ def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
         r = random.Random(cfg.seed + 3)
         rand = tuple(PowerSeries(cfg.p, [r.randint(-5, 5) for _ in range(4)]) for _ in "tu")
         for lt, lu in ((one(cfg.p), zero(cfg.p)), (zero(cfg.p), one(cfg.p)), rand):
-            rep = factorization_check(cfg.p, cfg.ap, lt, lu, cfg.cap, cfg.prec)
+            rep = factorization_check(cfg.p, cfg.ap, [(lt, lu)], cfg.cap, cfg.prec)
             if not rep.passed:
                 return rep.witness
         return None
@@ -191,11 +191,11 @@ def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
         (p, ap), cap, prec = rng.choice(PAIRS_8), rng.choice((4, 8, 12)), rng.randint(1, 5)
         monkeypatch.setattr(checks, "_limits",
                             perturbed(rng.randrange(4), rng.randrange(cap), rng.randint(-2, 1)))
-        basis = all(factorization_check(p, ap, lt, lu, cap, prec).passed
+        basis = all(factorization_check(p, ap, [(lt, lu)], cap, prec).passed
                     for lt, lu in ((one(p), zero(p)), (zero(p), one(p))))
         lt, lu = (PowerSeries(p, [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
                   for _ in "tu")
-        assert factorization_check(p, ap, lt, lu, cap, prec).passed or not basis, (p, ap, cap)
+        assert factorization_check(p, ap, [(lt, lu)], cap, prec).passed or not basis, (p, ap, cap)
         cfg = CheckConfig(p, ap, cap=cap, prec=prec, seed=rng.randrange(100))
         assert checks.check_factorization_synthetic(cfg) == three_inputs(cfg), (p, ap, cap)
         basis_failed += not basis
@@ -278,7 +278,7 @@ def test_zalpha_checks_match_series_references(monkeypatch):
         setting(fault)
         lt = PowerSeries(p, [rng.randint(-5, 5) for _ in range(4)])
         lu = PowerSeries(p, [rng.randint(-5, 5) for _ in range(3)], 5 if p == 3 else None)
-        got = _outcome(factorization_check, p, ap, lt, lu, cap, prec)
+        got = _outcome(factorization_check, p, ap, [(lt, lu)], cap, prec)
         assert got == _outcome(factorization_check_reference, p, ap, lt, lu, cap, prec), (
             fault, p, ap, cap, prec)
         failed[fault] += not got.passed
