@@ -464,7 +464,8 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
     kappas = [alpha.pow_int(m) * (beta(p, ap, m) - beta_ref) for m in (-N, -N - 1)]
     scale = QuadExtScalar.alpha_bar(p, ap).pow_int(i) * Fraction(p) ** ((-N - i) // 2)
     _, (k0a, k0b, k1a, k1b, sa, sb) = _int_coords(kappas + [scale])
-    rows0, shifted = ladder_rows(p, ap, n, 0), ladder_rows(p, ap, n, -N - i)
+    rows1 = ladder_rows(p, ap, n, 1)
+    rows0, shifted = (shift_rows(p, ap, rows1, j) for j in (0, -N - i))
     for col, label in ((0, "theta"), (1, "upsilon")):
         for k0, k1, sc in ((k0a, k1a, sa), (k0b, k1b, sb)):
             lhs = _lincomb(k0, rows0[0][col], -k1, rows0[1][col], None)
