@@ -222,11 +222,6 @@ class PowerSeries:
             raise SerializationError(f"field 'coeffs' must be a JSON list, got {coeffs!r}")
         return cls(p, [PadicScalar.from_json(p, c) for c in coeffs], cap)
 
-    def to_csv_rows(self) -> list:
-        """Rows (degree, numerator, den_pow, absprec) per tracked coefficient."""
-        coeffs = self.to_json()["coeffs"]
-        return [(k, c["num"], c["den_pow"], c["absprec"]) for k, c in enumerate(coeffs)]
-
 
 def _exact_ints(p: int, cs: list) -> Optional[list]:
     """The coefficients as ints when every one is an exact integer, else None."""

@@ -388,8 +388,6 @@ def test_series_json_round_trip():
     data = f.to_json()
     assert data["p"] == 3 and data["cap"] == 8
     assert PowerSeries.from_json(data) == f
-    rows = f.to_csv_rows()
-    assert rows[0] == (0, "2", 1, 5)
 
 
 def test_series_from_json_requires_coeffs():
