@@ -4,11 +4,10 @@ run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
 witness), never exceptions.  factorization_check exercises the finite-level
 decomposition against the half-logarithm limit on a list of inputs (the suite
-passes the two basis inputs, which span every integral input), with one limit
-and one chain of integer rows mod the p-power the comparisons read, compared
-coefficientwise.  The limit checks read
-the integer level loop ``ladders._limits``: the row recursion takes indices 1
-and 0 from one loop.
+passes the two basis inputs, which span every integral input): one limit, one
+chain of integer rows mod the p-power the comparisons read.  The limit checks
+read the integer level loop ``ladders._limits``: the row recursion takes
+indices 1 and 0 from one loop.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .coleman import (
     phi_apply,
     projection_compatibility_check,
 )
-from .errors import PadicLaddersError
+from .errors import PadicLaddersError, PrecisionExhausted
 from .ladders import (
     _int_approx_congruent,
     _limit_matrix,
@@ -239,19 +238,23 @@ def check_projection_compatibility(cfg: CheckConfig) -> Optional[str]:
 def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
     """p^shift X det = log_p(1+X) mod p^prec, on the index-1 limit rows x / p^e with x read
     mod p^(prec + 4 + e): det = (t0 u1 - u0 t1) / p^E exactly.  LadderMatrix.det of the same
-    rows never overclaims, so each of its coefficients is this one mod p^absprec, and the
-    verdicts agree while every absprec >= prec - shift (5 >= 3 on the default configs, 19 >= 18
-    at cap 200 and prec 20).  A failure's witness prints the head of that LadderMatrix.det."""
-    p, cap, work = cfg.p, cfg.cap, cfg.prec + 4
+    rows never overclaims, so each coefficient is this one mod p^absprec, absprec >= L =
+    prec + 4 + min v_p(x / p^e) (zero residues count prec + 4); the verdicts agree while
+    L >= prec - shift, else PrecisionExhausted.  A failure's witness prints that det's head."""
+    p, cap, work, shift = cfg.p, cfg.cap, cfg.prec + 4, n_shift(cfg.p, 0)
     found = _limits(p, cfg.ap, [1], cap, work, cfg.corrupt_ap_parity)[1]
-    approx = found[1]
-    t0, u0, t1, u1 = ([c % p ** (work + e) for c in x] for x, e in approx)
+    rows = [([c % p ** (work + e) for c in x], e) for x, e in found[1]]
+    least = work + min((rational_valuation(c, p) - e if c else work
+                        for x, e in rows for c in x[:cap - 1]), default=work)
+    if least < cfg.prec - shift:
+        raise PrecisionExhausted(f"limit det known mod {p}^{least}, below {p}^{cfg.prec - shift}")
+    (t0, e0), (u0, _), (t1, e1), (u1, _) = rows
     det = _lincomb(1, poly_mul(t0, u1, cap - 1), -1, poly_mul(u0, t1, cap - 1), None)
     log = [c.value for c in log_series(p, cap).coeffs[:cap]]
-    den, shift = math.lcm(*(c.denominator for c in log)), n_shift(p, 0)  # den * log is integral
+    den = math.lcm(*(c.denominator for c in log))  # den * log is integral
     lhs = [0] + [c * den * p ** shift for c in det]  # den * p^shift * X * det * p^(e0 + e1)
     y = [c.numerator * den // c.denominator for c in log]
-    if not _int_approx_congruent(p, [(lhs, approx[0][1] + approx[2][1])], [(y, 0)],
+    if not _int_approx_congruent(p, [(lhs, e0 + e1)], [(y, 0)],
                                  cfg.prec + rational_valuation(den, p)):
         det = _limit_matrix(p, cfg.ap, 1, cap, work, found).det(cap)
         return (f"p^{shift} * X * det differs from log_p(1+X) mod {p}^{cfg.prec}; "
@@ -376,15 +379,14 @@ def factorization_check(
                                            + upsilon_n^{-N-1} lupsilon),
     converges to S (the first beta scalar is 1); this is asserted modulo
     p^prec coefficientwise at the two levels past stabilization, below the
-    least of cap and the input's caps.  As a_p is an integer, D_n and S agree
-    exactly when their two rows x/p^e do.  One limit and one chain of rows
-    serve every input, compared in order, level by level; the first mismatch
-    is the report's witness.  The chain is kept mod p^(prec + e) for the
-    largest e at level n_used + 2: it holds the residues each comparison reads
-    (a ring map), and one modulus keeps the finite rows independent of the
-    limit's precision schedule.  A root-of-unity stage could never fail: the
-    remainder by the monic integer Phi_j(1+X) is Z-linear, so congruent rows
-    stay congruent after it.
+    least of cap and the input's caps, input by input and then level by level.
+    As a_p is an integer, D_n and S agree exactly when their two rows x/p^e
+    do.  One limit and one chain of rows serve every input, the chain all mod
+    p^(prec + e) for the largest e at level n_used + 2: it holds the residues
+    each comparison reads (a ring map), and one modulus keeps the finite rows
+    independent of the limit's precision schedule.  A root-of-unity stage
+    could never fail: the remainder by the monic integer Phi_j(1+X) is
+    Z-linear, so congruent rows stay congruent after it.
     """
     for pair in inputs:
         for name, f in zip(("ltheta", "lupsilon"), pair):

@@ -5,7 +5,8 @@ index-1 limit on integer numerators and builds PadicScalars only for the
 witness of a failure.  These tests hold it to the ``LadderMatrix.det`` path of
 ``tests/determinant_reference.py``: the same witness or None on passing,
 faulted and non-converging configurations, and the precision margin on which
-the equal verdicts rest.  On random limit-shaped rows, the reference det never
+the equal verdicts rest, which the check bounds from below and guards with
+PrecisionExhausted.  On random limit-shaped rows, the reference det never
 overclaims: the exact det of any lift of the entries lies inside each of its
 coefficients' intervals.
 """
@@ -25,6 +26,11 @@ from determinant_reference import (check_infinity_determinant_reference, outcome
                                    reference_det)
 
 CAP200_PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0)]
+PINNED_CFGS = default_configs() + [CheckConfig(p, ap, cap=200, prec=20) for p, ap in CAP200_PAIRS]
+# the least absprec of the reference det over the compared coefficients, per (p, a_p, cap)
+LEAST_ABSPREC = {(2, 2, 24): 5, (2, -2, 24): 5, (3, 3, 24): 7, (3, -3, 24): 7, (3, 0, 24): 7,
+                 (2, 2, 200): 19, (2, -2, 200): 19, (3, 3, 200): 21, (3, -3, 200): 21,
+                 (3, 0, 200): 21, (5, 0, 200): 22}
 
 
 def same_outcomes(cfgs):
@@ -84,17 +90,55 @@ def test_matches_reference_at_cap_200():
 def test_reference_det_keeps_the_precision_the_verdict_needs():
     # The check's verdict equals the reference's while every compared coefficient
     # of the PadicScalar det has absprec >= prec - shift; pin the margin.
-    pins = {(2, 2, 24): 5, (2, -2, 24): 5, (3, 3, 24): 7, (3, -3, 24): 7, (3, 0, 24): 7,
-            (2, 2, 200): 19, (2, -2, 200): 19, (3, 3, 200): 21, (3, -3, 200): 21,
-            (3, 0, 200): 21, (5, 0, 200): 22}
-    cfgs = default_configs() + [CheckConfig(p, ap, cap=200, prec=20) for p, ap in CAP200_PAIRS]
     got = {}
-    for cfg in cfgs:
+    for cfg in PINNED_CFGS:
         det, shift = reference_det(cfg)
         least = min(c.absprec for c in det.coeffs[:cfg.cap - 1])
         assert least >= cfg.prec - shift, cfg
         got[cfg.p, cfg.ap, cfg.cap] = least
-    assert got == pins
+    assert got == LEAST_ABSPREC
+
+
+def test_precision_guard_bound_equals_the_reference_absprec(monkeypatch):
+    # The check's lower bound L on that absprec is exact on the pinned configs: a
+    # shift one below prec - L makes the guard trip and name L; at prec - L it holds.
+    real_shift = checks.n_shift
+    for cfg in PINNED_CFGS:
+        least = LEAST_ABSPREC[cfg.p, cfg.ap, cfg.cap]
+        monkeypatch.setattr(checks, "n_shift", lambda p, n: cfg.prec - least - 1)
+        assert outcome(check_infinity_determinant, cfg) == (
+            f"PrecisionExhausted: limit det known mod {cfg.p}^{least}, "
+            f"below {cfg.p}^{least + 1}"), cfg
+        if cfg.cap == 24:  # a failing verdict at cap 200 builds the witness det, 0.5 s each
+            monkeypatch.setattr(checks, "n_shift", lambda p, n: cfg.prec - least)
+            assert not outcome(check_infinity_determinant, cfg).startswith("PrecisionExhausted")
+        monkeypatch.setattr(checks, "n_shift", real_shift)
+
+
+def test_precision_guard_trips_on_a_unit_numerator(monkeypatch):
+    # A unit numerator at X^1 of the theta_0 row (e the larger row exponent) leaves the
+    # reference det known only mod p^(prec + 4 - e): the check raises rather than
+    # compare below prec - shift, and its bound is the reference's least absprec.
+    real_limits = ladders._limits
+
+    def limits(p, ap, idxs, cap, prec, *args):
+        found = real_limits(p, ap, idxs, cap, prec, *args)
+        n, approx = found[1]
+        x, e = approx[2]
+        x = list(x) + [0] * (2 - len(x))
+        x[1] = 1
+        found[1] = n, approx[:2] + [(x, e)] + approx[3:]
+        return found
+
+    monkeypatch.setattr(ladders, "_limits", limits)
+    monkeypatch.setattr(checks, "_limits", limits)
+    for cfg in default_configs():
+        det, shift = reference_det(cfg)
+        least = min(c.absprec for c in det.coeffs[:cfg.cap - 1])
+        assert least < cfg.prec - shift
+        assert outcome(check_infinity_determinant, cfg) == (
+            f"PrecisionExhausted: limit det known mod {cfg.p}^{least}, "
+            f"below {cfg.p}^{cfg.prec - shift}"), cfg
 
 
 @st.composite
