@@ -83,7 +83,7 @@ def intrinsic_variant(p: int, ap: int, inf_rows, i: int, j: int):
 
 
 def factorization_check_reference(p, ap, ltheta, lupsilon, cap, prec):
-    """``checks.factorization_check`` on PadicScalar series and QuadExtSeries.
+    """``checks.factorization_check`` for one input pair, on PadicScalar series and QuadExtSeries.
 
     It keeps the root-of-unity stage that the package leaves out, at every
     level j whose Phi_j(1+X) has degree <= cap: the remainder by a monic
