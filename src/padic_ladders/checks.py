@@ -5,9 +5,10 @@ reports in deterministic name order; failures are data (reports with a
 witness), never exceptions.  factorization_check exercises the finite-level
 decomposition against the half-logarithm limit on a list of inputs (the suite
 passes the two basis inputs, which span every integral input): one limit, one
-chain of integer rows mod the p-power the comparisons read.  The limit checks
-read the integer level loop ``ladders._limits``: the row recursion takes
-indices 1 and 0 from one loop.
+chain of integer rows mod the p-power the comparisons read.  The finite-level
+checks build each level's index-1 rows once and shift them to every index.  The
+limit checks read the integer level loop ``ladders._limits``: the row recursion
+takes indices 1 and 0 from one loop.
 """
 
 from __future__ import annotations
@@ -30,12 +31,12 @@ from .coleman import (
 from .errors import PadicLaddersError, PrecisionExhausted
 from .ladders import (
     _int_approx_congruent,
+    _ladder_at,
     _limit_matrix,
     _limits,
     _row_exps,
     half_logs,
     kappa_identity_check,
-    ladder,
     n_shift,
     pollack_product,
 )
@@ -86,9 +87,6 @@ class CheckConfig:
     seed: int = 0
     corrupt_ap_parity: bool = False
     include: Optional[Tuple[str, ...]] = None
-
-    def base(self) -> dict:
-        return {"p": self.p, "ap": self.ap}
 
 
 def _report(name: str, cfg_dict: dict, failure: Optional[str]) -> CheckReport:
@@ -171,9 +169,9 @@ def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
     x = PowerSeries.x_power(cfg.p, 1)
     for n in range(1, min(cfg.n_max, 4) + 1):
-        w = omega(cfg.p, n)
+        w, rows1 = omega(cfg.p, n), ladder_rows(cfg.p, cfg.ap, n, 1)
         for i in range(-2, consts.two_tilde + 1):
-            m = ladder(cfg.p, cfg.ap, n, i)
+            m = _ladder_at(cfg.p, cfg.ap, n, i, rows1)
             if not (x.mul(m.det()) == w):
                 return f"X*det != omega_{n} at index i={i}"
     return None
@@ -182,9 +180,10 @@ def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
 def check_coefficient_factorization(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
     for n in range(1, min(cfg.n_max, 3) + 1):
-        base = ladder(cfg.p, cfg.ap, n, 0)
+        rows1 = ladder_rows(cfg.p, cfg.ap, n, 1)
+        base = _ladder_at(cfg.p, cfg.ap, n, 0, rows1)
         for j in range(-consts.two_tilde, consts.two_tilde + 1):
-            m = ladder(cfg.p, cfg.ap, n, j)
+            m = _ladder_at(cfg.p, cfg.ap, n, j, rows1)
             y = delta_coeffs(cfg.p, cfg.ap, j)
             for col in range(2):
                 want = base.entries[0][col] * y.y + base.entries[1][col] * y.y_prime
@@ -349,7 +348,7 @@ def run_suite(configs: Iterable[CheckConfig]) -> List[CheckReport]:
                 continue
             if name == "pollack_comparison" and (cfg.ap != 0 or cfg.p == 2):
                 continue  # parity products need a_p = 0 and odd p; no hollow pass
-            cfg_dict = dict(cfg.base(), check=name)
+            cfg_dict = {"p": cfg.p, "ap": cfg.ap, "check": name}
             try:
                 failure = fn(cfg)
             except PadicLaddersError as exc:

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .checks import CheckConfig, default_configs, run_suite
 from .coleman import KERNEL_COSET_NOTE, LambdaPair, decompose
-from .curves import CurveData, count_points, is_supersingular
+from .curves import CurveData, ap
 from .errors import PadicLaddersError, SerializationError, UsageError
 from .ladders import half_logs, ladder, ladder_infinity
 from .trace import delta_table, period_constants
@@ -108,14 +108,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_ap(args) -> int:
-    curve = CurveData(args.a1, args.a2, args.a3, args.a4, args.a6)
-    count = count_points(curve, args.p)
-    payload = {
-        "p": args.p,
-        "count": count,
-        "ap": args.p + 1 - count,
-        "supersingular": is_supersingular(curve, args.p),
-    }
+    a = ap(CurveData(args.a1, args.a2, args.a3, args.a4, args.a6), args.p)  # one point count
+    payload = {"p": args.p, "count": args.p + 1 - a, "ap": a, "supersingular": a % args.p == 0}
     _write(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
-from .ladders import ladder
+from .ladders import _check_level, ladder
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
@@ -27,7 +27,7 @@ from .series import (
     omega,
     omega_coeffs,
     phi,
-    poly_rem,
+    poly_divmod,
     reduce_mod,
     shift_rows,
 )
@@ -138,9 +138,7 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
     omega_n, so after it too.  An inexact input is rebuilt: a remainder zero only at
     its precision can leave the rebuild off the input (seen at p = 2): PrecisionExhausted.
     """
-    period_constants(p, ap)
-    if n < 1:
-        raise ValueError("level n must be >= 1")
+    _check_level(p, ap, n)
     if (P1.p, P1.level) != (p, n) or (P0.p, P0.level) != (p, n):
         raise ValueError("inputs must live at the requested (p, level)")
     u, v = P1.poly, P0.poly
@@ -196,7 +194,7 @@ def _limit_lemma_residues(p: int, ap: int, m: int, nu: int) -> list:
         rows = [[_lincomb(ap, x, -p, y, mod) for x, y in zip(top, bot)], top]
     rows = shift_rows(p, ap, rows, 2 * m + 1, mod)
     w = omega_coeffs(p, nu)
-    return [poly_rem([0] + s, w, mod) for theta, upsilon in rows for s in (upsilon, theta)]
+    return [poly_divmod([0] + s, w, mod)[1] for theta, upsilon in rows for s in (upsilon, theta)]
 
 
 def projection_compatibility_check(

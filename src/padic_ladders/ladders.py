@@ -118,18 +118,28 @@ class LadderMatrix:
         )
 
 
-def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> LadderMatrix:
-    """Finite-level ladder at level n and index i, exact integer polynomials.
-
-    Entries are truncated at X^cap only when cap is given and below the full
-    degree; otherwise they are complete polynomials.
-    """
+def _check_level(p: int, ap: int, n: int) -> None:
+    """The level guard of ladder, decompose and the kappa check: (p, a_p) and n >= 1."""
     period_constants(p, ap)
     if n < 1:
         raise ValueError("level n must be >= 1")
+
+
+def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> LadderMatrix:
+    """Finite-level ladder at level n and index i, exact integer polynomials.
+
+    A cap >= p^n + 1 is dropped and the entries are complete polynomials; a
+    cap <= p^n is kept and truncates at X^cap (at p^n nothing: degrees < p^n).
+    """
+    _check_level(p, ap, n)
     if cap is not None and cap >= p ** n + 1:
         cap = None  # full polynomials fit, no truncation needed
-    rows = ladder_rows(p, ap, n, i, cap)
+    return _ladder_at(p, ap, n, i, ladder_rows(p, ap, n, 1, cap), cap)
+
+
+def _ladder_at(p: int, ap: int, n: int, i: int, rows1, cap: Optional[int] = None) -> LadderMatrix:
+    """The level-n ladder at index i from the level's index-1 integer rows."""
+    rows = shift_rows(p, ap, rows1, i)
     # Row 0 at level 1 is the identity row (1, 0), untouched by any factor,
     # so it stays an exact polynomial; every other row went through X^cap.
     caps = [None if n == 1 and idx == 0 else cap for idx in (i, i - 1)]
@@ -185,7 +195,7 @@ def ladder_infinity(
     smaller precision of its two inputs) and scaled by p^-e, e <= e_n, the
     larger of ``_row_exps(p, i, n)``; e_n grows by one every second level.
     Its top row is computed mod p^T_n, T_n = prec + e_n + c.  For n > n_start,
-    p^(n-1) >= cap and p | a_p, so the step (phi_mul) gives the top row mod
+    p^(n-1) >= cap and p | a_p, so the step (append_factor) gives the top row mod
     p^(min(T_(n-1), T_(n-2)) + 1) = p^T_n.  The levels up to n_start - 1 gain
     nothing and are kept mod p^T_(n_start).  Level n is then right mod
     p^T_(n-1) >= p^(prec + e_n) for c = 1, and the stopping rule and the
@@ -437,7 +447,7 @@ def pollack_product(
 
     P, last = [1], {}
     for k, j in enumerate(js, 1):
-        P = phi_mul(p, j, [P], cap, p ** (prec + max(k, d)))[0]
+        P = phi_mul(p, j, P, cap, p ** (prec + max(k, d)))
         if _stabilized(p, prec, last, parity, [(P, k)]):
             return _ints_to_series(p, P, k, cap, prec)
     raise NotConverged(
@@ -455,9 +465,7 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
     The identity relates row shifts and holds for any index-1 rows, so it checks
     beta, alpha and the shift parities only; it cannot see a wrong ladder row.
     """
-    period_constants(p, ap)
-    if n < 1:
-        raise ValueError("level n must be >= 1")
+    _check_level(p, ap, n)
     N = n_shift(p, n)
     alpha = QuadExtScalar.alpha(p, ap)
     beta_ref = beta(p, ap, i - 1)

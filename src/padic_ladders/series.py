@@ -337,18 +337,18 @@ def omega_coeffs(p: int, n: int) -> Tuple[int, ...]:
     return (0, *_binomials(p ** n, p ** n + 1)[1:])
 
 
-def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None, mod: Optional[int] = None) -> Poly:
+def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None) -> Poly:
     """a*b below X^cap: min(cap, len(a)+len(b)-1) coefficients, none if a or b is []."""
     n = len(a) + len(b) - 1 if a and b else 0
     out = [0] * (n if cap is None else min(n, cap))
     a, b = a[: len(out)], b[: len(out)]
     if min(len(a), len(b)) >= _KRONECKER_MIN_LEN and type(a[0]) is type(b[0]) is int:
-        return _reduced(_kronecker_mul(a, b, len(out)), mod)
+        return _kronecker_mul(a, b, len(out))
     for i, ai in enumerate(a):
         if ai:
             for k, bk in enumerate(b[: len(out) - i], i):
                 out[k] += ai * bk
-    return _reduced(out, mod)
+    return out
 
 
 def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
@@ -400,11 +400,6 @@ def _reversed_inverse(g: Tuple[int, ...], m: int) -> Tuple[int, ...]:
     return tuple(h)
 
 
-def poly_rem(f: Poly, g: Poly, mod: Optional[int] = None) -> Poly:
-    """Remainder of f modulo the monic polynomial g (g[-1] == 1)."""
-    return poly_divmod(f, g, mod)[1]
-
-
 def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
     """s*x + t*y, as long as the longer operand, reduced mod mod in the same pass."""
     pairs = zip_longest(x, y, fillvalue=0)
@@ -413,14 +408,14 @@ def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
     return [(s * xk + t * yk) % mod for xk, yk in pairs]
 
 
-def phi_mul(p: int, j: int, ys: List[Poly], cap: Optional[int] = None,
-            mod: Optional[int] = None) -> List[Poly]:
-    """Phi_j(1+X) * y below X^cap and mod mod for each y in ys, in one pass each:
-    (p*y + c*(H_j*y)) mod mod with Phi_j(1+X) = p + c H_j (_phi_split).  For
-    mod = p^w, c = p^s and the product is p*y once s >= w; as s >= 1 and
-    p | a_p, a ladder step then gains one p-adic digit."""
+def phi_mul(p: int, j: int, y: Poly, cap: Optional[int] = None,
+            mod: Optional[int] = None) -> Poly:
+    """Phi_j(1+X) * y below X^cap and mod mod, in one pass: (p*y + c*(H_j*y))
+    mod mod with Phi_j(1+X) = p + c H_j (_phi_split).  For mod = p^w, c = p^s
+    and the product is p*y once s >= w; as s >= 1 and p | a_p, a ladder step
+    then gains one p-adic digit."""
     c, h, low = _phi_split(p, j, cap, mod)
-    return [_lincomb(p, y[:cap], c, poly_mul(h, _reduced(y, low), cap), mod) for y in ys]
+    return _lincomb(p, y[:cap], c, poly_mul(h, _reduced(y, low), cap), mod)
 
 
 def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = None,

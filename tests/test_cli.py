@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import padic_ladders
-from padic_ladders import cli
+from padic_ladders import cli, curves
 from padic_ladders.checks import CheckConfig, default_configs
 from padic_ladders.coleman import LambdaPair
 from padic_ladders.ladders import HalfLogPair, LadderMatrix, half_logs, ladder, ladder_infinity
@@ -123,6 +123,28 @@ def test_ap_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"p": 3, "count": 7, "ap": -3, "supersingular": True}
+
+
+def test_ap_subcommand_counts_the_points_once(capsys, monkeypatch):
+    calls, real = [], curves.count_points
+
+    def counting(curve, p):
+        calls.append(p)
+        return real(curve, p)
+
+    monkeypatch.setattr(curves, "count_points", counting)
+    monkeypatch.setattr(cli, "count_points", counting, raising=False)  # any direct binding too
+    code, out, _ = run_cli(capsys, "ap", "--a3", "1", "--a4", "-1", "--p", "2")
+    assert (code, calls) == (cli.EXIT_OK, [2])
+    assert out == '{\n  "p": 2,\n  "count": 5,\n  "ap": -2,\n  "supersingular": true\n}\n'
+    # the domain errors keep their one line: a singular model, and a count past Hasse
+    code, out, err = run_cli(capsys, "ap", "--p", "2")
+    assert (code, out, err) == (cli.EXIT_DOMAIN, "",
+                                "error: BadReduction: p = 2 divides the discriminant 0\n")
+    monkeypatch.setattr(curves, "count_points", lambda curve, p: 0)
+    code, out, err = run_cli(capsys, "ap", "--a3", "1", "--a4", "-1", "--p", "2")
+    assert (code, out, err) == (cli.EXIT_DOMAIN, "",
+                                "error: HasseViolation: a_2 = 3 violates |a_p| <= 2 sqrt(2)\n")
 
 
 def test_decompose_round_trip(tmp_path, capsys):

@@ -33,8 +33,8 @@ from padic_ladders.series import (
     omega_coeffs,
     phi,
     phi_coeffs,
+    poly_divmod,
     poly_mul,
-    poly_rem,
     reduce_mod,
     shift_rows,
 )
@@ -200,11 +200,11 @@ def _limit_lemma_reference(p, ap, m, nu):
     for k in range(1, 2 * m + nu + 1):
         top, bot = rows
         phik = [p] if k > nu else phi_coeffs(p, k)
-        prods = [poly_rem(poly_mul(phik, y), w, mod) for y in bot]
+        prods = [poly_divmod(poly_mul(phik, y), w, mod)[1] for y in bot]
         rows = [[[(ap * a - b) % mod for a, b in zip_longest(x, prod, fillvalue=0)]
                  for x, prod in zip(top, prods)], top]
     rows = shift_rows(p, ap, rows, 2 * m + 1, mod)
-    return [poly_rem([0] + s, w, mod) for theta, upsilon in rows for s in (upsilon, theta)]
+    return [poly_divmod([0] + s, w, mod)[1] for theta, upsilon in rows for s in (upsilon, theta)]
 
 
 def test_limit_lemma_residues_match_per_level_reduction():
@@ -212,7 +212,7 @@ def test_limit_lemma_residues_match_per_level_reduction():
     for p in (2, 3, 5, 7):
         for nu in range(3):
             for k in range(nu + 1, nu + 3):
-                r = poly_rem(phi_coeffs(p, k), omega_coeffs(p, nu))
+                r = poly_divmod(phi_coeffs(p, k), omega_coeffs(p, nu))[1]
                 assert r[0] == p and not any(r[1:]), (p, nu, k)
     # ... so the constant steps give the residues of the per-level reduction
     for p, ap in PAIRS + [(2, 0), (5, 0), (7, 0)]:

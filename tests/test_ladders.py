@@ -120,6 +120,20 @@ def test_ladder_cap_truncates():
     assert m.cap == 4
 
 
+@pytest.mark.parametrize("p, ap, n", [(3, 3, 2), (2, 2, 3)])
+def test_ladder_cap_boundary(p, ap, n):
+    # every level-n entry has degree below p^n, so cap = p^n truncates nothing
+    # yet is kept; from p^n + 1 on the cap is dropped and the entries are polynomials
+    full = ladder(p, ap, n, 1)
+    assert max(s.degree() for row in full.entries for s in row) < p ** n
+    kept, dropped = ladder(p, ap, n, 1, cap=p ** n), ladder(p, ap, n, 1, cap=p ** n + 1)
+    assert kept.cap == p ** n and all(s.cap == p ** n for row in kept.entries for s in row)
+    assert dropped.cap is None and all(s.cap is None for row in dropped.entries for s in row)
+    ints = lambda m: [[s._ints for s in row] for row in m.entries]
+    assert ints(kept) == ints(full) == ints(dropped)
+    assert dropped.to_json() == full.to_json()
+
+
 def test_ladder_json_round_trip():
     m = ladder(3, -3, 2, 1, cap=6)
     again = LadderMatrix.from_json(m.to_json())
@@ -237,7 +251,7 @@ def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, phis):
                 phis[p, n, cap, mod] = [c % mod for c in phis[p, n, cap]]
             phi_n = phis[p, n, cap, mod]
             top, bot = rows
-            prods = [poly_mul(phi_n, y, cap, mod) for y in bot]
+            prods = [[c % mod for c in poly_mul(phi_n, y, cap)] for y in bot]
             rows = [[[(ap * a - b) % mod for a, b in zip_longest(x, prod, fillvalue=0)]
                      for x, prod in zip(top, prods)], top]
             N = n_shift(p, n)
@@ -318,7 +332,7 @@ def test_pollack_schedule_matches_fixed_modulus():
                     P, last = [1], {}
                     for k, j in enumerate(range(2 if parity == "even" else 1,
                                                 2 * max_steps + 1, 2), 1):
-                        P = poly_mul(P, phi_coeffs(p, j, cap), cap, mod)
+                        P = [c % mod for c in poly_mul(P, phi_coeffs(p, j, cap), cap)]
                         if _stabilized(p, prec, last, 0, [(P, k)]):
                             break
                     want = _ints_to_series(p, P, k, cap, prec).to_json()

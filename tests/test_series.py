@@ -33,7 +33,6 @@ from padic_ladders.series import (
     phi_truncated,
     poly_divmod,
     poly_mul,
-    poly_rem,
     reduce_mod,
     series_arith,
     shift_rows,
@@ -223,12 +222,12 @@ def test_int_core_matches_sympy():
         cap, mod = rng.randint(1, 70), p ** rng.randint(1, 12)
         product = to_poly(a) * to_poly(b)
         assert _trim(poly_mul(a, b)) == from_poly(product)
-        assert _trim(poly_mul(a, b, cap, mod)) == from_poly(product, cap, mod)
+        assert _trim([c % mod for c in poly_mul(a, b, cap)]) == from_poly(product, cap, mod)
         nu = rng.randint(0, {2: 5, 3: 3, 5: 2, 7: 2}[p])
         w = omega_coeffs(p, nu)
         assert to_poly(w) == to_poly([-1]) + shift ** (p ** nu)
         rem = sympy.rem(product, to_poly(w))
-        assert _trim(poly_rem(poly_mul(a, b), w, mod)) == from_poly(rem, None, mod)
+        assert _trim(poly_divmod(poly_mul(a, b), w, mod)[1]) == from_poly(rem, None, mod)
         g = [rng.randint(-10 ** 3, 10 ** 3) for _ in range(rng.randint(0, 12))] + [1]
         quot, rem = sympy.div(to_poly(a), to_poly(g))
         for reduce_by in (None, mod):
@@ -255,7 +254,8 @@ def test_int_core_matches_sympy():
         dense = lambda: [rng.randrange(p ** k) for _ in range(200)]
         cases.append((dense(), dense(), 200, p ** k))
     for a, b, cap, mod in cases:
-        got = poly_mul(a, b, cap, mod)
+        got = poly_mul(a, b, cap)
+        got = got if mod is None else [c % mod for c in got]
         assert len(got) == min(len(a) + len(b) - 1, cap or len(a) + len(b))
         assert _trim(got) == from_poly(to_poly(a) * to_poly(b), cap, mod)
 
@@ -273,7 +273,7 @@ def _check_phi_step(p, j, xs, ys, ap, cap, mod):
     assert red([p] + [c * hk for hk in h[1:]])[:cap] == full and h[:1] in ([], [0])
     assert mod is None or (c * low in (mod, c) and all(0 <= hk < low for hk in h))
     prods = [red(poly_mul(full, y, cap)) for y in ys]
-    assert phi_mul(p, j, ys, cap, mod) == prods, (p, j, cap, mod)
+    assert [phi_mul(p, j, y, cap, mod) for y in ys] == prods, (p, j, cap, mod)
     top = [red([ap * xk - zk for xk, zk in zip_longest(x, z, fillvalue=0)])
            for x, z in zip(xs, prods)]
     rows = append_factor(p, ap, [xs, ys], j, cap, mod)
