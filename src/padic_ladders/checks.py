@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
@@ -30,10 +31,13 @@ from .coleman import (
 )
 from .errors import PadicLaddersError, PrecisionExhausted
 from .ladders import (
+    _half_log_requests,
+    _half_logs_at,
     _int_approx_congruent,
     _ladder_at,
     _limit_matrix,
     _limits,
+    _read,
     _row_exps,
     half_logs,
     kappa_identity_check,
@@ -234,14 +238,14 @@ def check_projection_compatibility(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
+def check_infinity_determinant(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
     """p^shift X det = log_p(1+X) mod p^prec, on the index-1 limit rows x / p^e with x read
     mod p^(prec + 4 + e): det = (t0 u1 - u0 t1) / p^E exactly.  LadderMatrix.det of the same
     rows never overclaims, so each coefficient is this one mod p^absprec, absprec >= L =
     prec + 4 + min v_p(x / p^e) (zero residues count prec + 4); the verdicts agree while
     L >= prec - shift, else PrecisionExhausted.  A failure's witness prints that det's head."""
     p, cap, work, shift = cfg.p, cfg.cap, cfg.prec + 4, n_shift(cfg.p, 0)
-    found = _limits(p, cfg.ap, [1], cap, work, cfg.corrupt_ap_parity)[1]
+    found = _read(_suite_limits(cfg, ["infinity_determinant"], limits), (1, work))
     rows = [([c % p ** (work + e) for c in x], e) for x, e in found[1]]
     least = work + min((rational_valuation(c, p) - e if c else work
                         for x, e in rows for c in x[:cap - 1]), default=work)
@@ -261,10 +265,9 @@ def check_infinity_determinant(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_infinity_row_recursion(cfg: CheckConfig) -> Optional[str]:
-    p, prec = cfg.p, cfg.prec
-    limits = _limits(p, cfg.ap, [1, 0], cfg.cap, prec)
-    rows1, rows0 = limits[1][1], limits[0][1]  # (x, e) for x / p^e: top, top, bottom, bottom
+def check_infinity_row_recursion(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
+    p, prec, limits = cfg.p, cfg.prec, _suite_limits(cfg, ["infinity_row_recursion"], limits)
+    rows1, rows0 = (_read(limits, (i, prec))[1] for i in (1, 0))  # (x, e): top, top, bot, bot
     for col in range(2):
         (x0, e0), (x1, e1) = rows0[col], rows0[2 + col]
         # a_p row_0 - p row_-1 over p^e0, as e1 - 1 <= e0
@@ -283,14 +286,15 @@ def check_kappa_identity(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_intrinsicness(cfg: CheckConfig) -> Optional[str]:
-    half_logs(cfg.p, cfg.ap, cfg.cap, cfg.prec)  # IdentityViolation on failure
+def check_intrinsicness(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
+    limits = _suite_limits(cfg, ["intrinsicness"], limits)
+    _half_logs_at(cfg.p, cfg.ap, cfg.cap, cfg.prec, limits)  # IdentityViolation on failure
     return None
 
 
-def check_pollack_comparison(cfg: CheckConfig) -> Optional[str]:
-    p, prec, cap = cfg.p, cfg.prec, cfg.cap
-    hl = half_logs(p, 0, cap, prec)
+def check_pollack_comparison(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
+    p, prec, cap = cfg.p, cfg.prec, cfg.cap  # the suite runs it, and passes limits, at a_p = 0
+    hl = half_logs(p, 0, cap, prec) if limits is None else _half_logs_at(p, 0, cap, prec, limits)
     even = pollack_product(p, "even", cap, prec + 2)
     odd = pollack_product(p, "odd", cap, prec + 2)
     zero = PowerSeries.zero(p)
@@ -305,17 +309,17 @@ def check_pollack_comparison(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_factorization_synthetic(cfg: CheckConfig) -> Optional[str]:
+def check_factorization_synthetic(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
     # Two basis inputs suffice: an integral (lt, lu) compares lt*dtheta + lu*dupsilon,
     # zero mod p^prec when both basis differences are; every raise comes from one limit.
     one, zero = PowerSeries.one(cfg.p), PowerSeries.zero(cfg.p)
-    return factorization_check(cfg.p, cfg.ap, [(one, zero), (zero, one)], cfg.cap,
-                               cfg.prec).witness
+    return _factorization_witness(cfg.p, cfg.ap, [(one, zero), (zero, one)], cfg.cap,
+                                  cfg.prec, _suite_limits(cfg, ["factorization_synthetic"], limits))
 
 
 # -- the suite -----------------------------------------------------------------
 
-CHECKS: Sequence[Tuple[str, Callable[[CheckConfig], Optional[str]]]] = (
+CHECKS: Sequence[Tuple[str, Callable[..., Optional[str]]]] = (
     ("a_matrix_identity", check_a_matrix),
     ("beta_periodicity", check_beta_periodicity),
     ("coefficient_factorization", check_coefficient_factorization),
@@ -338,19 +342,50 @@ CHECKS: Sequence[Tuple[str, Callable[[CheckConfig], Optional[str]]]] = (
 
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
+# The limit checks and the limit requests (index, prec) each reads: run_suite passes each
+# the rows of one _suite_limits call per configuration; a check called alone makes its own.
+LIMIT_REQUESTS = {
+    "factorization_synthetic": lambda cfg: [(0, cfg.prec + 2)],
+    "infinity_determinant": lambda cfg: [(1, cfg.prec + 4)],
+    "infinity_row_recursion": lambda cfg: [(1, cfg.prec), (0, cfg.prec)],
+    "intrinsicness": lambda cfg: _half_log_requests(cfg.p, cfg.ap, cfg.prec),
+    "pollack_comparison": lambda cfg: _half_log_requests(cfg.p, 0, cfg.prec),
+}
+
+
+def _suite_limits(cfg: CheckConfig, names: Sequence[str], limits: Optional[dict] = None) -> dict:
+    """limits, or {(i, prec): rows} for the named limit checks from one ``_limits`` call (the
+    parity fault, which only the determinant reads, gives its request a call of its own).  A
+    PadicLaddersError of the call is the one each check's own call raises: every read does."""
+    if limits is not None:
+        return limits
+    found: dict = {}
+    try:
+        for corrupt in (False, True):
+            requests = [r for name in names if name in LIMIT_REQUESTS
+                        and corrupt == (cfg.corrupt_ap_parity and name == "infinity_determinant")
+                        for r in LIMIT_REQUESTS[name](cfg)]
+            if requests:
+                found.update(_limits(cfg.p, cfg.ap, requests, cfg.cap, corrupt))
+    except PadicLaddersError as exc:
+        return defaultdict(lambda error=exc: error)
+    return found
+
 
 def run_suite(configs: Iterable[CheckConfig]) -> List[CheckReport]:
-    """Run every applicable check per configuration; failures become reports."""
+    """Run every applicable check per configuration; failures become reports.  The limit
+    checks of a configuration read their rows from one ``_suite_limits`` call."""
     reports: List[CheckReport] = []
     for cfg in configs:
-        for name, fn in CHECKS:
-            if cfg.include is not None and name not in cfg.include:
-                continue
-            if name == "pollack_comparison" and (cfg.ap != 0 or cfg.p == 2):
-                continue  # parity products need a_p = 0 and odd p; no hollow pass
+        # parity products need a_p = 0 and odd p; no hollow pass
+        skip = () if cfg.ap == 0 and cfg.p != 2 else ("pollack_comparison",)
+        todo = [(name, fn) for name, fn in CHECKS
+                if (cfg.include is None or name in cfg.include) and name not in skip]
+        limits = _suite_limits(cfg, [name for name, _ in todo])
+        for name, fn in todo:
             cfg_dict = {"p": cfg.p, "ap": cfg.ap, "check": name}
             try:
-                failure = fn(cfg)
+                failure = fn(cfg, limits) if name in LIMIT_REQUESTS else fn(cfg)
             except PadicLaddersError as exc:
                 failure = f"{type(exc).__name__}: {exc}"
             reports.append(_report(name, cfg_dict, failure))
@@ -391,26 +426,32 @@ def factorization_check(
         for name, f in zip(("ltheta", "lupsilon"), pair):
             if getattr(f, "_ints", None) is None:
                 raise ValueError(f"{name} must be a PowerSeries with exact integer coefficients")
-    config = {"p": p, "ap": ap, "cap": cap, "prec": prec}
+    try:
+        found = _limits(p, ap, [(0, prec + 2)], cap)
+        failure = _factorization_witness(p, ap, inputs, cap, prec, found)
+    except PadicLaddersError as exc:
+        failure = f"{type(exc).__name__}: {exc}"
+    return _report("factorization", {"p": p, "ap": ap, "cap": cap, "prec": prec}, failure)
+
+
+def _factorization_witness(p: int, ap: int, inputs, cap: int, prec: int,
+                           found: dict) -> Optional[str]:
+    """factorization_check's comparisons on the (0, prec + 2) limit in found."""
 
     def applied(lt, lu, rows, exps, mod=None):  # (theta*lt + upsilon*lu, e) per row
         c = min(x for x in (cap, lt.cap, lu.cap) if x is not None)
         return [(_lincomb(1, poly_mul(t, lt._ints, c), 1, poly_mul(u, lu._ints, c), mod), e)
                 for (t, u), e in zip(rows, exps)]
 
-    try:
-        n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = _limits(p, ap, [0], cap, prec + 2)[0]
-        mod = p ** (prec + max(_row_exps(p, 0, n_used + 2)))
-        rows, levels = ladder_rows(p, ap, n_used, 1, cap, mod), []
-        for n in (n_used + 1, n_used + 2):
-            rows = append_factor(p, ap, rows, n, cap, mod)
-            levels.append((n, shift_rows(p, ap, rows, -n_shift(p, n), mod), _row_exps(p, 0, n)))
-        for lt, lu in inputs:
-            s = applied(lt, lu, [[t0, u0], [t1, u1]], (e0, e1))
-            for n, shifted, exps in levels:
-                if not _int_approx_congruent(p, applied(lt, lu, shifted, exps, mod), s, prec):
-                    return _report("factorization", config,
-                                   f"finite level n={n} disagrees with the limit mod {p}^{prec}")
-    except PadicLaddersError as exc:
-        return _report("factorization", config, f"{type(exc).__name__}: {exc}")
-    return _report("factorization", config, None)
+    n_used, [(t0, e0), (u0, _), (t1, e1), (u1, _)] = _read(found, (0, prec + 2))
+    mod = p ** (prec + max(_row_exps(p, 0, n_used + 2)))
+    rows, levels = ladder_rows(p, ap, n_used, 1, cap, mod), []
+    for n in (n_used + 1, n_used + 2):
+        rows = append_factor(p, ap, rows, n, cap, mod)
+        levels.append((n, shift_rows(p, ap, rows, -n_shift(p, n), mod), _row_exps(p, 0, n)))
+    for lt, lu in inputs:
+        s = applied(lt, lu, [[t0, u0], [t1, u1]], (e0, e1))
+        for n, shifted, exps in levels:
+            if not _int_approx_congruent(p, applied(lt, lu, shifted, exps, mod), s, prec):
+                return f"finite level n={n} disagrees with the limit mod {p}^{prec}"
+    return None

@@ -202,44 +202,52 @@ def ladder_infinity(
     output read only residues mod p^(prec + e): any larger precision at each
     level, whatever the step cap, gives the same result.
     """
-    return _limit_matrix(p, ap, i, cap, prec, _limits(p, ap, [i], cap, prec, _corrupt_parity)[i])
+    found = _limits(p, ap, [(i, prec)], cap, _corrupt_parity)
+    return _limit_matrix(p, ap, i, cap, prec, _read(found, (i, prec)))
 
 
-def _limits(p: int, ap: int, idxs: List[int], cap: int, prec: int,
-            _corrupt_parity: bool = False) -> dict:
-    """``ladder_infinity``'s {i: (n_used, approx)} for each i in idxs.
+def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = False) -> dict:
+    """``ladder_infinity``'s (n_used, approx) for each request (i, prec), keyed by it.
 
     One level loop: level n is built once, mod the largest p^T_n(i) that a
-    pending index needs (p^T_(n_start)(i) before its n_start), so each index
-    sees every level at least as precisely as its own schedule would.  After
-    the loop, raises the NotConverged of the first index in idxs that did
-    not stabilize.
+    pending request needs (p^T_(n_start)(i) before its n_start), so each request
+    sees every level at least as precisely as its own schedule would, and is
+    shifted once per index.  Each request keeps its own start, step cap and
+    ``_stabilized`` key; one that does not stabilize maps to the NotConverged
+    its own call would raise, which ``_read`` raises, so it stops no other.
     """
     period_constants(p, ap)
-    if cap < 1 or prec < 1:
+    if cap < 1 or any(prec < 1 for _, prec in requests):
         raise ValueError("cap and prec must be >= 1")
-    start = {i: _first_level(p, cap, i) for i in idxs}
-    stop = {i: start[i] + _max_limit_steps(p, cap, prec, i) for i in idxs}
+    start = {i: _first_level(p, cap, i) for i, _ in requests}
+    stop = {(i, prec): start[i] + _max_limit_steps(p, cap, prec, i) for i, prec in requests}
     found: dict = {}
     last: dict = {}
     rows1 = [[[1], []], [[], [1]]]
-    for n in range(1, max(stop.values()) + 1):
-        pending = [i for i in start if i not in found and n <= stop[i]]
+    for n in range(1, max(stop.values(), default=0) + 1):
+        pending = [r for r in stop if r not in found and n <= stop[r]]
         if not pending:
             break
-        mod = max(p ** (prec + max(_row_exps(p, i, max(n, start[i]))) + 1) for i in pending)
+        mod = max(p ** (prec + max(_row_exps(p, i, max(n, start[i]))) + 1) for i, prec in pending)
         rows1 = append_factor(p, ap, rows1, n, cap, mod)
-        for i in pending:
-            if n >= start[i]:  # rows (i, i-1) of level n as (x, e) for x / p^e
-                rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
-                approx = [(s, e) for row, e in zip(rows, _row_exps(p, i, n)) for s in row]
-                if _stabilized(p, prec, last, i, approx):
-                    found[i] = n, approx
-    for i in start:
-        if i not in found:
-            raise NotConverged(f"no stabilization mod {p}^{prec} within {stop[i] - start[i]} "
-                               f"steps (p={p}, a_p={ap}, i={i}, cap={cap})")
-    return found
+        approx = {}  # rows (i, i-1) of level n as (x, e) for x / p^e, once per index
+        for i in {i for i, _ in pending if n >= start[i]}:
+            rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
+            approx[i] = [(s, e) for row, e in zip(rows, _row_exps(p, i, n)) for s in row]
+        for i, prec in pending:
+            if i in approx and _stabilized(p, prec, last, (i, prec), approx[i]):
+                found[i, prec] = n, approx[i]
+    return {(i, prec): found.get((i, prec)) or NotConverged(
+        f"no stabilization mod {p}^{prec} within {stop[i, prec] - start[i]} steps "
+        f"(p={p}, a_p={ap}, i={i}, cap={cap})") for i, prec in stop}
+
+
+def _read(found: dict, request):
+    """found[request], raising the error it holds in its place."""
+    value = found[request]
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> LadderMatrix:
@@ -384,6 +392,11 @@ def _int_coords(scalars: List[QuadExtScalar]):
     return d, [int(v * d) for v in values]
 
 
+def _half_log_requests(p: int, ap: int, prec: int) -> list:
+    """The limit requests (index, prec) that half_logs reads."""
+    return [(0, prec + 2), (1 - period_constants(p, ap).two_tilde, prec + 2)]
+
+
 def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     """Half-logarithm pair from the index-0 limit rows, intrinsicness-checked.
 
@@ -398,13 +411,18 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     artifact's own rows with scalars 1 and abar, so it checks beta and abar
     only; a wrong limit row is caught by the i = two_tilde - 1 variant.
     """
+    return _half_logs_at(p, ap, cap, prec, _limits(p, ap, _half_log_requests(p, ap, prec), cap))
+
+
+def _half_logs_at(p: int, ap: int, cap: int, prec: int, found: dict) -> HalfLogPair:
+    """half_logs on the rows of its requests in found, read in order."""
     tt = period_constants(p, ap).two_tilde
-    limits = _limits(p, ap, [0, 1 - tt], cap, prec + 2)
-    E = max(e for idx in (0, 1 - tt) for _, e in limits[idx][1])
+    limits = {i: _read(found, (i, pr))[1] for i, pr in _half_log_requests(p, ap, prec)}
+    E = max(e for approx in limits.values() for _, e in approx)
     # rows (theta, upsilon) at index -i, then -i-1: (x mod p^(prec+2+e)) * p^(E-e)
     M = p ** (prec + 2 + E)
-    rows = {idx: [[c * p ** (E - e) % M for c in x] for x, e in limits[idx][1]]
-            for idx in (0, 1 - tt)}
+    rows = {i: [[c * p ** (E - e) % M for c in x] for x, e in approx]
+            for i, approx in limits.items()}
     logs = [(_lincomb(1, f0, -ap, f1, None), f1) for f0, f1 in zip(rows[0][:2], rows[0][2:])]
     abar = QuadExtScalar.alpha_bar(p, ap)
     failed = IdentityViolation(

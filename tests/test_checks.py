@@ -153,6 +153,33 @@ def test_factorization_check_input_contract(monkeypatch):
 PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
 
+def test_suite_makes_one_limit_call_per_configuration(monkeypatch):
+    # the five limit checks of a configuration read one _limits call: a warm
+    # default round makes 5 calls and builds at most 84 limit levels (one
+    # call per check made 21 calls and built 314 levels); a configuration
+    # without a limit check makes none
+    counts = {"calls": 0, "levels": 0}
+    real_limits, real_step = ladders._limits, ladders.append_factor
+
+    def limits(*args):
+        counts["calls"] += 1
+        return real_limits(*args)
+
+    def step(*args):
+        counts["levels"] += 1
+        return real_step(*args)
+
+    run_suite(checks.default_configs())  # warm
+    monkeypatch.setattr(ladders, "_limits", limits)
+    monkeypatch.setattr(checks, "_limits", limits)
+    monkeypatch.setattr(ladders, "append_factor", step)
+    assert all(r.passed for r in run_suite(checks.default_configs()))
+    assert counts["calls"] == 5 and 0 < counts["levels"] <= 84, counts
+    counts.update(calls=0, levels=0)
+    assert run_suite([CheckConfig(3, 3, include=("delta_table",))])[0].passed
+    assert counts == {"calls": 0, "levels": 0}
+
+
 def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
     # Why factorization_synthetic runs only the basis pairs: the difference it
     # compares is lt*(theta_n - theta) + lu*(upsilon_n - upsilon), so for
@@ -166,15 +193,16 @@ def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
     one, zero = PowerSeries.one, PowerSeries.zero
 
     def perturbed(row, k, shift):
-        def limits(p, ap, idxs, cap, prec, *args):
-            key = (p, ap, tuple(idxs), cap, prec) + args
+        def limits(p, ap, requests, cap, *args):
+            key = (p, ap, tuple(requests), cap) + args
             if key not in found:
-                found[key] = real_limits(p, ap, idxs, cap, prec, *args)
-            n, approx = found[key][0]
+                found[key] = real_limits(p, ap, requests, cap, *args)
+            [(i, prec)] = requests  # the check's one request, (0, its prec + 2)
+            n, approx = found[key][i, prec]
             x, e = approx[row]
             x = list(x) + [0] * (k + 1 - len(x))
             x[k] += (1 + p * k) * p ** (e + prec - 2 + shift)  # prec here is the check's + 2
-            return {**found[key], 0: (n, approx[:row] + [(x, e)] + approx[row + 1:])}
+            return {**found[key], (i, prec): (n, approx[:row] + [(x, e)] + approx[row + 1:])}
         return limits
 
     def three_inputs(cfg):  # the check's loop with its seeded random third input
@@ -209,13 +237,14 @@ def test_infinity_row_recursion_catches_index_0_row_fault(monkeypatch):
     real_limits = checks._limits
 
     def perturbed(col, k):
-        def limits(p, ap, idxs, cap, prec, *args):
-            found = real_limits(p, ap, idxs, cap, prec, *args)
-            n, approx = found[0]
+        def limits(p, ap, requests, cap, *args):
+            found = real_limits(p, ap, requests, cap, *args)
+            prec = next(pr for i, pr in requests if i == 0)  # the index-0 request
+            n, approx = found[0, prec]
             x, e = approx[col]
             x = list(x) + [0] * (k + 1 - len(x))
             x[k] += (1 + p * k) * p ** (e + prec - 1)
-            found[0] = n, approx[:col] + [(x, e)] + approx[col + 1:]
+            found[0, prec] = n, approx[:col] + [(x, e)] + approx[col + 1:]
             return found
         return limits
 

@@ -68,13 +68,14 @@ def test_matches_reference_under_a_limit_numerator_fault(monkeypatch, j, fails):
     # p^(prec + 4 + e - j) added to the constant term of the bottom row's upsilon
     real_limits = ladders._limits
 
-    def limits(p, ap, idxs, cap, prec, *args):
-        found = real_limits(p, ap, idxs, cap, prec, *args)
-        n, approx = found[1]
+    def limits(p, ap, requests, cap, *args):
+        found = real_limits(p, ap, requests, cap, *args)
+        prec = next(pr for i, pr in requests if i == 1)  # the index-1 request
+        n, approx = found[1, prec]
         x, e = approx[3]
         x = list(x) or [0]
         x[0] += p ** (prec + e - j)
-        found[1] = n, approx[:3] + [(x, e)]
+        found[1, prec] = n, approx[:3] + [(x, e)]
         return found
 
     monkeypatch.setattr(ladders, "_limits", limits)
@@ -121,13 +122,14 @@ def test_precision_guard_trips_on_a_unit_numerator(monkeypatch):
     # compare below prec - shift, and its bound is the reference's least absprec.
     real_limits = ladders._limits
 
-    def limits(p, ap, idxs, cap, prec, *args):
-        found = real_limits(p, ap, idxs, cap, prec, *args)
-        n, approx = found[1]
+    def limits(p, ap, requests, cap, *args):
+        found = real_limits(p, ap, requests, cap, *args)
+        prec = next(pr for i, pr in requests if i == 1)  # the index-1 request
+        n, approx = found[1, prec]
         x, e = approx[2]
         x = list(x) + [0] * (2 - len(x))
         x[1] = 1
-        found[1] = n, approx[:2] + [(x, e)] + approx[3:]
+        found[1, prec] = n, approx[:2] + [(x, e)] + approx[3:]
         return found
 
     monkeypatch.setattr(ladders, "_limits", limits)

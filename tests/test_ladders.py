@@ -236,32 +236,39 @@ def _n_start(p, i, cap):
     return n
 
 
-def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, phis):
-    """ladder_infinity with every level kept mod one p^work sized for the step
-    cap, each Phi_n(1+X) built from exact binomials and reduced (memoised in phis)."""
+def _fixed_modulus_chain(p, ap, cap, prec, idxs, phis):
+    """The index-1 rows of levels 1 .. the last any i in idxs reads, every level
+    kept mod one p^work: the largest of the fixed moduli sized for each i's step
+    cap.  Each Phi_n(1+X) is built from exact binomials and reduced (memoised in
+    phis)."""
+    last = {i: _n_start(p, i, cap) + _max_limit_steps(p, cap, prec, i) for i in idxs}
+    mod = max(p ** (prec + (last[i] + 3 + abs(i)) // 2 + 4) for i in idxs)
+    rows, levels = [[[1], []], [[], [1]]], [None]
+    for n in range(1, max(last.values()) + 1):
+        if (p, n, cap) not in phis:
+            phis[p, n, cap] = phi_coeffs(p, n, cap)
+        if (p, n, cap, mod) not in phis:
+            phis[p, n, cap, mod] = [c % mod for c in phis[p, n, cap]]
+        phi_n = phis[p, n, cap, mod]
+        top, bot = rows
+        prods = [[c % mod for c in poly_mul(phi_n, y, cap)] for y in bot]
+        rows = [[[(ap * a - b) % mod for a, b in zip_longest(x, prod, fillvalue=0)]
+                 for x, prod in zip(top, prods)], top]
+        levels.append(rows)
+    return mod, levels
+
+
+def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, chain):
+    """ladder_infinity read off a _fixed_modulus_chain: each level from n_start
+    on shifted to index i, until two consecutive agreements mod p^prec."""
+    mod, levels = chain
     n_start, max_steps = _n_start(p, i, cap), _max_limit_steps(p, cap, prec, i)
-    mod = p ** (prec + (n_start + max_steps + 3 + abs(i)) // 2 + 4)
-
-    def approximants():
-        rows = [[[1], []], [[], [1]]]
-        for n in range(1, n_start + max_steps + 1):
-            if (p, n, cap) not in phis:
-                phis[p, n, cap] = phi_coeffs(p, n, cap)
-            if (p, n, cap, mod) not in phis:
-                phis[p, n, cap, mod] = [c % mod for c in phis[p, n, cap]]
-            phi_n = phis[p, n, cap, mod]
-            top, bot = rows
-            prods = [[c % mod for c in poly_mul(phi_n, y, cap)] for y in bot]
-            rows = [[[(ap * a - b) % mod for a, b in zip_longest(x, prod, fillvalue=0)]
-                     for x, prod in zip(top, prods)], top]
-            N = n_shift(p, n)
-            if n >= n_start:
-                shifted = shift_rows(p, ap, rows, i - N, mod, corrupt)
-                exps = (-((i - N) // 2), -((i - 1 - N) // 2))
-                yield n, [(s, e) for row, e in zip(shifted, exps) for s in row]
-
     last = {}
-    for n, approx in approximants():
+    for n in range(n_start, n_start + max_steps + 1):
+        N = n_shift(p, n)
+        shifted = shift_rows(p, ap, levels[n], i - N, mod, corrupt)
+        exps = (-((i - N) // 2), -((i - 1 - N) // 2))
+        approx = [(s, e) for row, e in zip(shifted, exps) for s in row]
         if _stabilized(p, prec, last, i, approx):
             entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
                        for r in (0, 2)]
@@ -279,47 +286,66 @@ def _outcome(fn):
 
 
 def test_precision_schedule_matches_fixed_modulus():
-    # the growing schedule against one fixed p^work per call: same bytes,
-    # n_used and exceptions, with and without the parity fault
-    phis = {}
+    # the growing schedule against one fixed p^work per (p, a_p, cap, prec),
+    # one chain read at every index: same bytes, n_used and exceptions, with
+    # and without the parity fault
+    phis, idxs = {}, range(-3, 13)
     for p, ap in [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]:
         for cap in (1, 5, 20, 60):
             for prec in (1, 3, 5, 12):
-                for i in range(-3, 13):
+                chain = _fixed_modulus_chain(p, ap, cap, prec, idxs, phis)
+                for i in idxs:
                     for corrupt in (False, True):
                         got = _outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
                         ref = _outcome(lambda: _fixed_modulus_limit(p, ap, i, cap, prec,
-                                                                    corrupt, phis))
+                                                                    corrupt, chain))
                         assert got == ref, (p, ap, i, cap, prec, corrupt)
 
 
 PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
 
+def _request_sets(p, ap, prec):
+    """Request lists (index, prec) for one level loop: several precisions per
+    index in both orders, the check suite's five requests in its order and
+    reversed, and indices below 0 and above the level shift."""
+    tt = period_constants(p, ap).two_tilde
+    suite = [(0, prec + 2), (1, prec + 4), (1, prec), (0, prec), (1 - tt, prec + 2)]
+    return [[(1, prec), (1, prec + 4)], [(1, prec + 4), (1, prec)], suite, suite[::-1],
+            [(0, prec), (1 - tt, prec)], [(-3, prec), (12, prec + 2), (-3, prec + 1)]]
+
+
+def _read_limit(p, ap, request, cap, found):
+    i, prec = request
+    return _outcome(lambda: _limit_matrix(p, ap, i, cap, prec, ladders._read(found, request)))
+
+
 def test_shared_level_loop_matches_separate_limits(monkeypatch):
-    # one level loop for several indices gives each index the bytes and
-    # n_used of its own ladder_infinity call; when a small step cap stops
-    # some index, it raises the NotConverged text of the first such index
+    # one level loop for several (index, prec) requests gives each request the
+    # bytes and n_used of its own single-request call; a request that does not
+    # stabilize under a small step cap holds exactly its own NotConverged text,
+    # and the others still converge
+    mixed = 0
     for steps in (None, "3", "6"):
         if steps is not None:
             monkeypatch.setenv(ENV_MAX_LIMIT_STEPS, steps)
         for p, ap in PAIRS_8:
-            tt = period_constants(p, ap).two_tilde
-            for idxs in ([0, 1 - tt], [1, 5], [-3, 12], [12, -3, 0]):
-                for cap, prec in ((1, 1), (5, 3), (20, 5)):
-                    for corrupt in (False, True):
-                        where = (steps, p, ap, idxs, cap, prec, corrupt)
-                        refs = [_outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
-                                for i in idxs]
-                        failed = [ref for ref in refs if ref[0] == "NotConverged"]
-                        try:
-                            found = _limits(p, ap, idxs, cap, prec, corrupt)
-                        except NotConverged as exc:
-                            assert failed[:1] == [("NotConverged", str(exc))], where
-                            continue
-                        got = [_outcome(lambda: _limit_matrix(p, ap, i, cap, prec, found[i]))
-                               for i in idxs]
-                        assert got == refs, where
+            for cap, prec in ((1, 1), (5, 3), (20, 5)):
+                for corrupt in (False, True):
+                    refs = {}
+                    for requests in _request_sets(p, ap, prec):
+                        where = (steps, p, ap, requests, cap, corrupt)
+                        for r in requests:
+                            if r not in refs:
+                                refs[r] = _read_limit(p, ap, r, cap,
+                                                      _limits(p, ap, [r], cap, corrupt))
+                        found = _limits(p, ap, requests, cap, corrupt)
+                        assert sorted(found) == sorted(set(requests)), where
+                        got = [_read_limit(p, ap, r, cap, found) for r in requests]
+                        assert got == [refs[r] for r in requests], where
+                        failed = {ref[0] == "NotConverged" for ref in got}
+                        mixed += failed == {True, False}
+    assert mixed > 50  # step caps that stop some requests of a call and not others
 
 
 def test_pollack_schedule_matches_fixed_modulus():
@@ -479,14 +505,14 @@ def test_half_logs_integer_check_catches_faults(monkeypatch):
     monkeypatch.setattr(ladders, "beta", real_beta)
 
     def corrupted(idx, row, k):  # adds p^k to the constant term of one row
-        def limits(p, ap, idxs, cap, prec, *args):
-            found = real_limits(p, ap, idxs, cap, prec, *args)
-            i = idx(p, ap)
-            n, approx = found[i]
+        def limits(p, ap, requests, cap, *args):
+            found = real_limits(p, ap, requests, cap, *args)
+            key = next(r for r in requests if r[0] == idx(p, ap))  # the request at idx
+            n, approx = found[key]
             x, e = approx[row]
             approx = list(approx)
             approx[row] = ([(x[0] if x else 0) + p ** (e + k)] + x[1:], e)
-            found[i] = n, approx
+            found[key] = n, approx
             return found
         return limits
 

@@ -40,13 +40,14 @@ def test_row_recursion_top_row_witness(monkeypatch):
     # column 0 and the bottom row (index 0) still match, the top row does not
     real_limits = checks._limits
 
-    def limits(p, ap, idxs, cap, prec, *args):
-        found = real_limits(p, ap, idxs, cap, prec, *args)
-        n, approx = found[1]
+    def limits(p, ap, requests, cap, *args):
+        found = real_limits(p, ap, requests, cap, *args)
+        prec = next(pr for i, pr in requests if i == 1)  # the index-1 request
+        n, approx = found[1, prec]
         x, e = approx[1]
         x = list(x) + [0] * (3 - len(x))
         x[2] += p ** (e + prec - 1)
-        found[1] = n, [approx[0], (x, e)] + approx[2:]
+        found[1, prec] = n, [approx[0], (x, e)] + approx[2:]
         return found
 
     monkeypatch.setattr(checks, "_limits", limits)
@@ -55,12 +56,12 @@ def test_row_recursion_top_row_witness(monkeypatch):
 
 
 def test_pollack_comparison_witnesses(monkeypatch):
-    real_half_logs, real_product = checks.half_logs, checks.pollack_product
+    real_half_logs, real_product = checks._half_logs_at, checks.pollack_product
     one = PowerSeries.one(3)
 
-    def half_logs_fault(part):
-        def half_logs(p, ap, cap, prec):
-            hl = real_half_logs(p, ap, cap, prec)
+    def half_logs_fault(part):  # the suite reads the half-logs from its shared limits
+        def half_logs(p, ap, cap, prec, found):
+            hl = real_half_logs(p, ap, cap, prec, found)
             qs = {"theta": hl.log_theta, "upsilon": hl.log_upsilon}
             name, coord = part
             q = qs[name]
@@ -85,10 +86,10 @@ def test_pollack_comparison_witnesses(monkeypatch):
         ("pollack_product", "odd"): "p * (alpha-part of log_upsilon) != -(odd parity product)",
     }
     for (fn, arg), want in expected.items():
-        monkeypatch.setattr(checks, "half_logs", real_half_logs)
+        monkeypatch.setattr(checks, "_half_logs_at", real_half_logs)
         monkeypatch.setattr(checks, "pollack_product", real_product)
         fault = half_logs_fault(arg) if fn == "half_logs" else product_fault(arg)
-        monkeypatch.setattr(checks, fn, fault)
+        monkeypatch.setattr(checks, "_half_logs_at" if fn == "half_logs" else fn, fault)
         assert witnesses("pollack_comparison", (3, 0), cap=12, prec=3) == [want], (fn, arg)
 
 
@@ -234,13 +235,14 @@ def test_factorization_synthetic_limit_witness(monkeypatch, row):
     # upsilon_{-1} only the (0, 1) input, both at the first level past n_used
     real_limits = checks._limits
 
-    def limits(p, ap, idxs, cap, prec, *args):
-        found = real_limits(p, ap, idxs, cap, prec, *args)
-        n, approx = found[0]
+    def limits(p, ap, requests, cap, *args):
+        found = real_limits(p, ap, requests, cap, *args)
+        prec = next(pr for i, pr in requests if i == 0)  # the index-0 request
+        n, approx = found[0, prec]
         x, e = approx[row]
         x = list(x) + [0] * (3 - len(x))
         x[2] += p ** (e + prec - 3)
-        found[0] = n, approx[:row] + [(x, e)] + approx[row + 1:]
+        found[0, prec] = n, approx[:row] + [(x, e)] + approx[row + 1:]
         return found
 
     monkeypatch.setattr(checks, "_limits", limits)
