@@ -2,13 +2,12 @@
 
 run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
-witness), never exceptions.  factorization_check exercises the finite-level
-decomposition against the half-logarithm limit on a list of inputs (the suite
-passes the two basis inputs, which span every integral input): one limit, one
-chain of integer rows mod the p-power the comparisons read.  The finite-level
-checks build each level's index-1 rows once and shift them to every index.  The
-limit checks read the integer level loop ``ladders._limits``: the row recursion
-takes indices 1 and 0 from one loop.
+witness), never exceptions.  The finite-level checks build each level's
+index-1 rows once and shift them to every index.  The five limit checks read
+the (index, prec) requests of LIMIT_REQUESTS from one call of the integer
+level loop ``ladders._limits`` per configuration.  factorization_check tests
+the finite-level decomposition against the half-logarithm limit on a list of
+inputs (the suite passes the two basis inputs, which span every integral one).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .ladders import (
     _limits,
     _read,
     _row_exps,
-    half_logs,
     kappa_identity_check,
     n_shift,
     pollack_product,
@@ -94,9 +92,7 @@ class CheckConfig:
 
 
 def _report(name: str, cfg_dict: dict, failure: Optional[str]) -> CheckReport:
-    if failure is None:
-        return CheckReport(name=name, config=cfg_dict)
-    return CheckReport(name=name, config=cfg_dict, status="fail", witness=failure)
+    return CheckReport(name, cfg_dict, "pass" if failure is None else "fail", failure)
 
 
 def _random_pair(rng: random.Random, p: int, n: int) -> LambdaPair:
@@ -238,14 +234,14 @@ def check_projection_compatibility(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_infinity_determinant(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
+def check_infinity_determinant(cfg: CheckConfig, limits: dict) -> Optional[str]:
     """p^shift X det = log_p(1+X) mod p^prec, on the index-1 limit rows x / p^e with x read
     mod p^(prec + 4 + e): det = (t0 u1 - u0 t1) / p^E exactly.  LadderMatrix.det of the same
     rows never overclaims, so each coefficient is this one mod p^absprec, absprec >= L =
     prec + 4 + min v_p(x / p^e) (zero residues count prec + 4); the verdicts agree while
     L >= prec - shift, else PrecisionExhausted.  A failure's witness prints that det's head."""
     p, cap, work, shift = cfg.p, cfg.cap, cfg.prec + 4, n_shift(cfg.p, 0)
-    found = _read(_suite_limits(cfg, ["infinity_determinant"], limits), (1, work))
+    found = _read(limits, (1, work))
     rows = [([c % p ** (work + e) for c in x], e) for x, e in found[1]]
     least = work + min((rational_valuation(c, p) - e if c else work
                         for x, e in rows for c in x[:cap - 1]), default=work)
@@ -265,8 +261,8 @@ def check_infinity_determinant(cfg: CheckConfig, limits: Optional[dict] = None) 
     return None
 
 
-def check_infinity_row_recursion(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
-    p, prec, limits = cfg.p, cfg.prec, _suite_limits(cfg, ["infinity_row_recursion"], limits)
+def check_infinity_row_recursion(cfg: CheckConfig, limits: dict) -> Optional[str]:
+    p, prec = cfg.p, cfg.prec
     rows1, rows0 = (_read(limits, (i, prec))[1] for i in (1, 0))  # (x, e): top, top, bot, bot
     for col in range(2):
         (x0, e0), (x1, e1) = rows0[col], rows0[2 + col]
@@ -286,15 +282,14 @@ def check_kappa_identity(cfg: CheckConfig) -> Optional[str]:
     return None
 
 
-def check_intrinsicness(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
-    limits = _suite_limits(cfg, ["intrinsicness"], limits)
+def check_intrinsicness(cfg: CheckConfig, limits: dict) -> Optional[str]:
     _half_logs_at(cfg.p, cfg.ap, cfg.cap, cfg.prec, limits)  # IdentityViolation on failure
     return None
 
 
-def check_pollack_comparison(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
-    p, prec, cap = cfg.p, cfg.prec, cfg.cap  # the suite runs it, and passes limits, at a_p = 0
-    hl = half_logs(p, 0, cap, prec) if limits is None else _half_logs_at(p, 0, cap, prec, limits)
+def check_pollack_comparison(cfg: CheckConfig, limits: dict) -> Optional[str]:
+    p, prec, cap = cfg.p, cfg.prec, cfg.cap
+    hl = _half_logs_at(p, 0, cap, prec, limits)
     even = pollack_product(p, "even", cap, prec + 2)
     odd = pollack_product(p, "odd", cap, prec + 2)
     zero = PowerSeries.zero(p)
@@ -309,12 +304,12 @@ def check_pollack_comparison(cfg: CheckConfig, limits: Optional[dict] = None) ->
     return None
 
 
-def check_factorization_synthetic(cfg: CheckConfig, limits: Optional[dict] = None) -> Optional[str]:
+def check_factorization_synthetic(cfg: CheckConfig, limits: dict) -> Optional[str]:
     # Two basis inputs suffice: an integral (lt, lu) compares lt*dtheta + lu*dupsilon,
     # zero mod p^prec when both basis differences are; every raise comes from one limit.
     one, zero = PowerSeries.one(cfg.p), PowerSeries.zero(cfg.p)
     return _factorization_witness(cfg.p, cfg.ap, [(one, zero), (zero, one)], cfg.cap,
-                                  cfg.prec, _suite_limits(cfg, ["factorization_synthetic"], limits))
+                                  cfg.prec, limits)
 
 
 # -- the suite -----------------------------------------------------------------
@@ -342,8 +337,8 @@ CHECKS: Sequence[Tuple[str, Callable[..., Optional[str]]]] = (
 
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
-# The limit checks and the limit requests (index, prec) each reads: run_suite passes each
-# the rows of one _suite_limits call per configuration; a check called alone makes its own.
+# The limit checks and the limit requests (index, prec) each reads; run_suite passes each
+# check (cfg, limits), limits the rows of one _suite_limits call per configuration.
 LIMIT_REQUESTS = {
     "factorization_synthetic": lambda cfg: [(0, cfg.prec + 2)],
     "infinity_determinant": lambda cfg: [(1, cfg.prec + 4)],
@@ -353,12 +348,10 @@ LIMIT_REQUESTS = {
 }
 
 
-def _suite_limits(cfg: CheckConfig, names: Sequence[str], limits: Optional[dict] = None) -> dict:
-    """limits, or {(i, prec): rows} for the named limit checks from one ``_limits`` call (the
-    parity fault, which only the determinant reads, gives its request a call of its own).  A
-    PadicLaddersError of the call is the one each check's own call raises: every read does."""
-    if limits is not None:
-        return limits
+def _suite_limits(cfg: CheckConfig, names: Sequence[str]) -> dict:
+    """{(i, prec): rows} for the named limit checks from one ``_limits`` call (the parity
+    fault, which only the determinant reads, gives its request a call of its own).  If a
+    call raises a PadicLaddersError (an inadmissible pair), every read raises it instead."""
     found: dict = {}
     try:
         for corrupt in (False, True):
@@ -373,8 +366,8 @@ def _suite_limits(cfg: CheckConfig, names: Sequence[str], limits: Optional[dict]
 
 
 def run_suite(configs: Iterable[CheckConfig]) -> List[CheckReport]:
-    """Run every applicable check per configuration; failures become reports.  The limit
-    checks of a configuration read their rows from one ``_suite_limits`` call."""
+    """Run every applicable check per configuration; failures become reports.  The
+    included limit checks of a configuration share the rows of one _suite_limits call."""
     reports: List[CheckReport] = []
     for cfg in configs:
         # parity products need a_p = 0 and odd p; no hollow pass
@@ -397,13 +390,8 @@ def default_configs() -> List[CheckConfig]:
     return [CheckConfig(p, ap) for (p, ap) in TABLE_COLUMN_PAIRS]
 
 
-def factorization_check(
-    p: int,
-    ap: int,
-    inputs: Sequence[Tuple[PowerSeries, PowerSeries]],
-    cap: int,
-    prec: int,
-) -> CheckReport:
+def factorization_check(p: int, ap: int, inputs: Sequence[Tuple[PowerSeries, PowerSeries]],
+                        cap: int, prec: int) -> CheckReport:
     """Finite levels against the half-log limit on synthetic integral inputs.
 
     For each input (ltheta, lupsilon), with S := log_theta * ltheta +

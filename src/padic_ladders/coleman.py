@@ -54,10 +54,7 @@ class LambdaPair:
 
     @classmethod
     def from_ints(cls, p: int, level: int, first, second) -> "LambdaPair":
-        return cls(
-            LambdaElement.from_ints(p, level, first),
-            LambdaElement.from_ints(p, level, second),
-        )
+        return cls(*(LambdaElement.from_ints(p, level, x) for x in (first, second)))
 
     def __sub__(self, other: "LambdaPair") -> "LambdaPair":
         return LambdaPair(self.first - other.first, self.second - other.second)
@@ -211,16 +208,10 @@ def projection_compatibility_check(
         raise ValueError("input pair must live at level n+1")
     w = omega(p, n)
     up = phi_apply(p, ap, n + 1, i, v)
-    v_down = LambdaPair(
-        LambdaElement(p, n, reduce_mod(v.first.poly, w)),
-        LambdaElement(p, n, reduce_mod(v.second.poly, w)),
-    )
+    v_down = LambdaPair(*(LambdaElement(p, n, reduce_mod(x.poly, w)) for x in (v.first, v.second)))
     down = phi_apply(p, ap, n, i + 1, v_down)
-    first, second = down.first.poly, down.second.poly
-    if i % 2 != 0:
-        first = first.scale(p)
-    else:
-        second = second.scale(p)
+    s1, s0 = (p, 1) if i % 2 != 0 else (1, p)
+    first, second = down.first.poly.scale(s1), down.second.poly.scale(s0)
     if not (reduce_mod(up.first.poly, w) == first and reduce_mod(up.second.poly, w) == second):
         raise IdentityViolation(
             f"projection compatibility failed at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})"

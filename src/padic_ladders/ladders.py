@@ -173,17 +173,11 @@ def _max_limit_steps(p: int, cap: int, prec: int, i: int) -> int:
     return steps
 
 
-def ladder_infinity(
-    p: int,
-    ap: int,
-    i: int,
-    cap: int,
-    prec: int,
-    _corrupt_parity: bool = False,
-) -> LadderMatrix:
+def ladder_infinity(p: int, ap: int, i: int, cap: int, prec: int,
+                    _corrupt_parity: bool = False) -> LadderMatrix:
     """Scaled limit rows (i, i-1) mod X^cap, stabilized modulo p^prec.
 
-    The level loop ``_limits`` for the one index i: it iterates the level n
+    The level loop ``_limits`` for the one request (i, prec): it iterates n
     upward from the least n with p^n >= cap and n_shift(p, n) >= i - 1 and
     asks ``_stabilized`` of each level's scaled approximant whether it has
     agreed twice in a row.  Raises NotConverged past the step cap, which

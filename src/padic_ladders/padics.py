@@ -32,18 +32,7 @@ RationalLike = Union[int, Fraction]
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def require_prime(p: int) -> int:

@@ -142,27 +142,12 @@ def delta_coeffs(p: int, ap: int, i: int) -> DeltaCoeffs:
 
 def render_delta(y: int, y_prime: int) -> str:
     """Human form "y*c_n +- y'*c_{n-1}" with unit coefficients suppressed."""
-
-    def coeff(c: int) -> str:
-        if c == 1:
-            return ""
-        if c == -1:
-            return "-"
-        return str(c)
-
-    if y == 0 and y_prime == 0:
-        return "0"
-    parts = []
-    if y != 0:
-        parts.append(coeff(y) + "c_n")
-    if y_prime != 0:
-        if not parts:
-            parts.append(coeff(y_prime) + "c_{n-1}")
-        else:
-            sign = " + " if y_prime > 0 else " - "
-            mag = abs(y_prime)
-            parts.append(sign + (str(mag) if mag != 1 else "") + "c_{n-1}")
-    return "".join(parts)
+    out = ""
+    for c, term in ((y, "c_n"), (y_prime, "c_{n-1}")):
+        if c:  # a leading sign is "-" or nothing, a later one " - " or " + "
+            sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+            out += sign + (str(abs(c)) if abs(c) != 1 else "") + term
+    return out or "0"
 
 
 def delta_table(p: int, ap: int, i_min: int, i_max: int) -> List[DeltaCoeffs]:

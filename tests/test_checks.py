@@ -27,6 +27,12 @@ def small(p, ap, **kw):
     return CheckConfig(p, ap, **base)
 
 
+def alone(check, cfg):
+    """A limit check on the rows of its own requests, read as run_suite serves them."""
+    name = next(name for name, fn in checks.CHECKS if fn is check)
+    return check(cfg, checks._suite_limits(cfg, [name]))
+
+
 def test_empty_config_empty_report():
     assert run_suite([]) == []
 
@@ -225,7 +231,7 @@ def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
                   for _ in "tu")
         assert factorization_check(p, ap, [(lt, lu)], cap, prec).passed or not basis, (p, ap, cap)
         cfg = CheckConfig(p, ap, cap=cap, prec=prec, seed=rng.randrange(100))
-        assert checks.check_factorization_synthetic(cfg) == three_inputs(cfg), (p, ap, cap)
+        assert alone(checks.check_factorization_synthetic, cfg) == three_inputs(cfg), (p, ap, cap)
         basis_failed += not basis
     assert 10 < basis_failed < 110  # the faults reach the check, and not always
 
@@ -251,11 +257,11 @@ def test_infinity_row_recursion_catches_index_0_row_fault(monkeypatch):
     for p, ap in PAIRS_8:
         cfg = CheckConfig(p, ap, cap=12, prec=4)
         monkeypatch.setattr(checks, "_limits", real_limits)
-        assert checks.check_infinity_row_recursion(cfg) is None
+        assert alone(checks.check_infinity_row_recursion, cfg) is None
         for col in (0, 1):
             for k in (0, 5, 11):
                 monkeypatch.setattr(checks, "_limits", perturbed(col, k))
-                assert checks.check_infinity_row_recursion(cfg) == (
+                assert alone(checks.check_infinity_row_recursion, cfg) == (
                     f"bottom row should repeat the index-0 top row (column {col})"), (p, ap, col, k)
 
 
