@@ -218,7 +218,7 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
     found: dict = {}
     last: dict = {}
     rows1 = [[[1], []], [[], [1]]]
-    for n in range(1, max(stop.values(), default=0) + 1):
+    for n in range(1, max(stop.values()) + 1):
         pending = [r for r in stop if r not in found and n <= stop[r]]
         if not pending:
             break

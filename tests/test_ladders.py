@@ -312,7 +312,7 @@ def _request_sets(p, ap, prec):
     tt = period_constants(p, ap).two_tilde
     suite = [(0, prec + 2), (1, prec + 4), (1, prec), (0, prec), (1 - tt, prec + 2)]
     return [[(1, prec), (1, prec + 4)], [(1, prec + 4), (1, prec)], suite, suite[::-1],
-            [(0, prec), (1 - tt, prec)], [(-3, prec), (12, prec + 2), (-3, prec + 1)]]
+            [(0, prec), (1 - tt, prec)], [(-3, prec), (12, prec + 2), (5, prec), (-3, prec + 1)]]
 
 
 def _read_limit(p, ap, request, cap, found):
