@@ -8,8 +8,9 @@ so every finite-level entry is an exact integer polynomial.
 The infinity-level object scales row i-N of the level-n ladder by
 p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and iterates n until the
 approximants stabilize modulo p^prec.  One rule, ``_stabilized``, says when
-an approximant has agreed twice in a row; the level loop ``_limits`` and the
-factor loop of ``pollack_product`` call it and raise NotConverged.  Half-
+an approximant has agreed twice in a row; the level loop ``_limits`` (once
+per (index, prec) request) and the factor loop of ``pollack_product`` call
+it, and past the step cap a limit is NotConverged.  Half-
 logarithms combine the index-0 limit rows with the conjugate root
 (row_0 - conj(alpha) * row_{-1}) into Z[alpha]-coordinate coefficients, built
 from the integer rows on which their Z[alpha] identities are checked.
