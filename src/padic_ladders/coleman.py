@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
-from .ladders import _check_level, ladder
+from .ladders import _check_level, _ladder_at, ladder
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
@@ -93,8 +93,12 @@ class KernelBasis:
 
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
-    """Ladder rows (i, i-1) at level n: degrees < p^n, so already reduced mod omega_n."""
-    return tuple(map(tuple, ladder(p, ap, n, i).entries))  # ladder checks (p, a_p) and n
+    """Ladder rows (i, i-1) at level n: degrees < p^n, so already reduced mod omega_n.
+    Index 1 is built once per level (ladder checks (p, a_p) and n); others shift its rows."""
+    if i == 1:
+        return tuple(map(tuple, ladder(p, ap, n, 1).entries))
+    rows1 = [[s._ints for s in row] for row in _rows_mod_omega(p, ap, n, 1)]
+    return tuple(map(tuple, _ladder_at(p, ap, n, i, rows1).entries))
 
 
 def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
@@ -175,9 +179,7 @@ def limit_lemma_check(p: int, ap: int, m: int, nu: int) -> CheckReport:
                     f"coefficient of X^{k} has valuation {rational_valuation(c, p)} < {m} "
                     f"at (p, a_p, m, nu) = ({p}, {ap}, {m}, {nu})"
                 )
-    return CheckReport(
-        name="limit_lemma", config={"p": p, "ap": ap, "m": m, "nu": nu}
-    )
+    return CheckReport(name="limit_lemma", config={"p": p, "ap": ap, "m": m, "nu": nu})
 
 
 def _limit_lemma_residues(p: int, ap: int, m: int, nu: int) -> list:
@@ -216,7 +218,4 @@ def projection_compatibility_check(
         raise IdentityViolation(
             f"projection compatibility failed at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
         )
-    return CheckReport(
-        name="projection_compatibility",
-        config={"p": p, "ap": ap, "n": n, "i": i},
-    )
+    return CheckReport(name="projection_compatibility", config={"p": p, "ap": ap, "n": n, "i": i})

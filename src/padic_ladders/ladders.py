@@ -32,9 +32,11 @@ from .series import (
     PowerSeries,
     _lincomb,
     append_factor,
+    apply_shift,
     gauss_norm_log,
     ladder_rows,
     phi_mul,
+    shift_matrix,
     shift_rows,
 )
 from .trace import beta, period_constants
@@ -89,15 +91,9 @@ class LadderMatrix:
         )
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "ap": self.ap,
-            "level": self.level,
-            "index": self.index,
-            "cap": self.cap,
-            "prec": self.prec,
-            "entries": [[s.to_json() for s in row] for row in self.entries],
-        }
+        return {"p": self.p, "ap": self.ap, "level": self.level, "index": self.index,
+                "cap": self.cap, "prec": self.prec,
+                "entries": [[s.to_json() for s in row] for row in self.entries]}
 
     @classmethod
     def from_json(cls, data: dict) -> "LadderMatrix":
@@ -108,15 +104,9 @@ class LadderMatrix:
             raise SerializationError(f"entries must be two rows of two series, got {rows!r}")
         limit = data.get("level") == "infinity"  # a limit needs its cap and prec
         opt = lambda key: None if data.get(key) is None and not limit else _json_int(data, key)
-        return cls(
-            p=p,
-            ap=ap,
-            level="infinity" if limit else _json_int(data, "level"),
-            index=_json_int(data, "index"),
-            entries=[[PowerSeries.from_json(s) for s in row] for row in rows],
-            cap=opt("cap"),
-            prec=opt("prec"),
-        )
+        level, index = "infinity" if limit else _json_int(data, "level"), _json_int(data, "index")
+        entries = [[PowerSeries.from_json(s) for s in row] for row in rows]
+        return cls(p, ap, level, index, entries, opt("cap"), opt("prec"))
 
 
 def _check_level(p: int, ap: int, n: int) -> None:
@@ -206,10 +196,12 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
 
     One level loop: level n is built once, mod the largest p^T_n(i) that a
     pending request needs (p^T_(n_start)(i) before its n_start), so each request
-    sees every level at least as precisely as its own schedule would, and is
-    shifted once per index.  Each request keeps its own start, step cap and
-    ``_stabilized`` key; one that does not stabilize maps to the NotConverged
-    its own call would raise, which ``_read`` raises, so it stops no other.
+    sees every level at least as precisely as its own schedule would.  Each
+    index moves its shift matrix one step per level and shifts a head of the
+    level's rows; ``_stabilized`` asks for the full rows only once heads agree.
+    Each request keeps its own start, step cap and ``_stabilized`` key; one
+    that does not stabilize maps to the NotConverged its own call would raise,
+    which ``_read`` raises, so it stops no other.
     """
     period_constants(p, ap)
     if cap < 1 or any(prec < 1 for _, prec in requests):
@@ -218,6 +210,7 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
     stop = {(i, prec): start[i] + _max_limit_steps(p, cap, prec, i) for i, prec in requests}
     found: dict = {}
     last: dict = {}
+    shifts: dict = {}  # index -> (j, shift_matrix to j) of its last level, one step per level
     rows1 = [[[1], []], [[], [1]]]
     for n in range(1, max(stop.values()) + 1):
         pending = [r for r in stop if r not in found and n <= stop[r]]
@@ -225,13 +218,14 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
             break
         mod = max(p ** (prec + max(_row_exps(p, i, max(n, start[i]))) + 1) for i, prec in pending)
         rows1 = append_factor(p, ap, rows1, n, cap, mod)
-        approx = {}  # rows (i, i-1) of level n as (x, e) for x / p^e, once per index
+        approx = {}  # rows (i, i-1) of level n, once per index
         for i in {i for i, _ in pending if n >= start[i]}:
-            rows = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
-            approx[i] = [(s, e) for row, e in zip(rows, _row_exps(p, i, n)) for s in row]
+            j = i - n_shift(p, n)
+            shifts[i] = j, shift_matrix(p, ap, j, _corrupt_parity, *shifts.get(i, ()))
+            approx[i] = _Approx(rows1, _row_exps(p, i, n), *shifts[i], mod)
         for i, prec in pending:
             if i in approx and _stabilized(p, prec, last, (i, prec), approx[i]):
-                found[i, prec] = n, approx[i]
+                found[i, prec] = n, approx[i].read()
     return {(i, prec): found.get((i, prec)) or NotConverged(
         f"no stabilization mod {p}^{prec} within {stop[i, prec] - start[i]} steps "
         f"(p={p}, a_p={ap}, i={i}, cap={cap})") for i, prec in stop}
@@ -251,14 +245,41 @@ def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> Ladder
     return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
 
 
-def _stabilized(p: int, prec: int, last: dict, key, approx) -> bool:
+_HEAD = 4  # coefficients per row that approximants are compared on before their whole rows
+
+
+class _Approx:
+    """Rows apply_shift(rows, j, m, mod) as (x, e) for x / p^e, each read shifted
+    once, on demand: read(_HEAD) from the rows' first _HEAD coefficients, which
+    is a prefix of read(), as the shift acts coefficient by coefficient."""
+
+    __slots__ = ("args", "done")
+
+    def __init__(self, *args):  # rows, exps, j, m, mod
+        self.args, self.done = args, {}
+
+    def read(self, k: Optional[int] = None) -> list:
+        if k not in self.done:
+            rows, exps, j, m, mod = self.args
+            part = rows if k is None else [[x[:k] for x in row] for row in rows]
+            self.done[k] = [(s, e) for row, e in zip(apply_shift(part, j, m, mod), exps)
+                            for s in row]
+        return self.done[k]
+
+
+def _stabilized(p: int, prec: int, last: dict, key, approx: _Approx) -> bool:
     """Whether approx agrees mod p^prec with key's previous approximant, which
     itself agreed with the one before: two consecutive agreements (a single
-    agreement can be a parity stall when a_p = 0).  approx is a list of
-    (int poly, e) for poly / p^e; last keeps (approx, agreements) per key.
+    agreement can be a parity stall when a_p = 0); last keeps (approx,
+    agreements) per key.  A congruence holds coefficient by coefficient, and
+    zip_longest pads a head as it pads the rows, so heads that disagree decide;
+    whole rows are compared (and shifted) only once heads agree, or at once
+    after the previous ones were (heads agree by then).
     """
     prev, agreements = last.get(key, (None, 0))
-    agree = prev is not None and _int_approx_congruent(p, prev, approx, prec)
+    agree = prev is not None and (
+        None in prev.done or _int_approx_congruent(p, prev.read(_HEAD), approx.read(_HEAD), prec)
+    ) and _int_approx_congruent(p, prev.read(), approx.read(), prec)
     agreements = agreements + 1 if agree else 0
     last[key] = approx, agreements
     return agreements >= 2
@@ -353,15 +374,9 @@ class HalfLogPair:
     prec: int
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "ap": self.ap,
-            "root_tag": self.root_tag,
-            "cap": self.cap,
-            "prec": self.prec,
-            "log_theta": self.log_theta.to_json(),
-            "log_upsilon": self.log_upsilon.to_json(),
-        }
+        return {"p": self.p, "ap": self.ap, "root_tag": self.root_tag, "cap": self.cap,
+                "prec": self.prec, "log_theta": self.log_theta.to_json(),
+                "log_upsilon": self.log_upsilon.to_json()}
 
     @classmethod
     def from_json(cls, data: dict) -> "HalfLogPair":
@@ -369,15 +384,8 @@ class HalfLogPair:
         root_tag = data.get("root_tag", "alpha")
         if not isinstance(root_tag, str):
             raise SerializationError(f"root_tag must be a string, got {root_tag!r}")
-        return cls(
-            p=p,
-            ap=ap,
-            root_tag=root_tag,
-            log_theta=QuadExtSeries.from_json(data.get("log_theta")),
-            log_upsilon=QuadExtSeries.from_json(data.get("log_upsilon")),
-            cap=cap,
-            prec=prec,
-        )
+        return cls(p, ap, root_tag, QuadExtSeries.from_json(data.get("log_theta")),
+                   QuadExtSeries.from_json(data.get("log_upsilon")), cap, prec)
 
 
 def _int_coords(scalars: List[QuadExtScalar]):
@@ -437,9 +445,7 @@ def _half_logs_at(p: int, ap: int, cap: int, prec: int, found: dict) -> HalfLogP
     return HalfLogPair(p, ap, "alpha", log_theta, log_upsilon, cap, prec)
 
 
-def pollack_product(
-    p: int, parity: str, cap: int, prec: int = 24
-) -> PowerSeries:
+def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSeries:
     """prod over j = parity of Phi_j(1+X)/p, truncated at X^cap.
 
     Factors are included until the partial product stabilizes modulo p^prec
@@ -461,7 +467,7 @@ def pollack_product(
     P, last = [1], {}
     for k, j in enumerate(js, 1):
         P = phi_mul(p, j, P, cap, p ** (prec + max(k, d)))
-        if _stabilized(p, prec, last, parity, [(P, k)]):
+        if _stabilized(p, prec, last, parity, _Approx([[P]], (k,), 1, None, None)):  # P/p^k
             return _ints_to_series(p, P, k, cap, prec)
     raise NotConverged(
         f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
@@ -495,6 +501,4 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
                     f"kappa identity failed for {label} at "
                     f"(p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
                 )
-    return CheckReport(
-        name="kappa_identity", config={"p": p, "ap": ap, "n": n, "i": i}
-    )
+    return CheckReport(name="kappa_identity", config={"p": p, "ap": ap, "n": n, "i": i})

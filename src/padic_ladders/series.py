@@ -432,22 +432,32 @@ def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = N
 
 def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None,
                parity_flip: bool = False) -> IntRows:
-    """Move index-1 rows to index i by [[a_p(idx), -1], [1, 0]] or its inverse.
+    """Move index-1 rows to index i: apply_shift by shift_matrix."""
+    return apply_shift(rows, i, shift_matrix(p, ap, i, parity_flip), mod)
 
-    The |i-1| steps compose to one integer matrix [[s, t], [u, v]], applied
-    once; a Z-linear combination, so capped or omega-reduced rows stay so.
-    parity_flip reads a_p(idx+1) for a_p(idx), a deliberate fault for tests.
-    """
-    if i == 1:
-        return rows
+
+def shift_matrix(p: int, ap: int, i: int, parity_flip: bool = False, j: int = 1,
+                 m: Tuple[int, ...] = (1, 0, 0, 1)) -> Tuple[int, ...]:
+    """[[s, t], [u, v]] taking index-1 rows to index i: m, the matrix to index j,
+    then the |i-j| steps [[a_p(idx), -1], [1, 0]] or their inverses.  parity_flip
+    reads a_p(idx+1) for a_p(idx), a deliberate fault for tests."""
     off = 1 if parity_flip else 0
-    s, t, u, v = 1, 0, 0, 1
-    for idx in range(1, i):
+    s, t, u, v = m
+    for idx in range(j, i):
         a = ap_parity_value(p, ap, idx + off)
         s, t, u, v = a * s - u, a * t - v, s, t
-    for idx in range(1, i, -1):
+    for idx in range(j, i, -1):
         a = ap_parity_value(p, ap, idx - 1 + off)
         s, t, u, v = u, v, a * u - s, a * v - t
+    return s, t, u, v
+
+
+def apply_shift(rows: IntRows, i: int, m: Tuple[int, ...], mod: Optional[int] = None) -> IntRows:
+    """rows moved by m = shift_matrix(..., i, ...), mod mod: a Z-linear combination
+    per coefficient, so capped or omega-reduced rows stay so."""
+    if i == 1:
+        return rows
+    s, t, u, v = m
     # After a single step one row is the old row itself, unreduced and unpadded.
     top, bot = rows
     new_top = bot if i == 0 else [_lincomb(s, x, t, y, mod) for x, y in zip(top, bot)]

@@ -352,3 +352,29 @@ def test_coleman_layer_matches_index_loop_division(monkeypatch):
     assert after.hits + after.misses > before.hits + before.misses  # the reciprocal path ran
     monkeypatch.setattr(series, "poly_divmod", poly_divmod_reference)
     assert [run(*case) for case in cases] == got
+
+
+def test_rows_mod_omega_build_each_level_once(monkeypatch):
+    # a cold suite reads 55 (p, a_p, n, i) entries over 15 levels: one chain of
+    # n ladder steps per level is 30 steps, where one chain per entry made 105
+    from padic_ladders.checks import default_configs, run_suite
+
+    real_rows, real_step = coleman._rows_mod_omega, series.append_factor
+    depth, steps = [0], [0]
+
+    def rows(*args):
+        depth[0] += 1
+        try:
+            return real_rows(*args)
+        finally:
+            depth[0] -= 1
+
+    def step(*args, **kwargs):
+        steps[0] += depth[0] > 0
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(coleman, "_rows_mod_omega", rows)
+    monkeypatch.setattr(series, "append_factor", step)
+    real_rows.cache_clear()
+    assert all(r.passed for r in run_suite(default_configs()))
+    assert (steps[0], real_rows.cache_info().misses) == (30, 55)

@@ -25,7 +25,6 @@ from padic_ladders.ladders import (
     _limit_matrix,
     _limits,
     _max_limit_steps,
-    _stabilized,
     pollack_product,
 )
 from padic_ladders.padics import PadicScalar, QuadExtScalar
@@ -258,6 +257,20 @@ def _fixed_modulus_chain(p, ap, cap, prec, idxs, phis):
     return mod, levels
 
 
+def _agreed_twice(p, prec, last, key, approx):
+    """The stopping rule on whole approximants, independent of the package's:
+    approx (a list of (int poly, e) for poly / p^e) agrees mod p^prec with key's
+    previous one, which agreed with the one before.  last keeps (approx,
+    agreements) per key."""
+    prev, agreements = last.get(key, (None, 0))
+    agree = prev is not None and all(
+        (x * p ** eb - y * p ** ea) % p ** (prec + ea + eb) == 0
+        for (xs, ea), (ys, eb) in zip(prev, approx)
+        for x, y in zip_longest(xs, ys, fillvalue=0))
+    last[key] = approx, agreements + 1 if agree else 0
+    return last[key][1] >= 2
+
+
 def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, chain):
     """ladder_infinity read off a _fixed_modulus_chain: each level from n_start
     on shifted to index i, until two consecutive agreements mod p^prec."""
@@ -269,7 +282,7 @@ def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, chain):
         shifted = shift_rows(p, ap, levels[n], i - N, mod, corrupt)
         exps = (-((i - N) // 2), -((i - 1 - N) // 2))
         approx = [(s, e) for row, e in zip(shifted, exps) for s in row]
-        if _stabilized(p, prec, last, i, approx):
+        if _agreed_twice(p, prec, last, i, approx):
             entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
                        for r in (0, 2)]
             return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
@@ -348,6 +361,32 @@ def test_shared_level_loop_matches_separate_limits(monkeypatch):
     assert mixed > 50  # step caps that stop some requests of a call and not others
 
 
+def test_level_loop_shifts_full_rows_only_where_heads_agree(monkeypatch):
+    # each level shifts the first coefficients of its rows, and the full rows
+    # only once heads agree; shifting the full rows at every level, from n_start
+    # to n_used, costs 4 * 200 coefficients per level (26,400 at (2, 2), i = 0)
+    count, real = [0], ladders.apply_shift
+
+    def shift(rows, *args):
+        count[0] += sum(len(x) for row in rows for x in row)
+        return real(rows, *args)
+
+    def shifted(run):
+        count[0] = 0
+        return run(), count[0]
+
+    monkeypatch.setattr(ladders, "apply_shift", shift)
+    want = {(2, 2, 0): 9184, (2, 2, 1): 9968, (2, -2, 0): 9184, (2, -2, 1): 9968,
+            (3, 3, 0): 6800, (3, 3, 1): 6000, (3, -3, 0): 6800, (3, -3, 1): 6000,
+            (3, 0, 0): 6800, (3, 0, 1): 6000, (5, 0, 0): 6000, (5, 0, 1): 5984}
+    got = {}
+    for p, ap, i in want:
+        m, got[p, ap, i] = shifted(lambda: ladder_infinity(p, ap, i, 200, 26))
+        assert got[p, ap, i] < 4 * 200 * (m.n_used - _n_start(p, i, 200) + 1) // 2
+    assert got == want
+    assert shifted(lambda: half_logs(3, 3, 200, 20))[1] == 14304
+
+
 def test_pollack_schedule_matches_fixed_modulus():
     for p in (3, 5, 7):
         for parity in ("even", "odd"):
@@ -359,7 +398,7 @@ def test_pollack_schedule_matches_fixed_modulus():
                     for k, j in enumerate(range(2 if parity == "even" else 1,
                                                 2 * max_steps + 1, 2), 1):
                         P = [c % mod for c in poly_mul(P, phi_coeffs(p, j, cap), cap)]
-                        if _stabilized(p, prec, last, 0, [(P, k)]):
+                        if _agreed_twice(p, prec, last, 0, [(P, k)]):
                             break
                     want = _ints_to_series(p, P, k, cap, prec).to_json()
                     got = pollack_product(p, parity, cap, prec)
