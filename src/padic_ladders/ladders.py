@@ -30,6 +30,7 @@ from .padics import PadicScalar, QuadExtScalar, _json_int, _operand
 from .report import CheckReport
 from .series import (
     PowerSeries,
+    _ShiftedRows,
     _lincomb,
     append_factor,
     apply_shift,
@@ -68,21 +69,10 @@ class LadderMatrix:
     prec: Optional[int] = None
     n_used: Optional[int] = None
 
-    @property
-    def theta_top(self) -> PowerSeries:
-        return self.entries[0][0]
-
-    @property
-    def upsilon_top(self) -> PowerSeries:
-        return self.entries[0][1]
-
-    @property
-    def theta_bot(self) -> PowerSeries:
-        return self.entries[1][0]
-
-    @property
-    def upsilon_bot(self) -> PowerSeries:
-        return self.entries[1][1]
+    theta_top = property(lambda self: self.entries[0][0])
+    upsilon_top = property(lambda self: self.entries[0][1])
+    theta_bot = property(lambda self: self.entries[1][0])
+    upsilon_bot = property(lambda self: self.entries[1][1])
 
     def det(self, cap: Optional[int] = None) -> PowerSeries:
         """theta_i * upsilon_{i-1} - upsilon_i * theta_{i-1}."""
@@ -208,9 +198,7 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
         raise ValueError("cap and prec must be >= 1")
     start = {i: _first_level(p, cap, i) for i, _ in requests}
     stop = {(i, prec): start[i] + _max_limit_steps(p, cap, prec, i) for i, prec in requests}
-    found: dict = {}
-    last: dict = {}
-    shifts: dict = {}  # index -> (j, shift_matrix to j) of its last level, one step per level
+    found, last, shifts = {}, {}, {}  # shifts: index -> (j, its shift_matrix to j), one step a level
     rows1 = [[[1], []], [[], [1]]]
     for n in range(1, max(stop.values()) + 1):
         pending = [r for r in stop if r not in found and n <= stop[r]]
@@ -222,7 +210,7 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
         for i in {i for i, _ in pending if n >= start[i]}:
             j = i - n_shift(p, n)
             shifts[i] = j, shift_matrix(p, ap, j, _corrupt_parity, *shifts.get(i, ()))
-            approx[i] = _Approx(rows1, _row_exps(p, i, n), *shifts[i], mod)
+            approx[i] = _ShiftedRows(rows1, _row_exps(p, i, n), *shifts[i], mod)
         for i, prec in pending:
             if i in approx and _stabilized(p, prec, last, (i, prec), approx[i]):
                 found[i, prec] = n, approx[i].read()
@@ -248,26 +236,7 @@ def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> Ladder
 _HEAD = 4  # coefficients per row that approximants are compared on before their whole rows
 
 
-class _Approx:
-    """Rows apply_shift(rows, j, m, mod) as (x, e) for x / p^e, each read shifted
-    once, on demand: read(_HEAD) from the rows' first _HEAD coefficients, which
-    is a prefix of read(), as the shift acts coefficient by coefficient."""
-
-    __slots__ = ("args", "done")
-
-    def __init__(self, *args):  # rows, exps, j, m, mod
-        self.args, self.done = args, {}
-
-    def read(self, k: Optional[int] = None) -> list:
-        if k not in self.done:
-            rows, exps, j, m, mod = self.args
-            part = rows if k is None else [[x[:k] for x in row] for row in rows]
-            self.done[k] = [(s, e) for row, e in zip(apply_shift(part, j, m, mod), exps)
-                            for s in row]
-        return self.done[k]
-
-
-def _stabilized(p: int, prec: int, last: dict, key, approx: _Approx) -> bool:
+def _stabilized(p: int, prec: int, last: dict, key, approx: _ShiftedRows) -> bool:
     """Whether approx agrees mod p^prec with key's previous approximant, which
     itself agreed with the one before: two consecutive agreements (a single
     agreement can be a parity stall when a_p = 0); last keeps (approx,
@@ -467,7 +436,7 @@ def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSerie
     P, last = [1], {}
     for k, j in enumerate(js, 1):
         P = phi_mul(p, j, P, cap, p ** (prec + max(k, d)))
-        if _stabilized(p, prec, last, parity, _Approx([[P]], (k,), 1, None, None)):  # P/p^k
+        if _stabilized(p, prec, last, parity, _ShiftedRows([[P]], (k,))):  # P / p^k
             return _ints_to_series(p, P, k, cap, prec)
     raise NotConverged(
         f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"

@@ -465,6 +465,26 @@ def apply_shift(rows: IntRows, i: int, m: Tuple[int, ...], mod: Optional[int] = 
     return [new_top, new_bot]
 
 
+class _ShiftedRows:
+    """Rows apply_shift(rows, j, m, mod), each read as (x, e) for x / p^e with e
+    from exps, shifted once per read, on first demand: read(k) from the rows'
+    first k coefficients, a prefix of read() as the shift acts coefficient by
+    coefficient."""
+
+    __slots__ = ("args", "done")
+
+    def __init__(self, rows: IntRows, exps, j: int = 1, m=None, mod: Optional[int] = None):
+        self.args, self.done = (rows, exps, j, m, mod), {}
+
+    def read(self, k: Optional[int] = None) -> list:
+        if k not in self.done:
+            rows, exps, j, m, mod = self.args
+            part = rows if k is None else [[x[:k] for x in row] for row in rows]
+            self.done[k] = [(s, e) for row, e in zip(apply_shift(part, j, m, mod), exps)
+                            for s in row]
+        return self.done[k]
+
+
 def ladder_rows(p: int, ap: int, n: int, i: int, cap: Optional[int] = None,
                 mod: Optional[int] = None) -> IntRows:
     """Rows (i, i-1) of the level-n ladder, built up from the identity rows."""

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_ladders import ladders
+from padic_ladders import ladders, series
 from padic_ladders.errors import IdentityViolation, MixedExtension, NotConverged, SerializationError
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
@@ -365,7 +365,7 @@ def test_level_loop_shifts_full_rows_only_where_heads_agree(monkeypatch):
     # each level shifts the first coefficients of its rows, and the full rows
     # only once heads agree; shifting the full rows at every level, from n_start
     # to n_used, costs 4 * 200 coefficients per level (26,400 at (2, 2), i = 0)
-    count, real = [0], ladders.apply_shift
+    count, real = [0], series.apply_shift  # as the level loop's _ShiftedRows binds it
 
     def shift(rows, *args):
         count[0] += sum(len(x) for row in rows for x in row)
@@ -375,7 +375,7 @@ def test_level_loop_shifts_full_rows_only_where_heads_agree(monkeypatch):
         count[0] = 0
         return run(), count[0]
 
-    monkeypatch.setattr(ladders, "apply_shift", shift)
+    monkeypatch.setattr(series, "apply_shift", shift)
     want = {(2, 2, 0): 9184, (2, 2, 1): 9968, (2, -2, 0): 9184, (2, -2, 1): 9968,
             (3, 3, 0): 6800, (3, 3, 1): 6000, (3, -3, 0): 6800, (3, -3, 1): 6000,
             (3, 0, 0): 6800, (3, 0, 1): 6000, (5, 0, 0): 6000, (5, 0, 1): 5984}
