@@ -179,7 +179,9 @@ def limit_lemma_check(p: int, ap: int, m: int, nu: int) -> CheckReport:
                     f"coefficient of X^{k} has valuation {rational_valuation(c, p)} < {m} "
                     f"at (p, a_p, m, nu) = ({p}, {ap}, {m}, {nu})"
                 )
-    return CheckReport(name="limit_lemma", config={"p": p, "ap": ap, "m": m, "nu": nu})
+    return CheckReport(
+        name="limit_lemma", config={"p": p, "ap": ap, "m": m, "nu": nu}
+    )
 
 
 def _limit_lemma_residues(p: int, ap: int, m: int, nu: int) -> list:
@@ -218,4 +220,7 @@ def projection_compatibility_check(
         raise IdentityViolation(
             f"projection compatibility failed at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
         )
-    return CheckReport(name="projection_compatibility", config={"p": p, "ap": ap, "n": n, "i": i})
+    return CheckReport(
+        name="projection_compatibility",
+        config={"p": p, "ap": ap, "n": n, "i": i},
+    )

@@ -470,4 +470,6 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
                     f"kappa identity failed for {label} at "
                     f"(p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
                 )
-    return CheckReport(name="kappa_identity", config={"p": p, "ap": ap, "n": n, "i": i})
+    return CheckReport(
+        name="kappa_identity", config={"p": p, "ap": ap, "n": n, "i": i}
+    )

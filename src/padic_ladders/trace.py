@@ -214,4 +214,7 @@ def y_beta_identity_check(p: int, ap: int, i: int, k: int) -> CheckReport:
             f"y-beta identity failed at (p, a_p, i, k) = ({p}, {ap}, {i}, {k}): "
             f"{lhs!r} != {rhs!r}"
         )
-    return CheckReport(name="y_beta_identity", config={"p": p, "ap": ap, "i": i, "k": k})
+    return CheckReport(
+        name="y_beta_identity",
+        config={"p": p, "ap": ap, "i": i, "k": k},
+    )

@@ -264,8 +264,9 @@ def _agreed_twice(p, prec, last, key, approx):
     agreements) per key."""
     prev, agreements = last.get(key, (None, 0))
     agree = prev is not None and all(
-        (x * p ** eb - y * p ** ea) % p ** (prec + ea + eb) == 0
+        (x * sb - y * sa) % mod == 0
         for (xs, ea), (ys, eb) in zip(prev, approx)
+        for sa, sb, mod in [(p ** ea, p ** eb, p ** (prec + ea + eb))]
         for x, y in zip_longest(xs, ys, fillvalue=0))
     last[key] = approx, agreements + 1 if agree else 0
     return last[key][1] >= 2
