@@ -33,7 +33,6 @@ from .series import (
     _ShiftedRows,
     _lincomb,
     append_factor,
-    apply_shift,
     gauss_norm_log,
     ladder_rows,
     phi_mul,
