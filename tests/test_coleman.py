@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_ladders import coleman, series
+from padic_ladders.checks import default_configs, run_suite
 from padic_ladders.coleman import (
     LambdaPair,
     _limit_lemma_residues,
@@ -357,8 +358,6 @@ def test_coleman_layer_matches_index_loop_division(monkeypatch):
 def test_rows_mod_omega_build_each_level_once(monkeypatch):
     # a cold suite reads 55 (p, a_p, n, i) entries over 15 levels: one chain of
     # n ladder steps per level is 30 steps, where one chain per entry made 105
-    from padic_ladders.checks import default_configs, run_suite
-
     real_rows, real_step = coleman._rows_mod_omega, series.append_factor
     depth, steps = [0], [0]
 
