@@ -16,7 +16,6 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .coleman import (
@@ -126,18 +125,14 @@ def check_integrality_antiperiodicity(cfg: CheckConfig) -> Optional[str]:
 def check_parity_recursion(cfg: CheckConfig) -> Optional[str]:
     p, ap = cfg.p, cfg.ap
     for i in range(-8 * p, 8 * p):
-        cur = delta_coeffs(p, ap, i)
-        prev = delta_coeffs(p, ap, i - 1)
-        nxt = delta_coeffs(p, ap, i + 1)
+        prev, cur, nxt = (delta_coeffs(p, ap, j) for j in (i - 1, i, i + 1))
         a = ap_parity_value(p, ap, i)  # after delta_coeffs, which validates the pair
         if nxt.y != a * cur.y - prev.y or nxt.y_prime != a * cur.y_prime - prev.y_prime:
             return f"parity recursion broken at i={i}"
     # direct scaled-power cross-check on the C^i formula
     for i in range(0, 4 * p + 1):
-        power = mat_pow(trace_matrix(p, ap), i)
-        d = delta_coeffs(p, ap, i)
-        scale = Fraction(p) ** (i // 2)
-        if power[0][0] != d.y * scale or power[0][1] != d.y_prime * scale:
+        d, scale = delta_coeffs(p, ap, i), p ** (i // 2)
+        if mat_pow(trace_matrix(p, ap), i)[0] != (d.y * scale, d.y_prime * scale):
             return f"C^i top row mismatch at i={i}"
     return None
 

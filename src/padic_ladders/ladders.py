@@ -358,9 +358,8 @@ class HalfLogPair:
 
 def _int_coords(scalars: List[QuadExtScalar]):
     """(d, [a*d, b*d for each a + b*alpha]) as ints, d the least common denominator."""
-    values = [c for s in scalars for c in (s.a, s.b)]
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [int(v * d) for v in values]
+    d = math.lcm(*(s.d for s in scalars))
+    return d, [c * (d // s.d) for s in scalars for c in (s.na, s.nb)]
 
 
 def _half_log_requests(p: int, ap: int, prec: int) -> list:
@@ -457,6 +456,7 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
     alpha = QuadExtScalar.alpha(p, ap)
     beta_ref = beta(p, ap, i - 1)
     kappas = [alpha.pow_int(m) * (beta(p, ap, m) - beta_ref) for m in (-N, -N - 1)]
+    # (-N - i) // 2 < 0: the p-power is a rational, never an int power (a float)
     scale = QuadExtScalar.alpha_bar(p, ap).pow_int(i) * Fraction(p) ** ((-N - i) // 2)
     _, (k0a, k0b, k1a, k1b, sa, sb) = _int_coords(kappas + [scale])
     rows1 = ladder_rows(p, ap, n, 1)

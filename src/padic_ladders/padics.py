@@ -9,7 +9,8 @@ precision.
 The quadratic extension adjoins a symbolic root alpha of X^2 - a_p*X + p;
 every product is reduced through that relation, and no embedding of alpha
 into a completed field is ever chosen.  Its scalars (alpha, conj(alpha), the
-beta_m) are exact, so QuadExtScalar keeps exact rational coordinates.
+beta_m) are exact and lie in Z[alpha][1/p], so QuadExtScalar keeps integer
+coordinates over one common denominator (H. Cohen, GTM 138, 4.2).
 """
 
 from __future__ import annotations
@@ -323,10 +324,7 @@ def padic_from_rational(p: int, num: int, den_pow: int, absprec=None) -> PadicSc
     require_prime(p)
     if den_pow < 0:
         raise ValueError("den_pow must be >= 0")
-    if absprec is not None and absprec is not math.inf:
-        absprec = int(absprec)
-    else:
-        absprec = None
+    absprec = None if absprec is None or absprec is math.inf else int(absprec)
     return PadicScalar(p, Fraction(num, p ** den_pow), absprec)
 
 
@@ -347,12 +345,29 @@ def padic_valuation(x: PadicScalar):
 
 
 class QuadExtScalar:
-    """a + b*alpha in Q[alpha] coordinates, alpha^2 = a_p*alpha - p; a, b exact Fractions."""
+    """(na + nb*alpha) / d in Q[alpha], alpha^2 = a_p*alpha - p, on ints with
+    gcd(na, nb, d) = 1 and d > 0: one common denominator, so equal values have equal
+    coordinates.  ``a`` and ``b`` read the rational coordinates as Fractions."""
 
-    __slots__ = ("p", "ap", "a", "b")
+    __slots__ = ("p", "ap", "na", "nb", "d")
 
     def __init__(self, p: int, ap: int, a: RationalLike, b: RationalLike):
-        self.p, self.ap, self.a, self.b = p, ap, Fraction(a), Fraction(b)
+        if not isinstance(a, (int, Fraction)) or not isinstance(b, (int, Fraction)):
+            raise TypeError(f"Q[alpha] coordinates must be int or Fraction, got {a!r}, {b!r}")
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)  # coprime to the scaled numerators
+        self.p, self.ap, self.na, self.nb, self.d = (
+            p, ap, a.numerator * d // a.denominator, b.numerator * d // b.denominator, d)
+
+    def _new(self, na: int, nb: int, d: int) -> "QuadExtScalar":
+        """(na + nb*alpha) / d for ints, d != 0, in lowest terms by one gcd."""
+        g = math.gcd(na, nb, d) if d > 0 else -math.gcd(na, nb, d)
+        x = object.__new__(QuadExtScalar)
+        x.p, x.ap, x.na, x.nb, x.d = self.p, self.ap, na // g, nb // g, d // g
+        return x
+
+    a = property(lambda self: Fraction(self.na, self.d))
+    b = property(lambda self: Fraction(self.nb, self.d))
 
     @classmethod
     def from_rationals(cls, p, ap, a=0, b=0) -> "QuadExtScalar":
@@ -391,45 +406,46 @@ class QuadExtScalar:
 
     @_operand
     def __add__(self, other):
-        return QuadExtScalar(self.p, self.ap, self.a + other.a, self.b + other.b)
+        d1, d2 = self.d, other.d
+        return self._new(self.na * d2 + other.na * d1, self.nb * d2 + other.nb * d1, d1 * d2)
 
     __radd__ = __add__
 
     @_operand
     def __sub__(self, other):
-        return QuadExtScalar(self.p, self.ap, self.a - other.a, self.b - other.b)
+        return self + -other
 
     @_operand
     def __rsub__(self, other):
         return other - self
 
     def __neg__(self):
-        return QuadExtScalar(self.p, self.ap, -self.a, -self.b)
+        return self._new(-self.na, -self.nb, self.d)
 
     @_operand
     def __mul__(self, other):
         # (a1 + b1 A)(a2 + b2 A) with A^2 = ap*A - p
-        bb = self.b * other.b
-        a = self.a * other.a - bb * self.p
-        b = self.a * other.b + self.b * other.a + bb * self.ap
-        return QuadExtScalar(self.p, self.ap, a, b)
+        a1, b1, a2, b2 = self.na, self.nb, other.na, other.nb
+        bb = b1 * b2
+        return self._new(a1 * a2 - bb * self.p, a1 * b2 + b1 * a2 + bb * self.ap, self.d * other.d)
 
     __rmul__ = __mul__
 
     def conj(self) -> "QuadExtScalar":
         """a + b*alpha -> (a + a_p b) - b*alpha."""
-        return QuadExtScalar(self.p, self.ap, self.a + self.b * self.ap, -self.b)
+        return self._new(self.na + self.nb * self.ap, -self.nb, self.d)
 
     def norm(self) -> Fraction:
         """x * conj(x) as a rational: a^2 + a_p a b + p b^2."""
-        return self.a * self.a + self.a * self.b * self.ap + self.b * self.b * self.p
+        na, nb = self.na, self.nb
+        return Fraction(na * na + na * nb * self.ap + nb * nb * self.p, self.d * self.d)
 
     def inverse(self) -> "QuadExtScalar":
         n = self.norm()
         if n == 0:
             raise DivisionByZero(f"{self!r} is not invertible")
-        c = self.conj()
-        return QuadExtScalar(self.p, self.ap, c.a / n, c.b / n)
+        c = self.conj()  # conj(x) / norm(x)
+        return self._new(c.na * n.denominator, c.nb * n.denominator, c.d * n.numerator)
 
     @_operand
     def __truediv__(self, other):
@@ -439,7 +455,7 @@ class QuadExtScalar:
         """Integer power, negative exponents through alpha^-1 = conj/p."""
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        out = QuadExtScalar.one(self.p, self.ap)
+        out = self._new(1, 0, 1)
         while k:
             if k & 1:
                 out = out * base
@@ -447,12 +463,9 @@ class QuadExtScalar:
             k >>= 1
         return out
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     @_operand
     def __eq__(self, other):
-        return self.a == other.a and self.b == other.b
+        return self.na == other.na and self.nb == other.nb and self.d == other.d
 
     __hash__ = None
 

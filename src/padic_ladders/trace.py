@@ -17,11 +17,11 @@ from .errors import IdentityViolation, NonIntegralCoefficient, NotSupersingular
 from .padics import QuadExtScalar, is_prime
 from .report import CheckReport
 
-Matrix = Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]
+Matrix = Tuple[Tuple[int, int], Tuple[int, int]]
 
 
 def mat(a, b, c, d) -> Matrix:
-    return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
+    return ((a, b), (c, d))
 
 
 MAT_ID = mat(1, 0, 0, 1)
@@ -167,15 +167,11 @@ def a_matrix(p: int, ap: int, l: int) -> Matrix:
     for i in range(1, l):
         A = mat_mul(A, mat(ap_parity_value(p, ap, i), -1, 1, 0))
     lhs = mat_mul(mat_inv_unimodular(A), mat_pow(mat(ap, -p, 1, 0), l - 1))
-    rhs = mat_mul(
-        mat(Fraction(p) ** (l // 2), 0, 0, Fraction(p) ** ((l - 1) // 2)),
-        mat(0, 1, -1, ap),
-    )
+    rhs = mat_mul(mat(p ** (l // 2), 0, 0, p ** ((l - 1) // 2)), mat(0, 1, -1, ap))
     if lhs != rhs:
-        raise IdentityViolation(
-            f"A_l inversion identity failed at (p, a_p, l) = ({p}, {ap}, {l}): "
-            f"{lhs} != {rhs}"
-        )
+        lhs, rhs = (tuple(tuple(map(Fraction, row)) for row in m) for m in (lhs, rhs))
+        raise IdentityViolation(f"A_l inversion identity failed at (p, a_p, l) = "
+                                f"({p}, {ap}, {l}): {lhs} != {rhs}")  # Fraction reprs
     return A
 
 
@@ -191,7 +187,7 @@ def beta(p: int, ap: int, m: int) -> QuadExtScalar:
 
 @lru_cache(maxsize=1024)
 def _beta(p: int, ap: int, m0: int) -> QuadExtScalar:
-    scale = Fraction(p) ** (m0 // 2) * delta_coeffs(p, ap, m0).y
+    scale = p ** (m0 // 2) * delta_coeffs(p, ap, m0).y  # m0 >= 0
     return QuadExtScalar.alpha(p, ap).pow_int(-m0) * scale
 
 
@@ -199,16 +195,11 @@ def y_beta_identity_check(p: int, ap: int, i: int, k: int) -> CheckReport:
     """Assert p^[i/2] y_i - p^[(i-k)/2] y_{i-k} (p/alpha)^k = beta_{k-1} alpha^i exactly."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    period_constants(p, ap)
-    alpha = QuadExtScalar.alpha(p, ap)
     abar = QuadExtScalar.alpha_bar(p, ap)  # p / alpha
-    yi = delta_coeffs(p, ap, i).y
-    yik = delta_coeffs(p, ap, i - k).y
-    lhs = (
-        QuadExtScalar.from_rationals(p, ap, Fraction(p) ** (i // 2) * yi)
-        - abar.pow_int(k) * (Fraction(p) ** ((i - k) // 2) * yik)
-    )
-    rhs = beta(p, ap, k - 1) * alpha.pow_int(i)
+    # the p-power exponents go negative (i < 0, i < k): rational, never an int power
+    lhs = (delta_coeffs(p, ap, i).y * Fraction(p) ** (i // 2)  # validates the pair first
+           - abar.pow_int(k) * (delta_coeffs(p, ap, i - k).y * Fraction(p) ** ((i - k) // 2)))
+    rhs = beta(p, ap, k - 1) * QuadExtScalar.alpha(p, ap).pow_int(i)
     if lhs != rhs:
         raise IdentityViolation(
             f"y-beta identity failed at (p, a_p, i, k) = ({p}, {ap}, {i}, {k}): "

@@ -25,6 +25,7 @@ from padic_ladders.padics import (
     quadext_conj,
     rational_valuation,
 )
+from quadext_reference import FractionQuad
 
 SUPERSINGULAR_PAIRS = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
@@ -269,3 +270,36 @@ def test_quadext_scalars_are_exact_rationals():
     assert repr(x) == "(-2/3) + (1)*alpha[3,3]"
     with pytest.raises(TypeError):  # precision-carrying parts are not Z[alpha] data
         QuadExtScalar(3, 3, PadicScalar(3, 1, 4), 0)
+
+
+def _rationals(p):
+    """Rationals over p-power denominators and over any denominator up to 60."""
+    den = st.one_of(st.integers(0, 5).map(lambda e: p ** e), st.integers(1, 60))
+    return st.builds(Fraction, st.integers(-60, 60), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_quadext_matches_fraction_reference(data):
+    """The integer-coordinate scalar against Fraction coordinates: every value, ==, repr,
+    and one (na, nb, d) per value: ints in lowest terms with d > 0."""
+    p, ap = data.draw(st.sampled_from(SUPERSINGULAR_PAIRS))
+    xs = [data.draw(_rationals(p)) for _ in range(2)]
+    ys = xs if data.draw(st.booleans()) else [data.draw(_rationals(p)) for _ in range(2)]
+    x, y = QuadExtScalar(p, ap, *xs), QuadExtScalar(p, ap, *ys)
+    rx, ry = FractionQuad(p, ap, *xs), FractionQuad(p, ap, *ys)
+    k = data.draw(st.integers(-6, 6))
+    if rx.norm() == 0:
+        k = abs(k)
+    pairs = [(x, rx), (-x, -rx), (x + y, rx + ry), (x - y, rx - ry),
+             (x * y, rx * ry), (x.conj(), rx.conj()), (x.pow_int(k), rx.pow_int(k))]
+    if rx.norm() != 0:
+        pairs += [(x.inverse(), rx.inverse()), (y / x, ry * rx.inverse())]
+    assert (x == y) == (rx == ry) and (x * y == y * x)
+    assert x.norm() == rx.norm() and type(x.norm()) is Fraction
+    for got, want in pairs:
+        assert (got.a, got.b) == (want.a, want.b)
+        assert repr(got) == repr(want)
+        assert got == QuadExtScalar(p, ap, want.a, want.b)
+        assert all(type(c) is int for c in (got.na, got.nb, got.d))
+        assert math.gcd(got.na, got.nb, got.d) == 1 and got.d > 0

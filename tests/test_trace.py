@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from padic_ladders import trace
 from padic_ladders.errors import IdentityViolation, NotSupersingular
+from padic_ladders.ladders import kappa_identity_check
 from padic_ladders.padics import QuadExtScalar
 from padic_ladders.trace import (
+    MAT_ID,
     a_matrix,
     beta,
     delta_coeffs,
     delta_table,
+    mat,
     mat_mul,
     mat_pow,
     period_constants,
@@ -200,3 +204,50 @@ def test_y_beta_identity_sweep():
         for i in range(-2, tt + 1):
             for k in (1, 2, 3):
                 assert y_beta_identity_check(p, ap, i, k).passed
+
+
+def test_trace_matrices_hold_ints():
+    """C, its powers, A_l and the identity behind A_l are integer matrices: int entries."""
+    ints = lambda m: all(type(x) is int for row in m for x in row)
+    assert ints(MAT_ID) and ints(mat(2, -1, 3, 0))
+    for p, ap in ALL_PAIRS + [(11, 0), (13, 0)]:  # every a_p != 0 pair, and a_p = 0 up to 13
+        tt = period_constants(p, ap).two_tilde
+        assert all(ints(mat_pow(trace_matrix(p, ap), k)) for k in range(2 * tt + 1))
+        assert all(ints(a_matrix(p, ap, l)) for l in range(1, 2 * p + 3))
+
+
+def test_no_float_reaches_a_quadext_coordinate(monkeypatch):
+    """p ** k is a float for k < 0, and the y-beta scaling p^[(i-k)/2] (at i = -2) and the
+    kappa scaling p^[(-N-i)/2] have such exponents.  No float may be offered to a
+    QuadExtScalar while the two checks run, and every scalar they build holds ints."""
+    offered, stored = [], []
+    real_init, real_new = QuadExtScalar.__init__, QuadExtScalar._new
+
+    def init(self, p, ap, a, b):
+        offered.extend((a, b))
+        real_init(self, p, ap, a, b)
+        stored.append((self.na, self.nb, self.d))
+
+    def new(self, na, nb, d):
+        out = real_new(self, na, nb, d)
+        stored.append((out.na, out.nb, out.d))
+        return out
+
+    monkeypatch.setattr(QuadExtScalar, "__init__", init)
+    monkeypatch.setattr(QuadExtScalar, "_new", new)
+    trace._beta.cache_clear()  # rebuild the cached beta_m under the spies
+    for p, ap in ALL_PAIRS:
+        for i in range(-2, period_constants(p, ap).two_tilde + 1):
+            for k in (1, 2, 3):
+                y_beta_identity_check(p, ap, i, k)
+        for n in (1, 2):
+            for i in (1, 2, 3):
+                kappa_identity_check(p, ap, n, i)
+    assert offered and stored
+    assert not [c for c in offered if isinstance(c, float)]
+    assert all(type(c) is int for coords in stored for c in coords)
+    monkeypatch.undo()
+    with pytest.raises(TypeError):
+        QuadExtScalar(2, 2, 2 ** -1, 0)
+    with pytest.raises(TypeError):
+        QuadExtScalar.one(2, 2) * 2 ** -1
