@@ -15,20 +15,19 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
-from .ladders import _check_level, _ladder_at, ladder
+from .ladders import _check_level
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
     LambdaElement,
     PowerSeries,
+    _exact_quotient,
     _lincomb,
-    exact_divide,
+    _phi_exact,
     ladder_rows,
-    omega,
     omega_coeffs,
-    phi,
     poly_divmod,
-    reduce_mod,
+    poly_mul,
     shift_rows,
 )
 from .trace import period_constants
@@ -62,13 +61,6 @@ class LambdaPair:
     def is_zero(self) -> bool:
         return self.first.is_zero() and self.second.is_zero()
 
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPair):
-            return NotImplemented
-        return self.first == other.first and self.second == other.second
-
-    __hash__ = None
-
     def to_json(self) -> dict:
         return {
             "p": self.p,
@@ -93,12 +85,14 @@ class KernelBasis:
 
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
-    """Ladder rows (i, i-1) at level n: degrees < p^n, so already reduced mod omega_n.
-    Index 1 is built once per level (ladder checks (p, a_p) and n); others shift its rows."""
+    """Ladder rows (i, i-1) at level n as int tuples: degrees < p^n, so already reduced
+    mod omega_n.  Index 1 is built once per level, after the level guard; others shift its rows."""
     if i == 1:
-        return tuple(map(tuple, ladder(p, ap, n, 1).entries))
-    rows1 = [[s._ints for s in row] for row in _rows_mod_omega(p, ap, n, 1)]
-    return tuple(map(tuple, _ladder_at(p, ap, n, i, rows1).entries))
+        _check_level(p, ap, n)
+        rows = ladder_rows(p, ap, n, 1)
+    else:
+        rows = shift_rows(p, ap, _rows_mod_omega(p, ap, n, 1), i)
+    return tuple(tuple(map(tuple, row)) for row in rows)
 
 
 def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
@@ -106,18 +100,16 @@ def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
     rows = _rows_mod_omega(p, ap, n, i)
     if (v.p, v.level) != (p, n):
         raise ValueError("inputs must live at the requested (p, level)")
-    a, b = v.first.poly, v.second.poly
-    return LambdaPair(*(LambdaElement(p, n, theta.mul(a) + upsilon.mul(b))
-                        for theta, upsilon in rows))
+    a, b = v.first.poly._raw, v.second.poly._raw
+    return LambdaPair(*(
+        LambdaElement(p, n, PowerSeries(p, _lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None)))
+        for t, u in rows))
 
 
 def kernel_basis(p: int, ap: int, n: int, i: int = 1) -> KernelBasis:
     """Generators X*(upsilon_i, -theta_i) and X*(upsilon_{i-1}, -theta_{i-1})."""
-    rows = _rows_mod_omega(p, ap, n, i)
-    x = PowerSeries.x_power(p, 1)
-    return KernelBasis(tuple(
-        LambdaPair(LambdaElement(p, n, x.mul(upsilon)), LambdaElement(p, n, -x.mul(theta)))
-        for theta, upsilon in rows))
+    return KernelBasis(tuple(LambdaPair.from_ints(p, n, [0, *upsilon], [0, *(-c for c in theta)])
+                             for theta, upsilon in _rows_mod_omega(p, ap, n, i)))
 
 
 def kernel_member(p: int, ap: int, n: int, v: LambdaPair) -> bool:
@@ -133,20 +125,20 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
     InexactDivision from any step witnesses that the input is not in the
     image.  The result is one representative of the kernel coset.
 
-    Exact inputs (PowerSeries.is_exact) are not rebuilt: exact_divide accepts only
-    a zero remainder, so Phi_j v' = a_p v - u and [[a_p, -Phi_j], [1, 0]] undoes
-    each step; their product maps the output onto (P1, P0) before reduction mod
-    omega_n, so after it too.  An inexact input is rebuilt: a remainder zero only at
+    Exact inputs (PowerSeries.is_exact) are not rebuilt: a step, like exact_divide,
+    accepts only a zero remainder, so Phi_j v' = a_p v - u and [[a_p, -Phi_j], [1, 0]]
+    undoes each step; their product maps the output onto (P1, P0) before reduction
+    mod omega_n, so after it too.  An inexact input is rebuilt: a remainder zero only at
     its precision can leave the rebuild off the input (seen at p = 2): PrecisionExhausted.
     """
     _check_level(p, ap, n)
     if (P1.p, P1.level) != (p, n) or (P0.p, P0.level) != (p, n):
         raise ValueError("inputs must live at the requested (p, level)")
-    u, v = P1.poly, P0.poly
+    u, v = P1.poly._raw, P0.poly._raw
     for j in range(n, 0, -1):
-        w = v * ap - u
-        u, v = v, exact_divide(w, phi(p, j))
-    out = LambdaPair(LambdaElement(p, n, u), LambdaElement(p, n, v))
+        w = _lincomb(ap, v, -1, u, None)
+        u, v = v, _exact_quotient(*poly_divmod(w, _phi_exact(p, j)))
+    out = LambdaPair(*(LambdaElement(p, n, PowerSeries(p, x)) for x in (u, v)))
     if not (P1.poly.is_exact() and P0.poly.is_exact()) and \
             phi_apply(p, ap, n, 1, out) != LambdaPair(P1, P0):
         raise PrecisionExhausted(f"the peeled pair does not rebuild the inexact input at its "
@@ -210,13 +202,12 @@ def projection_compatibility_check(
     period_constants(p, ap)
     if v.level != n + 1:
         raise ValueError("input pair must live at level n+1")
-    w = omega(p, n)
     up = phi_apply(p, ap, n + 1, i, v)
-    v_down = LambdaPair(*(LambdaElement(p, n, reduce_mod(x.poly, w)) for x in (v.first, v.second)))
+    v_down = LambdaPair(*(LambdaElement(p, n, x.poly) for x in (v.first, v.second)))
     down = phi_apply(p, ap, n, i + 1, v_down)
     s1, s0 = (p, 1) if i % 2 != 0 else (1, p)
-    first, second = down.first.poly.scale(s1), down.second.poly.scale(s0)
-    if not (reduce_mod(up.first.poly, w) == first and reduce_mod(up.second.poly, w) == second):
+    if not (LambdaElement(p, n, up.first.poly) == down.first.poly.scale(s1) and
+            LambdaElement(p, n, up.second.poly) == down.second.poly.scale(s0)):
         raise IdentityViolation(
             f"projection compatibility failed at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
         )

@@ -99,7 +99,7 @@ class LadderMatrix:
 
 
 def _check_level(p: int, ap: int, n: int) -> None:
-    """The level guard of ladder, decompose and the kappa check: (p, a_p) and n >= 1."""
+    """The level guard of ladder, the Coleman ops and the kappa check: (p, a_p) and n >= 1."""
     period_constants(p, ap)
     if n < 1:
         raise ValueError("level n must be >= 1")

@@ -541,16 +541,6 @@ def series_arith(op: str, f: PowerSeries, g, cap: Optional[int]) -> PowerSeries:
     return out.truncate(cap) if cap is not None else out
 
 
-def _require_monic_exact(g: PowerSeries):
-    d = g.degree()
-    if d < 0:
-        raise ValueError("modulus must be nonzero")
-    if not g.is_exact():
-        raise ValueError("modulus must be exact")
-    if g._raw[d] != 1:
-        raise ValueError("modulus must be monic")
-
-
 def divmod_monic(f: PowerSeries, g: PowerSeries):
     """Quotient and remainder of f against a monic exact polynomial g.
 
@@ -558,7 +548,13 @@ def divmod_monic(f: PowerSeries, g: PowerSeries):
     coefficient precision propagates through the subtractions.
     """
     f._check_same(g)
-    _require_monic_exact(g)
+    d = g.degree()
+    if d < 0:
+        raise ValueError("modulus must be nonzero")
+    if not g.is_exact():
+        raise ValueError("modulus must be exact")
+    if g._raw[d] != 1:
+        raise ValueError("modulus must be monic")
     quot, rem = poly_divmod(*f._pair(g))
     return PowerSeries(f.p, quot), PowerSeries(f.p, rem)
 
@@ -579,8 +575,13 @@ def eval_at_root(f: PowerSeries, j: int) -> PowerSeries:
 def exact_divide(f: PowerSeries, g: PowerSeries) -> PowerSeries:
     """Quotient f/g when g divides f exactly (remainder zero at the tracked precision)."""
     quot, rem = divmod_monic(f, g)
-    for k, c in enumerate(rem.coeffs):
-        if not c.is_zero():
+    return _exact_quotient(quot, rem._raw)
+
+
+def _exact_quotient(quot, rem: Sequence):
+    """quot if rem is zero (a PadicScalar: at its precision), else InexactDivision."""
+    for k, c in enumerate(rem):
+        if c if type(c) is int else not c.is_zero():
             raise InexactDivision(f"remainder coefficient of X^{k} is {c!r}, not zero")
     return quot
 
@@ -609,17 +610,20 @@ def log_series(p: int, cap: int) -> PowerSeries:
 
 
 class LambdaElement:
-    """An element of the level-n quotient Z_p[X]/(omega_n), canonically reduced."""
+    """An element of the level-n quotient Z_p[X]/(omega_n), canonically reduced: the
+    remainder of poly's coefficients by omega_n, the one reduction of the Coleman ops."""
 
     __slots__ = ("p", "level", "poly")
 
     def __init__(self, p: int, level: int, poly: PowerSeries, reduced: bool = False):
         if level < 0:
             raise ValueError("level must be >= 0")
-        if not reduced:
-            poly = reduce_mod(poly, omega(p, level))
         self.p = p
         self.level = level
+        if not reduced:
+            w = omega_coeffs(p, level)
+            poly._check_same(self)  # _raw bypasses the operand guard's prime check
+            poly = PowerSeries(p, poly_divmod(poly._raw, w)[1])
         self.poly = poly
 
     @classmethod

@@ -2,6 +2,7 @@
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -329,6 +330,9 @@ def test_lambda_element_and_pair_reject_another_prime_or_level():
             build()
     with pytest.raises(ValueError, match=r"mixed \(p, level\)"):
         LambdaPair(e3, LambdaElement.from_ints(3, 2, [1]))
+    # the reduction reads the series' coefficients, not its operand guard
+    with pytest.raises(MixedExtension, match="mixed primes 5 and 3"):
+        LambdaElement(3, 1, PowerSeries(5, [1]))
 
 
 def test_coleman_layer_matches_index_loop_division(monkeypatch):
@@ -352,6 +356,7 @@ def test_coleman_layer_matches_index_loop_division(monkeypatch):
     after = series._reversed_inverse.cache_info()
     assert after.hits + after.misses > before.hits + before.misses  # the reciprocal path ran
     monkeypatch.setattr(series, "poly_divmod", poly_divmod_reference)
+    monkeypatch.setattr(coleman, "poly_divmod", poly_divmod_reference)
     assert [run(*case) for case in cases] == got
 
 
@@ -377,3 +382,23 @@ def test_rows_mod_omega_build_each_level_once(monkeypatch):
     real_rows.cache_clear()
     assert all(r.passed for r in run_suite(default_configs()))
     assert (steps[0], real_rows.cache_info().misses) == (30, 55)
+
+
+def test_coleman_checks_build_a_series_only_per_element(monkeypatch):
+    # the level-n algebra runs on coefficient lists: a warm round of the three
+    # Coleman checks builds 4,360 PowerSeries, each an input or result element
+    # (or its reduction), where wrapping every product, sum, divisor and
+    # remainder built 12,085
+    names = ("decompose_round_trip", "kernel_membership", "projection_compatibility")
+    configs = [replace(cfg, include=names) for cfg in default_configs()]
+    assert all(r.passed for r in run_suite(configs))
+    real_init, built = PowerSeries.__init__, [0]
+
+    def init(self, *args, **kwargs):
+        built[0] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerSeries, "__init__", init)
+    reports = run_suite(configs)
+    assert len(reports) == 15 and all(r.passed for r in reports)
+    assert built[0] <= 5000

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "padic_ladders"
-EXEMPT = ("series.py",)  # 6,124 tokens, past the limit already
+EXEMPT = {"series.py": 8192}  # past 4,096 already: held to the next buffer size instead
 
 
 def parser_tokens(path: Path) -> int:
@@ -21,3 +21,8 @@ def test_module_stays_within_4096_tokens(name):
     # Compiling a source with no bytecode cache sizes the parser's token buffer in powers
     # of two, so a module one token past 4,096 costs every such process about 0.25 MiB.
     assert parser_tokens(PACKAGE / name) <= 4096
+
+
+@pytest.mark.parametrize("name", sorted(EXEMPT))
+def test_exempt_module_stays_within_its_buffer(name):
+    assert parser_tokens(PACKAGE / name) <= EXEMPT[name]
