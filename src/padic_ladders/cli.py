@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from .checks import CheckConfig, default_configs, run_suite
@@ -26,6 +27,44 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
+
+
+def _dumps(obj) -> str:
+    """json.dumps(obj, indent=2), byte for byte, without the stdlib's pure-Python
+    encoder (which it falls back to whenever indent is set): strings through the
+    C quoting, ints through int.__repr__, one separator triple per depth.  The
+    CLI writes only str, int, bool, None, lists, tuples and str-keyed dicts; a
+    float, a set, any other type or a non-str key raises TypeError."""
+    chunks, seps = [], []
+
+    def put(o, depth):
+        if isinstance(o, str):
+            chunks.append(_quote(o))
+        elif o is None or o is True or o is False:
+            chunks.append("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            chunks.append(int.__repr__(o))
+        elif not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        elif not o:
+            chunks.append("{}" if isinstance(o, dict) else "[]")
+        else:
+            if len(seps) == depth:  # the separators before, between and after the items
+                pad = "\n" + "  " * depth
+                seps.append((pad + "  ", "," + pad + "  ", pad))
+            lead, between, close = seps[depth]
+            is_dict = isinstance(o, dict)
+            chunks.append("{" if is_dict else "[")
+            for k in o:
+                if is_dict and not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                chunks.append(lead + _quote(k) + ": " if is_dict else lead)
+                put(o[k] if is_dict else k, depth + 1)
+                lead = between
+            chunks.append(close + ("}" if is_dict else "]"))
+
+    put(obj, 0)
+    return "".join(chunks)
 
 
 def _write(text: str, out: Optional[str]):
@@ -56,7 +95,7 @@ def _cmd_table(args) -> int:
                 for r in rows
             ],
         }
-        _write(json.dumps(payload, indent=2), args.out)
+        _write(_dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -67,13 +106,13 @@ def _cmd_ladder(args) -> int:
         m = ladder_infinity(args.p, args.ap, args.index, args.cap, args.prec)
     else:
         m = ladder(args.p, args.ap, int(args.level), args.index, args.cap)
-    _write(json.dumps(m.to_json(), indent=2), args.out)
+    _write(_dumps(m.to_json()), args.out)
     return EXIT_OK
 
 
 def _cmd_halflog(args) -> int:
     pair = half_logs(args.p, args.ap, args.cap, args.prec)
-    _write(json.dumps(pair.to_json(), indent=2), args.out)
+    _write(_dumps(pair.to_json()), args.out)
     return EXIT_OK
 
 
@@ -103,14 +142,14 @@ def _cmd_decompose(args) -> int:
         "upsilon": result.second.to_json(),
         "kernel_coset_note": KERNEL_COSET_NOTE,
     }
-    _write(json.dumps(payload, indent=2), args.out)
+    _write(_dumps(payload), args.out)
     return EXIT_OK
 
 
 def _cmd_ap(args) -> int:
     a = ap(CurveData(args.a1, args.a2, args.a3, args.a4, args.a6), args.p)  # one point count
     payload = {"p": args.p, "count": args.p + 1 - a, "ap": a, "supersingular": a % args.p == 0}
-    _write(json.dumps(payload, indent=2), args.out)
+    _write(_dumps(payload), args.out)
     return EXIT_OK
 
 
@@ -127,7 +166,7 @@ def _cmd_verify(args) -> int:
     for r in reports:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} (p={r.config.get('p')}, ap={r.config.get('ap')})")
     if args.out:
-        _write(json.dumps([r.to_json() for r in reports], indent=2), args.out)
+        _write(_dumps([r.to_json() for r in reports]), args.out)
     failed = [r for r in reports if not r.passed]
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)

@@ -265,7 +265,7 @@ def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
 
 def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> PowerSeries:
     mod = p ** (prec + e)  # x / p^e mod p^prec reads x mod p^(prec+e), already reduced
-    return PowerSeries(p, [PadicScalar(p, Fraction(x % mod, p ** e), prec) for x in ints], cap)
+    return PowerSeries.from_numerators(p, [x % mod for x in ints], e, prec, cap)
 
 
 class QuadExtSeries:
@@ -391,7 +391,7 @@ def _half_logs_at(p: int, ap: int, cap: int, prec: int, found: dict) -> HalfLogP
     E = max(e for approx in limits.values() for _, e in approx)
     # rows (theta, upsilon) at index -i, then -i-1: (x mod p^(prec+2+e)) * p^(E-e)
     M = p ** (prec + 2 + E)
-    rows = {i: [[c * p ** (E - e) % M for c in x] for x, e in approx]
+    rows = {i: [[c * s % M for c in x] for x, s in [(x, p ** (E - e)) for x, e in approx]]
             for i, approx in limits.items()}
     logs = [(_lincomb(1, f0, -ap, f1, None), f1) for f0, f1 in zip(rows[0][:2], rows[0][2:])]
     abar = QuadExtScalar.alpha_bar(p, ap)
@@ -406,8 +406,7 @@ def _half_logs_at(p: int, ap: int, cap: int, prec: int, found: dict) -> HalfLogP
             for u, w, log in ((ua, wa, la), (ub, wb, lb)):
                 if any(_lincomb(1, _lincomb(u, top, -w, bot, None), -1, log, p ** (prec + E))):
                     raise failed
-    part = lambda xs: PowerSeries(p, [PadicScalar(p, Fraction(x, p ** E), prec + 2)
-                                      for x in xs], cap)
+    part = lambda xs: PowerSeries.from_numerators(p, xs, E, prec + 2, cap)
     log_theta, log_upsilon = (QuadExtSeries(p, ap, part(la), part(lb)) for la, lb in logs)
     return HalfLogPair(p, ap, "alpha", log_theta, log_upsilon, cap, prec)
 

@@ -19,7 +19,7 @@ import functools
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
+from typing import List, Optional, Sequence, Union
 
 from .errors import (
     DivisionByZero,
@@ -298,6 +298,21 @@ class PadicScalar:
         absprec = data.get("absprec", "inf")
         absprec = None if absprec in ("inf", None) else _json_int(data, "absprec")
         return cls(p, Fraction(num, p ** den_pow), absprec)
+
+
+def _numerators_json(p: int, xs: Sequence[int], e: int, absprec: Optional[int]) -> List[dict]:
+    """PadicScalar(p, Fraction(x, p**e), absprec).to_json() for each x, on ints: x/p^d
+    in lowest terms (one gcd with p^e), then 0 where v_p(x/p^d) >= absprec."""
+    den, pa = p ** e, p ** absprec if absprec is not None and absprec > 0 else 0
+    exps, out = {p ** k: k for k in range(e + 1)}, []
+    for x in xs:
+        g = math.gcd(x, den)
+        x, d = x // g, e - exps[g]
+        if x and absprec is not None and (absprec <= -d or not d and x % pa == 0):
+            x = 0  # zero at precision
+        out.append({"num": str(x), "den_pow": d if x else 0,
+                    "absprec": "inf" if absprec is None else absprec})
+    return out
 
 
 def _json_int(data: dict, key: str, default=None, minimum=None) -> int:

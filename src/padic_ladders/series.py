@@ -20,7 +20,8 @@ from itertools import zip_longest
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InexactDivision, PrecisionExhausted, SerializationError
-from .padics import PadicScalar, _json_int, _operand, rational_valuation, require_prime
+from .padics import (PadicScalar, _json_int, _numerators_json, _operand, rational_valuation,
+                     require_prime)
 from .trace import ap_parity_value, period_constants
 
 ScalarLike = Union[int, Fraction, PadicScalar]
@@ -29,12 +30,17 @@ ScalarLike = Union[int, Fraction, PadicScalar]
 class PowerSeries:
     """Coefficients indexed 0..cap-1 over a common prime p.
 
-    Exact integer coefficients are stored as ints (``_ints``), and arithmetic
-    between two such series runs the int core below; ``coeffs`` builds their
-    PadicScalars on first read.  Other series store PadicScalars.
+    Integer numerators are stored as ``_nums`` = (xs, e, absprec), coefficient k
+    being xs[k]/p^e known mod p^absprec, the flat absolute-precision form of
+    Caruso-Roe-Vaccon (arXiv:1402.0291): exact integers as (xs, 0, None), also
+    kept as ``_ints``, on which arithmetic between two such series runs the int
+    core below; a limit's x/p^e mod p^absprec (``from_numerators``) as they
+    come.  ``to_json`` encodes the numerators directly, and ``coeffs`` builds
+    their PadicScalars on first read for everything else.  Other series store
+    PadicScalars.
     """
 
-    __slots__ = ("p", "cap", "_ints", "_coeffs")
+    __slots__ = ("p", "cap", "_ints", "_coeffs", "_nums")
 
     def __init__(self, p: int, coeffs: Iterable[ScalarLike], cap: Optional[int] = None):
         self.p = p
@@ -59,6 +65,7 @@ class PowerSeries:
         self.cap = cap
         self._ints = None if ints is None else tuple(cs)
         self._coeffs = tuple(cs) if ints is None else None
+        self._nums = None if ints is None else (self._ints, 0, None)
 
     # -- constructors --------------------------------------------------------
 
@@ -74,17 +81,28 @@ class PowerSeries:
     def x_power(cls, p: int, k: int) -> "PowerSeries":
         return cls(p, [0] * k + [1])
 
+    @classmethod
+    def from_numerators(cls, p: int, xs: Sequence[int], e: int, absprec: int,
+                        cap: Optional[int] = None) -> "PowerSeries":
+        """sum_k xs[k]/p^e X^k below X^cap, each coefficient known mod p^absprec: the
+        series of PadicScalar(p, Fraction(x, p**e), absprec), none of them built yet."""
+        out = cls(p, [], cap)
+        out._ints, out._nums = None, (tuple(xs[:cap]), e, absprec)
+        return out
+
     # -- structure -----------------------------------------------------------
 
     @property
     def coeffs(self) -> Tuple[PadicScalar, ...]:
         if self._coeffs is None:
-            self._coeffs = tuple(PadicScalar(self.p, c) for c in self._ints)
+            xs, e, absprec = self._nums
+            den = self.p ** e
+            self._coeffs = tuple(PadicScalar(self.p, Fraction(x, den), absprec) for x in xs)
         return self._coeffs
 
     @property
     def _raw(self) -> tuple:
-        return self._coeffs if self._ints is None else self._ints
+        return self.coeffs if self._ints is None else self._ints
 
     def _pair(self, other: "PowerSeries") -> tuple:
         """Both coefficient tuples: ints if both series are int-backed, else PadicScalars."""
@@ -205,12 +223,9 @@ class PowerSeries:
     # -- wire format -----------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "cap": self.cap,
-            "coeffs": [c.to_json() for c in self.coeffs] if self._ints is None else
-                      [{"num": str(c), "den_pow": 0, "absprec": "inf"} for c in self._ints],
-        }
+        coeffs = [c.to_json() for c in self.coeffs] if self._nums is None else \
+            _numerators_json(self.p, *self._nums)
+        return {"p": self.p, "cap": self.cap, "coeffs": coeffs}
 
     @classmethod
     def from_json(cls, data: dict) -> "PowerSeries":

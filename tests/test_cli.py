@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import padic_ladders
 from padic_ladders import cli, curves
@@ -372,6 +372,46 @@ def test_artifact_json_round_trip_is_byte_exact(case):
     text = json.dumps(value.to_json())
     assert json.dumps(cls.from_json(json.loads(text)).to_json()) == text
 
+
+
+_SCALAR = st.fixed_dictionaries({"num": st.integers().map(str), "den_pow": st.integers(0, 40),
+                                 "absprec": st.integers(-2, 40) | st.just("inf")})
+_LEAF = st.one_of(st.text(), st.sampled_from(["", "\u00e9\u03b1", "\x00\n\t\"\\\x7f", "\U0001f600"]),
+                  st.integers(), st.integers(-10 ** 80, -10 ** 40), st.booleans(), st.none(), _SCALAR)
+_PAYLOAD = st.recursive(_LEAF, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=6), inner, max_size=5)), max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PAYLOAD)
+@example({"b": [], "a": {}, "c": [{"k": None, "j": [True, False, -(10 ** 70)]}]})
+def test_writer_matches_json_dumps_indent_2(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [1.5, {1, 2}, [0, {"a": frozenset()}], {1: "x"},
+                                     {"k": [{None: 0}]}, {(1, 2): 3}, [float("nan")]])
+def test_writer_raises_type_error_on_what_no_cli_payload_holds(payload):
+    # json.dumps writes floats and turns int/None keys into strings; the writer refuses them
+    with pytest.raises(TypeError):
+        cli._dumps(payload)
+
+
+def test_limit_artifact_builds_no_padic_scalars(tmp_path, monkeypatch):
+    # the parent of the numerator exit built 800 here: one PadicScalar per coefficient
+    built, matrices, init = [], [], PadicScalar.__init__
+    monkeypatch.setattr(PadicScalar, "__init__", lambda *a, **k: built.append(1) or init(*a, **k))
+    monkeypatch.setattr(cli, "ladder_infinity", lambda *a: matrices.append(ladder_infinity(*a))
+                        or matrices[-1])
+    out = tmp_path / "limit.json"
+    assert cli.main(["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
+                     "--cap", "200", "--prec", "26", "--out", str(out)]) == 0
+    assert len(built) == 0
+    entries = [s for row in matrices[0].entries for s in row]
+    for s in entries:
+        s.coeffs
+    assert len(built) == 200 * len(entries) == 800
 
 # Hypothesis draws the first values of a list most often: the hostile --in
 # files come first, so that most decompose runs reach a reader error, and
