@@ -31,7 +31,6 @@ from .errors import PadicLaddersError, PrecisionExhausted
 from .ladders import (
     _half_log_requests,
     _half_logs_at,
-    _int_approx_congruent,
     _ladder_at,
     _limit_matrix,
     _limits,
@@ -43,8 +42,8 @@ from .ladders import (
 )
 from .padics import rational_valuation
 from .report import CheckReport
-from .series import (PowerSeries, _lincomb, append_factor, ladder_rows, log_series, omega,
-                     poly_mul, shift_rows)
+from .series import (PowerSeries, _int_approx_congruent, _lincomb, append_factor, ladder_rows,
+                     log_series, omega, poly_mul, shift_rows)
 from .trace import (
     a_matrix,
     ap_parity_value,

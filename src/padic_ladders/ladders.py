@@ -6,14 +6,13 @@ are reached by the unimodular shift [[a_p(i), -1], [1, 0]] and its inverse,
 so every finite-level entry is an exact integer polynomial.
 
 The infinity-level object scales row i-N of the level-n ladder by
-p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and iterates n until the
-approximants stabilize modulo p^prec.  One rule, ``_stabilized``, says when
-an approximant has agreed twice in a row; the level loop ``_limits`` (once
-per (index, prec) request) and the factor loop of ``pollack_product`` call
-it, and past the step cap a limit is NotConverged.  Half-
-logarithms combine the index-0 limit rows with the conjugate root
-(row_0 - conj(alpha) * row_{-1}) into Z[alpha]-coordinate coefficients, built
-from the integer rows on which their Z[alpha] identities are checked.
+p^[(i-N)/2] (N = n+1 for odd p, n+2 for p = 2) and stops at the level n*
+that ``_stop_level`` computes from the start level's rows (derived in
+``ladder_infinity``), as the factor loop of ``pollack_product`` does; past
+the step cap a limit is NotConverged.  Half-logarithms combine the index-0
+limit rows with the conjugate root (row_0 - conj(alpha) * row_{-1}) into
+Z[alpha]-coordinate coefficients, built from the integer rows on which their
+Z[alpha] identities are checked.
 """
 
 from __future__ import annotations
@@ -26,17 +25,16 @@ from itertools import zip_longest
 from typing import List, Optional, Union
 
 from .errors import IdentityViolation, NotConverged, SerializationError, UsageError
-from .padics import PadicScalar, QuadExtScalar, _json_int, _operand
+from .padics import PadicScalar, QuadExtScalar, _json_int, _operand, rational_valuation
 from .report import CheckReport
 from .series import (
     PowerSeries,
-    _ShiftedRows,
+    _int_approx_congruent,
     _lincomb,
     append_factor,
     gauss_norm_log,
     ladder_rows,
     phi_mul,
-    shift_matrix,
     shift_rows,
 )
 from .trace import beta, period_constants
@@ -155,26 +153,43 @@ def _max_limit_steps(p: int, cap: int, prec: int, i: int) -> int:
 
 def ladder_infinity(p: int, ap: int, i: int, cap: int, prec: int,
                     _corrupt_parity: bool = False) -> LadderMatrix:
-    """Scaled limit rows (i, i-1) mod X^cap, stabilized modulo p^prec.
+    """Scaled limit rows (i, i-1) mod X^cap, right modulo p^prec.
 
-    The level loop ``_limits`` for the one request (i, prec): it iterates n
-    upward from the least n with p^n >= cap and n_shift(p, n) >= i - 1 and
-    asks ``_stabilized`` of each level's scaled approximant whether it has
-    agreed twice in a row.  Raises NotConverged past the step cap, which
-    grows by one per two steps of the index below 0 and which the
-    SPRUNG_MAX_LIMIT_STEPS environment variable sets exactly.
+    The level loop ``_limits`` for the one request (i, prec): levels n_start
+    (the least n with p^n >= cap and n_shift(p, n) >= i - 1) to n*.  Raises
+    NotConverged when n* lies past the step cap, which grows by one per two
+    steps of the index below 0 and which SPRUNG_MAX_LIMIT_STEPS sets exactly.
 
-    Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n
-    reads both rows shifted to index i (an integer matrix: it keeps the
-    smaller precision of its two inputs) and scaled by p^-e, e <= e_n, the
-    larger of ``_row_exps(p, i, n)``; e_n grows by one every second level.
-    Its top row is computed mod p^T_n, T_n = prec + e_n + c.  For n > n_start,
-    p^(n-1) >= cap and p | a_p, so the step (append_factor) gives the top row mod
-    p^(min(T_(n-1), T_(n-2)) + 1) = p^T_n.  The levels up to n_start - 1 gain
-    nothing and are kept mod p^T_(n_start).  Level n is then right mod
-    p^T_(n-1) >= p^(prec + e_n) for c = 1, and the stopping rule and the
-    output read only residues mod p^(prec + e): any larger precision at each
-    level, whatever the step cap, gives the same result.
+    Stopping level (Pollack's a_p = 0 limits, Duke Math. J. 118 (2003), in
+    Sprung's scaling).  S_n is level n's rows j = i - N and j - 1, row j
+    scaled by p^[j/2]; Phi_n(1+X) = p + p^(s_n) G_n mod X^cap, G_n integral,
+    s_n = n - 1 - L, p^L <= cap - 1 < p^(L+1) (``_phi_split``).
+    - Rows obey row_(j+1) = a_p(j) row_j - row_(j-1), so scaled pairs move by
+      C = [[a_p, -p], [1, 0]].  Were Phi_n = p, row j of level n would be
+      p^[j odd] row j+1 of level n-1; as [j/2] + [j odd] = [(j+1)/2],
+      S_n = S_(n-1).
+    - The shift is linear, so S_n - S_(n-1) is the scaled image of the index
+      (1, 0) pair (-p^(s_n) G_n r_0^(n-1), 0).  With c = max(e - v_p(x)) over
+      the rows x / p^e of S_(n_start), its valuation is at least s_n - c, one
+      less at p = 2 (N = n + 2).
+    - From n_start on s_n >= 0: the bound keeps every S_n at valuation >= -c.
+    So no level past n* = max(n_start + 2, prec + L + c + [p = 2]) moves S mod
+    p^prec (n_start + 2 at cap 1, where Phi_j(1+X) = p mod X).  The norm
+    min(v(top), v(bottom) + 1/2), which C raises by exactly 1/2 (C^two_tilde =
+    -p^one_tilde I), proves s_n - c - 1 for every p (the bound at p = 2); the
+    loop asserts the bound at n*, the last of the three levels it shifts (n_start,
+    n* - 1, n*): IdentityViolation if v(S_(n*) - S_(n*-1)) < min(prec, s_(n*) - c - [p = 2]).
+
+    Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n reads
+    both rows shifted to index i (an integer matrix keeps the smaller precision of
+    its inputs) and scaled by p^-e, e <= e_n = max(``_row_exps(p, i, n)``), which
+    grows by one every second level.  Its top row is computed mod p^T_n, T_n =
+    prec + e_n + 1: for n > n_start, p^(n-1) >= cap and p | a_p, so the step gives
+    it mod p^(min(T_(n-1), T_(n-2)) + 1) = p^T_n; the levels before n_start gain
+    nothing and are kept mod p^T_(n_start).  A numerator read as 0 mod p^T_n has
+    e - v_p(x) < -prec, below c's floor, and the guard reads residues mod
+    p^(prec + e) only: any larger precision, whatever the step cap, gives the
+    same result.
     """
     found = _limits(p, ap, [(i, prec)], cap, _corrupt_parity)
     return _limit_matrix(p, ap, i, cap, prec, _read(found, (i, prec)))
@@ -183,21 +198,19 @@ def ladder_infinity(p: int, ap: int, i: int, cap: int, prec: int,
 def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = False) -> dict:
     """``ladder_infinity``'s (n_used, approx) for each request (i, prec), keyed by it.
 
-    One level loop: level n is built once, mod the largest p^T_n(i) that a
-    pending request needs (p^T_(n_start)(i) before its n_start), so each request
-    sees every level at least as precisely as its own schedule would.  Each
-    index moves its shift matrix one step per level and shifts a head of the
-    level's rows; ``_stabilized`` asks for the full rows only once heads agree.
-    Each request keeps its own start, step cap and ``_stabilized`` key; one
-    that does not stabilize maps to the NotConverged its own call would raise,
-    which ``_read`` raises, so it stops no other.
+    One level loop: level n is built once, mod the largest p^T_n(i) a pending
+    request needs (p^T_(n_start)(i) before its n_start), so each request sees
+    every level at least as precisely as its own schedule would.  An index shifts
+    its rows at the levels its requests read: n_start, which fixes their n*, then
+    n* - 1 and n*.  A request whose n* lies past its step cap, or whose guard
+    fails, maps to the error its own call would raise, which ``_read`` raises.
     """
     period_constants(p, ap)
     if cap < 1 or any(prec < 1 for _, prec in requests):
         raise ValueError("cap and prec must be >= 1")
     start = {i: _first_level(p, cap, i) for i, _ in requests}
     stop = {(i, prec): start[i] + _max_limit_steps(p, cap, prec, i) for i, prec in requests}
-    found, last, shifts = {}, {}, {}  # shifts: index -> (j, its shift_matrix to j), one step a level
+    found, guard, prev = {}, {}, {}
     rows1 = [[[1], []], [[], [1]]]
     for n in range(1, max(stop.values()) + 1):
         pending = [r for r in stop if r not in found and n <= stop[r]]
@@ -206,16 +219,41 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
         mod = max(p ** (prec + max(_row_exps(p, i, max(n, start[i]))) + 1) for i, prec in pending)
         rows1 = append_factor(p, ap, rows1, n, cap, mod)
         approx = {}  # rows (i, i-1) of level n, once per index
-        for i in {i for i, _ in pending if n >= start[i]}:
-            j = i - n_shift(p, n)
-            shifts[i] = j, shift_matrix(p, ap, j, _corrupt_parity, *shifts.get(i, ()))
-            approx[i] = _ShiftedRows(rows1, _row_exps(p, i, n), *shifts[i], mod)
-        for i, prec in pending:
-            if i in approx and _stabilized(p, prec, last, (i, prec), approx[i]):
-                found[i, prec] = n, approx[i].read()
-    return {(i, prec): found.get((i, prec)) or NotConverged(
-        f"no stabilization mod {p}^{prec} within {stop[i, prec] - start[i]} steps "
-        f"(p={p}, a_p={ap}, i={i}, cap={cap})") for i, prec in stop}
+        for r in pending:
+            i, prec = r
+            if n != start[i] and n < stop[r] - 1:
+                continue
+            if i not in approx:
+                shifted = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
+                approx[i] = [(s, e) for row, e in zip(shifted, _row_exps(p, i, n)) for s in row]
+            if n == start[i]:
+                n_star, guard[r] = _stop_level(p, cap, prec, n, approx[i], p == 2, lambda m: m)
+                if n_star > stop[r]:
+                    found[r] = NotConverged(f"no stabilization mod {p}^{prec} within {stop[r] - n}"
+                                            f" steps (p={p}, a_p={ap}, i={i}, cap={cap})")
+                stop[r] = n_star
+            elif n < stop[r]:
+                prev[r] = approx[i]
+            elif _int_approx_congruent(p, prev[r], approx[i], guard[r]):
+                found[r] = n, approx[i]
+            else:
+                found[r] = IdentityViolation(f"level {n} moved the limit mod {p}^{guard[r]}, "
+                                             f"past its bound (p={p}, a_p={ap}, i={i}, cap={cap})")
+    return found
+
+
+def _stop_level(p: int, cap: int, prec: int, start: int, approx, lost: int, phi_j) -> tuple:
+    """(n*, t) for a limit whose step n multiplies by Phi_j(1+X) = p + p^s G mod X^cap,
+    j = phi_j(n) and s = j - n0 (``_first_level``), and so moves it by a valuation of
+    at least s - c - lost, c = max(e - v_p(x)) >= -prec over the numerators x of
+    approx, rows x / p^e.  n* is the first n >= start + 2 past which no step moves
+    it mod p^prec; t, the guard's precision at n*, is min(prec, step n*'s bound)."""
+    c = max([e - rational_valuation(g, p) for xs, e in approx if (g := math.gcd(*xs))] + [-prec])
+    bound = lambda n: prec if cap == 1 else phi_j(n) - _first_level(p, cap) - c - lost
+    n = start + 2
+    while bound(n + 1) < prec:
+        n += 1
+    return n, min(prec, bound(n))
 
 
 def _read(found: dict, request):
@@ -230,37 +268,6 @@ def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> Ladder
     n, approx = found
     entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]] for r in (0, 2)]
     return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
-
-
-_HEAD = 4  # coefficients per row that approximants are compared on before their whole rows
-
-
-def _stabilized(p: int, prec: int, last: dict, key, approx: _ShiftedRows) -> bool:
-    """Whether approx agrees mod p^prec with key's previous approximant, which
-    itself agreed with the one before: two consecutive agreements (a single
-    agreement can be a parity stall when a_p = 0); last keeps (approx,
-    agreements) per key.  A congruence holds coefficient by coefficient, and
-    zip_longest pads a head as it pads the rows, so heads that disagree decide;
-    whole rows are compared (and shifted) only once heads agree, or at once
-    after the previous ones were (heads agree by then).
-    """
-    prev, agreements = last.get(key, (None, 0))
-    agree = prev is not None and (
-        None in prev.done or _int_approx_congruent(p, prev.read(_HEAD), approx.read(_HEAD), prec)
-    ) and _int_approx_congruent(p, prev.read(), approx.read(), prec)
-    agreements = agreements + 1 if agree else 0
-    last[key] = approx, agreements
-    return agreements >= 2
-
-
-def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
-    for (x, ea), (y, eb) in zip(a, b):
-        # x/p^ea = y/p^eb mod p^prec  <=>  x*p^eb - y*p^ea = 0 mod p^(prec+ea+eb)
-        modulus = p ** (prec + ea + eb)
-        sa, sb = p ** eb, p ** ea
-        if any((xv * sa - yv * sb) % modulus for xv, yv in zip_longest(x, y, fillvalue=0)):
-            return False
-    return True
 
 
 def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> PowerSeries:
@@ -412,32 +419,39 @@ def _half_logs_at(p: int, ap: int, cap: int, prec: int, found: dict) -> HalfLogP
 
 
 def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSeries:
-    """prod over j = parity of Phi_j(1+X)/p, truncated at X^cap.
+    """prod over j = parity of Phi_j(1+X)/p, truncated at X^cap, right mod p^prec.
 
-    Factors are included until the partial product stabilizes modulo p^prec
-    (the rule of ``_stabilized``); only odd p is meaningful (the construction
-    needs p - 1 > 1 parity classes).  After k factors the value is P_k/p^k
-    with P_k an integer polynomial, and agreement mod p^prec needs P_k only
-    mod p^(prec+k).  A factor with p^(j-1) >= cap adds one p-adic digit
-    (``phi_mul``), the d before it none, so P_k is kept mod p^(prec+max(k, d)).
+    Only odd p is meaningful (the construction needs p - 1 > 1 parity classes).
+    After k factors the value is Q_k = P_k/p^k, P_k an integer polynomial kept
+    mod p^(prec+max(k, d)): the d factors j <= n0 (p^(n0-1) < cap <= p^n0) gain
+    no p-adic digit, each later one gains one (``phi_mul``).  Past them Phi_j/p
+    = 1 + p^(s_j - 1) G_j, s_j = j - n0 >= 1, and the Gauss norm is
+    multiplicative, so factor k moves Q by a valuation of at least s_j - 1 - c,
+    c = max(d - v_p(P_d), -prec) read once, and c never grows: here the bound
+    is proved.  The product stops at the k* of ``_stop_level``; IdentityViolation
+    if factor k* moved Q mod p^min(prec, its bound), NotConverged past the cap.
     """
     if p == 2:
         raise ValueError("parity products need an odd prime")
     period_constants(p, 0)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
-    max_steps = _first_level(p, cap) + prec + 10
-    js = range(2 if parity == "even" else 1, 2 * max_steps + 1, 2)
-    d = sum(1 for j in js if p ** (j - 1) < cap)
-
-    P, last = [1], {}
-    for k, j in enumerate(js, 1):
-        P = phi_mul(p, j, P, cap, p ** (prec + max(k, d)))
-        if _stabilized(p, prec, last, parity, _ShiftedRows([[P]], (k,))):  # P / p^k
-            return _ints_to_series(p, P, k, cap, prec)
-    raise NotConverged(
-        f"parity product did not stabilize mod {p}^{prec} within {max_steps} factors"
-    )
+    n0 = _first_level(p, cap)
+    max_steps, j1 = n0 + prec + 10, 2 if parity == "even" else 1
+    d = len(range(j1, n0 + 1, 2))  # the factors j <= n0: p^(j-1) < cap but at cap 1
+    P = [1]
+    for k in range(d):
+        P = phi_mul(p, j1 + 2 * k, P, cap, p ** (prec + d))
+    k_star, t = _stop_level(p, cap, prec, d, [(P, d)], 1, lambda k: j1 + 2 * k - 2)
+    if k_star > max_steps:
+        raise NotConverged(f"parity product did not stabilize mod {p}^{prec} within {max_steps}"
+                           " factors")
+    for k in range(d, k_star):
+        prev, P = P, phi_mul(p, j1 + 2 * k, P, cap, p ** (prec + k + 1))
+    if not _int_approx_congruent(p, [(prev, k_star - 1)], [(P, k_star)], t):
+        raise IdentityViolation(f"factor {k_star} moved the parity product mod {p}^{t}, "
+                                "past its bound")
+    return _ints_to_series(p, P, k_star, cap, prec)
 
 
 def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:

@@ -423,6 +423,17 @@ def _lincomb(s: int, x: Poly, t: int, y: Poly, mod: Optional[int]) -> Poly:
     return [(s * xk + t * yk) % mod for xk, yk in pairs]
 
 
+def _int_approx_congruent(p: int, a, b, prec: int) -> bool:
+    """Whether the rows of a and b, (x, e) pairs read as x / p^e, agree mod p^prec."""
+    for (x, ea), (y, eb) in zip(a, b):
+        # x/p^ea = y/p^eb mod p^prec  <=>  x*p^eb - y*p^ea = 0 mod p^(prec+ea+eb)
+        modulus = p ** (prec + ea + eb)
+        sa, sb = p ** eb, p ** ea
+        if any((xv * sa - yv * sb) % modulus for xv, yv in zip_longest(x, y, fillvalue=0)):
+            return False
+    return True
+
+
 def phi_mul(p: int, j: int, y: Poly, cap: Optional[int] = None,
             mod: Optional[int] = None) -> Poly:
     """Phi_j(1+X) * y below X^cap and mod mod, in one pass: (p*y + c*(H_j*y))
@@ -445,59 +456,33 @@ def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = N
     return [new_top, top]
 
 
-def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None,
-               parity_flip: bool = False) -> IntRows:
-    """Move index-1 rows to index i: apply_shift by shift_matrix."""
-    return apply_shift(rows, i, shift_matrix(p, ap, i, parity_flip), mod)
-
-
-def shift_matrix(p: int, ap: int, i: int, parity_flip: bool = False, j: int = 1,
-                 m: Tuple[int, ...] = (1, 0, 0, 1)) -> Tuple[int, ...]:
-    """[[s, t], [u, v]] taking index-1 rows to index i: m, the matrix to index j,
-    then the |i-j| steps [[a_p(idx), -1], [1, 0]] or their inverses.  parity_flip
-    reads a_p(idx+1) for a_p(idx), a deliberate fault for tests."""
+def shift_matrix(p: int, ap: int, i: int, parity_flip: bool = False) -> Tuple[int, ...]:
+    """[[s, t], [u, v]] taking index-1 rows to index i: the |i-1| steps
+    [[a_p(idx), -1], [1, 0]] or their inverses.  parity_flip reads a_p(idx+1)
+    for a_p(idx), a deliberate fault for tests."""
     off = 1 if parity_flip else 0
-    s, t, u, v = m
-    for idx in range(j, i):
+    s, t, u, v = 1, 0, 0, 1
+    for idx in range(1, i):
         a = ap_parity_value(p, ap, idx + off)
         s, t, u, v = a * s - u, a * t - v, s, t
-    for idx in range(j, i, -1):
+    for idx in range(1, i, -1):
         a = ap_parity_value(p, ap, idx - 1 + off)
         s, t, u, v = u, v, a * u - s, a * v - t
     return s, t, u, v
 
 
-def apply_shift(rows: IntRows, i: int, m: Tuple[int, ...], mod: Optional[int] = None) -> IntRows:
-    """rows moved by m = shift_matrix(..., i, ...), mod mod: a Z-linear combination
+def shift_rows(p: int, ap: int, rows: IntRows, i: int, mod: Optional[int] = None,
+               parity_flip: bool = False) -> IntRows:
+    """Index-1 rows moved to index i by shift_matrix, mod mod: a Z-linear combination
     per coefficient, so capped or omega-reduced rows stay so."""
     if i == 1:
         return rows
-    s, t, u, v = m
+    s, t, u, v = shift_matrix(p, ap, i, parity_flip)
     # After a single step one row is the old row itself, unreduced and unpadded.
     top, bot = rows
     new_top = bot if i == 0 else [_lincomb(s, x, t, y, mod) for x, y in zip(top, bot)]
     new_bot = top if i == 2 else [_lincomb(u, x, v, y, mod) for x, y in zip(top, bot)]
     return [new_top, new_bot]
-
-
-class _ShiftedRows:
-    """Rows apply_shift(rows, j, m, mod), each read as (x, e) for x / p^e with e
-    from exps, shifted once per read, on first demand: read(k) from the rows'
-    first k coefficients, a prefix of read() as the shift acts coefficient by
-    coefficient."""
-
-    __slots__ = ("args", "done")
-
-    def __init__(self, rows: IntRows, exps, j: int = 1, m=None, mod: Optional[int] = None):
-        self.args, self.done = (rows, exps, j, m, mod), {}
-
-    def read(self, k: Optional[int] = None) -> list:
-        if k not in self.done:
-            rows, exps, j, m, mod = self.args
-            part = rows if k is None else [[x[:k] for x in row] for row in rows]
-            self.done[k] = [(s, e) for row, e in zip(apply_shift(part, j, m, mod), exps)
-                            for s in row]
-        return self.done[k]
 
 
 def ladder_rows(p: int, ap: int, n: int, i: int, cap: Optional[int] = None,

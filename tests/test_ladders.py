@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from padic_ladders import ladders, series
-from padic_ladders.errors import IdentityViolation, MixedExtension, NotConverged, SerializationError
+from padic_ladders.errors import (IdentityViolation, MixedExtension, NotConverged,
+                                  PadicLaddersError, SerializationError)
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
     HalfLogPair,
@@ -23,6 +24,7 @@ from padic_ladders.ladders import (
     _int_coords,
     _ints_to_series,
     _limit_matrix,
+    _half_log_requests,
     _limits,
     _max_limit_steps,
     pollack_product,
@@ -32,6 +34,7 @@ from padic_ladders.series import (
     _lincomb,
     PowerSeries,
     gauss_norm_log,
+    ladder_rows,
     log_series,
     omega,
     phi,
@@ -258,10 +261,10 @@ def _fixed_modulus_chain(p, ap, cap, prec, idxs, phis):
 
 
 def _agreed_twice(p, prec, last, key, approx):
-    """The stopping rule on whole approximants, independent of the package's:
-    approx (a list of (int poly, e) for poly / p^e) agrees mod p^prec with key's
-    previous one, which agreed with the one before.  last keeps (approx,
-    agreements) per key."""
+    """The package's former stopping rule, kept as the record of the values it
+    accepted: approx (a list of (int poly, e) for poly / p^e) agrees mod p^prec
+    with key's previous one, which agreed with the one before.  last keeps
+    (approx, agreements) per key."""
     prev, agreements = last.get(key, (None, 0))
     agree = prev is not None and all(
         (x * sb - y * sa) % mod == 0
@@ -300,20 +303,191 @@ def _outcome(fn):
 
 
 def test_precision_schedule_matches_fixed_modulus():
-    # the growing schedule against one fixed p^work per (p, a_p, cap, prec),
-    # one chain read at every index: same bytes, n_used and exceptions, with
-    # and without the parity fault
+    # the growing schedule and the computed stopping level against one fixed
+    # p^work per (p, a_p, cap, prec), one chain read at every index under the
+    # former rule: every value has the reference's bytes, at a level no later
+    # than the reference's.  Under the parity fault the other outcomes are the
+    # step guard's IdentityViolation, or a value where the reference found none
     phis, idxs = {}, range(-3, 13)
-    for p, ap in [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]:
+    for p, ap in PAIRS_8:
         for cap in (1, 5, 20, 60):
             for prec in (1, 3, 5, 12):
                 chain = _fixed_modulus_chain(p, ap, cap, prec, idxs, phis)
                 for i in idxs:
                     for corrupt in (False, True):
+                        where = (p, ap, i, cap, prec, corrupt)
                         got = _outcome(lambda: ladder_infinity(p, ap, i, cap, prec, corrupt))
                         ref = _outcome(lambda: _fixed_modulus_limit(p, ap, i, cap, prec,
                                                                     corrupt, chain))
-                        assert got == ref, (p, ap, i, cap, prec, corrupt)
+                        if type(got[1]) is type(ref[1]) is int:
+                            assert got[0] == ref[0] and got[1] <= ref[1], where
+                        else:
+                            assert corrupt and (got[0] == "IdentityViolation"
+                                                or ref[0] == "NotConverged"), where
+
+
+def _v(p, x):
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _congruent(p, a, b, prec):
+    """Rows of (x, e) pairs, x / p^e, agree mod p^prec."""
+    return all((x * p ** eb - y * p ** ea) % p ** (prec + ea + eb) == 0
+               for (xs, ea), (ys, eb) in zip(a, b) for x, y in zip_longest(xs, ys, fillvalue=0))
+
+
+def _log_floor(p, m):
+    return max(k for k in range(m.bit_length()) if p ** k <= m)
+
+
+def _n_star(p, ap, i, cap):
+    """prec -> the stopping level max(n_start + 2, prec + L + c + [p = 2]), with
+    c = max(e - v_p(x)) over the exact scaled start-level rows x / p^e and
+    p^L <= cap - 1 < p^(L+1); n_start + 2 at cap 1."""
+    n = _n_start(p, i, cap)
+    if cap == 1:
+        return lambda prec: n + 2
+    j = i - n_shift(p, n)
+    c = max(-(idx // 2) - _v(p, x) for row, idx in zip(ladder_rows(p, ap, n, j, cap), (j, j - 1))
+            for s in row for x in s if x)
+    return lambda prec: max(n + 2, prec + _log_floor(p, cap - 1) + c + (p == 2))
+
+
+def _scaled_rows(p, ap, n, i, cap):
+    """Level n's exact rows (i, i-1) as (x, e) pairs for x / p^e, row j = i - N
+    scaled by p^[j/2]."""
+    j = i - n_shift(p, n)
+    return [(s, -(idx // 2)) for row, idx in zip(ladder_rows(p, ap, n, j, cap), (j, j - 1))
+            for s in row]
+
+
+def test_step_bound_holds_at_every_level():
+    # the lemma behind n*: past n_start each level moves the scaled rows by a
+    # valuation of at least s_n - c - [p = 2], s_n = n - 1 - L, c read at n_start
+    # (exact rows, no modulus); the bound is attained
+    slack = []
+    for p, ap in PAIRS_8:
+        for cap in (2, 3, 5, 20):
+            L = _log_floor(p, cap - 1)
+            for i in range(-3, 9):
+                n0 = _n_start(p, i, cap)
+                prev = _scaled_rows(p, ap, n0, i, cap)
+                c = max(e - _v(p, x) for xs, e in prev for x in xs if x)
+                for n in range(n0 + 1, n0 + 6):
+                    rows = _scaled_rows(p, ap, n, i, cap)
+                    moved = [_v(p, x * p ** f - y * p ** e) - e - f
+                             for (xs, e), (ys, f) in zip(rows, prev)
+                             for x, y in zip_longest(xs, ys, fillvalue=0) if x * p ** f != y * p ** e]
+                    if moved:
+                        slack.append(min(moved) - (n - 1 - L - c - (p == 2)))
+                    prev = rows
+    assert min(slack) == 0
+
+
+def _limit_sweep_failures():
+    """(where, what) for each request of the sweep whose limit differs mod p^prec
+    from its limit at prec + 10 ("value"), whose n_used is not the test-local n*
+    ("level"), or that raised (the error)."""
+    failures, precs = [], (1, 3, 5, 12)
+    for p, ap in PAIRS_8:
+        for cap in (1, 2, 3, 5, 20, 60):
+            requests = [(i, prec) for i in range(-3, 13) for prec in precs]
+            found = _limits(p, ap, requests, cap)
+            finer = _limits(p, ap, [(i, prec + 10) for i, prec in requests], cap)
+            for i in range(-3, 13):
+                n_star = _n_star(p, ap, i, cap)
+                for prec in precs:
+                    where = (p, ap, i, cap, prec)
+                    try:
+                        n, approx = ladders._read(found, (i, prec))
+                        fine = ladders._read(finer, (i, prec + 10))[1]
+                    except PadicLaddersError as exc:
+                        failures.append((where, type(exc).__name__))
+                        continue
+                    if not _congruent(p, approx, fine, prec):
+                        failures.append((where, "value"))
+                    if n != n_star(prec):
+                        failures.append((where, "level"))
+    return failures
+
+
+def _one_level_short(monkeypatch):
+    real = ladders._stop_level
+
+    def short(p, cap, prec, start, *args):
+        n, t = real(p, cap, prec, start, *args)
+        return max(n - 1, start + 2), t
+
+    monkeypatch.setattr(ladders, "_stop_level", short)
+
+
+def test_limits_stop_at_the_computed_level(monkeypatch):
+    # every limit of the sweep is right mod p^prec (it agrees with the limit at
+    # prec + 10) and stops at n*; with n* one level short the sweep finds
+    # wrong limits, not only moved levels
+    assert _limit_sweep_failures() == []
+    _one_level_short(monkeypatch)
+    failures = _limit_sweep_failures()
+    assert {what for _, what in failures} >= {"value", "level"}
+
+
+PARITY_SWEEP = [(p, parity, cap, prec) for p in (3, 5, 7) for parity in ("even", "odd")
+                for cap in (1, 2, 5, 13, 20, 60) for prec in (1, 3, 5, 12)]
+
+
+def _k_star(p, parity, cap, prec):
+    """The parity product's stopping factor max(d + 2, ceil((prec + n0 + 1 + c -
+    j_1) / 2)): d the factors j <= n0 (p^n0 >= cap, n0 >= 1 least), c = max(d -
+    v_p(P_d)) over their exact product P_d; d + 2 at cap 1."""
+    n0, j1 = _n_start(p, 1, cap), 2 if parity == "even" else 1
+    js = range(j1, n0 + 1, 2)
+    P = [1]
+    for j in js:
+        P = poly_mul(P, phi_coeffs(p, j, cap), cap)
+    if cap == 1:
+        return len(js) + 2
+    c = max(len(js) - _v(p, x) for x in P if x)
+    return max(len(js) + 2, -(-(prec + n0 + 1 + c - j1) // 2))
+
+
+def _parity_sweep_failures(monkeypatch):
+    """As _limit_sweep_failures, for the parity products: their factor count
+    (phi_mul calls) against the test-local k*."""
+    factors, real = [0], ladders.phi_mul
+
+    def phi_mul(*args):
+        factors[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ladders, "phi_mul", phi_mul)
+    failures = []
+    for where in PARITY_SWEEP:
+        p, parity, cap, prec = where
+        factors[0] = 0
+        try:
+            got, count = pollack_product(*where), factors[0]
+            fine = pollack_product(p, parity, cap, prec + 10)
+        except PadicLaddersError as exc:
+            failures.append((where, type(exc).__name__))
+            continue
+        if count != _k_star(*where):
+            failures.append((where, "level"))
+        if not got.congruent(fine, prec):
+            failures.append((where, "value"))
+    monkeypatch.setattr(ladders, "phi_mul", real)
+    return failures
+
+
+def test_parity_products_stop_at_the_computed_factor(monkeypatch):
+    # as the limit sweep; one factor short, the guard (here a proved bound) or
+    # the value catches it, not only the factor count
+    assert _parity_sweep_failures(monkeypatch) == []
+    _one_level_short(monkeypatch)
+    failures = _parity_sweep_failures(monkeypatch)
+    assert {what for _, what in failures} - {"level"}
 
 
 PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
@@ -362,30 +536,33 @@ def test_shared_level_loop_matches_separate_limits(monkeypatch):
     assert mixed > 50  # step caps that stop some requests of a call and not others
 
 
-def test_level_loop_shifts_full_rows_only_where_heads_agree(monkeypatch):
-    # each level shifts the first coefficients of its rows, and the full rows
-    # only once heads agree; shifting the full rows at every level, from n_start
-    # to n_used, costs 4 * 200 coefficients per level (26,400 at (2, 2), i = 0)
-    count, real = [0], series.apply_shift  # as the level loop's _ShiftedRows binds it
+def test_level_loop_shifts_three_levels_per_request(monkeypatch):
+    # a request shifts the full rows of its start level, n* - 1 and n* only: at
+    # cap 200 at most 3 * 4 * 200 coefficients (the former head-first loop
+    # shifted 5,984-9,968), and append_factor runs max(n*) times per call
+    counts, real_shift, real_step = [0, 0], ladders.shift_rows, ladders.append_factor
 
-    def shift(rows, *args):
-        count[0] += sum(len(x) for row in rows for x in row)
-        return real(rows, *args)
+    def shift(p, ap, rows, *args):
+        counts[0] += sum(len(x) for row in rows for x in row)
+        return real_shift(p, ap, rows, *args)
 
-    def shifted(run):
-        count[0] = 0
-        return run(), count[0]
+    def step(*args):
+        counts[1] += 1
+        return real_step(*args)
 
-    monkeypatch.setattr(series, "apply_shift", shift)
-    want = {(2, 2, 0): 9184, (2, 2, 1): 9968, (2, -2, 0): 9184, (2, -2, 1): 9968,
-            (3, 3, 0): 6800, (3, 3, 1): 6000, (3, -3, 0): 6800, (3, -3, 1): 6000,
-            (3, 0, 0): 6800, (3, 0, 1): 6000, (5, 0, 0): 6000, (5, 0, 1): 5984}
-    got = {}
-    for p, ap, i in want:
-        m, got[p, ap, i] = shifted(lambda: ladder_infinity(p, ap, i, 200, 26))
-        assert got[p, ap, i] < 4 * 200 * (m.n_used - _n_start(p, i, 200) + 1) // 2
-    assert got == want
-    assert shifted(lambda: half_logs(3, 3, 200, 20))[1] == 14304
+    monkeypatch.setattr(ladders, "shift_rows", shift)
+    monkeypatch.setattr(ladders, "append_factor", step)
+    for p, ap in [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0)]:
+        for i in (0, 1):
+            counts[:] = [0, 0]
+            m = ladder_infinity(p, ap, i, 200, 26)
+            assert counts[0] <= 3 * 4 * 200 and counts[1] == m.n_used, (p, ap, i, counts)
+    counts[:] = [0, 0]
+    found = _limits(3, 3, _half_log_requests(3, 3, 20), 200)
+    assert counts[1] == max(n for n, _ in found.values())
+    counts[:] = [0, 0]
+    half_logs(3, 3, 200, 20)
+    assert counts == [4800, max(n for n, _ in found.values())]  # the former loop: 14,304
 
 
 def test_pollack_schedule_matches_fixed_modulus():
@@ -445,7 +622,7 @@ def test_step_caps_count_levels_in_integers(monkeypatch):
     # ceil(log(cap, p)) read 4, 7 and 6 at these three caps
     for p, cap, levels in ((5, 125, 3), (5, 15625, 6), (7, 16807, 5)):
         assert _max_limit_steps(p, cap, 1, 0) == levels + 2 * 1 + 8
-    monkeypatch.setattr(ladders, "_int_approx_congruent", lambda *args: False)
+    monkeypatch.setattr(ladders, "_stop_level", lambda *args: (10 ** 6, 1))  # past every cap
     with pytest.raises(NotConverged, match="within 13 steps"):
         ladder_infinity(5, 0, 0, 125, 1)
     with pytest.raises(NotConverged, match="within 14 factors"):

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "padic_ladders"
-EXEMPT = {"series.py": 8192}  # past 4,096 already: held to the next buffer size instead
+# series.py is past 4,096 already.  Its tokens raise peak RSS throughout, not only at the
+# 4,096 boundary, so it is held to its present count, not to the next buffer size.
+EXEMPT = {"series.py": 6135}
 
 
 def parser_tokens(path: Path) -> int:
