@@ -53,7 +53,7 @@ def test_matches_reference_under_parity_fault():
     cfgs = [CheckConfig(c.p, c.ap, corrupt_ap_parity=True) for c in default_configs()]
     got = same_outcomes(cfgs)
     assert [w is None for w in got] == [False, False, False, False, True]  # (3, 0) passes
-    assert all(w.startswith("NotConverged: ") for w in got[:4])
+    assert all(w.startswith("IdentityViolation: ") for w in got[:4])
 
 
 def test_matches_reference_under_shifted_log(monkeypatch):
