@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from padic_ladders import ladders, series
+from padic_ladders import ladders
 from padic_ladders.errors import (IdentityViolation, MixedExtension, NotConverged,
                                   PadicLaddersError, SerializationError)
 from padic_ladders.ladders import (
@@ -260,17 +260,28 @@ def _fixed_modulus_chain(p, ap, cap, prec, idxs, phis):
     return mod, levels
 
 
+def _v(p, x):
+    v = 0
+    while x % p == 0:
+        x, v = x // p, v + 1
+    return v
+
+
+def _congruent(p, a, b, prec):
+    """Rows of (x, e) pairs, x / p^e, agree mod p^prec."""
+    return all((x * sb - y * sa) % mod == 0
+               for (xs, ea), (ys, eb) in zip(a, b)
+               for sa, sb, mod in [(p ** ea, p ** eb, p ** (prec + ea + eb))]
+               for x, y in zip_longest(xs, ys, fillvalue=0))
+
+
 def _agreed_twice(p, prec, last, key, approx):
     """The package's former stopping rule, kept as the record of the values it
     accepted: approx (a list of (int poly, e) for poly / p^e) agrees mod p^prec
     with key's previous one, which agreed with the one before.  last keeps
     (approx, agreements) per key."""
     prev, agreements = last.get(key, (None, 0))
-    agree = prev is not None and all(
-        (x * sb - y * sa) % mod == 0
-        for (xs, ea), (ys, eb) in zip(prev, approx)
-        for sa, sb, mod in [(p ** ea, p ** eb, p ** (prec + ea + eb))]
-        for x, y in zip_longest(xs, ys, fillvalue=0))
+    agree = prev is not None and _congruent(p, prev, approx, prec)
     last[key] = approx, agreements + 1 if agree else 0
     return last[key][1] >= 2
 
@@ -307,7 +318,8 @@ def test_precision_schedule_matches_fixed_modulus():
     # p^work per (p, a_p, cap, prec), one chain read at every index under the
     # former rule: every value has the reference's bytes, at a level no later
     # than the reference's.  Under the parity fault the other outcomes are the
-    # step guard's IdentityViolation, or a value where the reference found none
+    # step guard's IdentityViolation, or a value where the reference found none,
+    # which is then the fault-free limit (10 cases here, all at p = 2, prec 1)
     phis, idxs = {}, range(-3, 13)
     for p, ap in PAIRS_8:
         for cap in (1, 5, 20, 60):
@@ -321,26 +333,23 @@ def test_precision_schedule_matches_fixed_modulus():
                                                                     corrupt, chain))
                         if type(got[1]) is type(ref[1]) is int:
                             assert got[0] == ref[0] and got[1] <= ref[1], where
+                        elif got[0] != "IdentityViolation":
+                            clean = _outcome(lambda: ladder_infinity(p, ap, i, cap, prec))
+                            assert corrupt and ref[0] == "NotConverged" and got == clean, where
                         else:
-                            assert corrupt and (got[0] == "IdentityViolation"
-                                                or ref[0] == "NotConverged"), where
-
-
-def _v(p, x):
-    v = 0
-    while x % p == 0:
-        x, v = x // p, v + 1
-    return v
-
-
-def _congruent(p, a, b, prec):
-    """Rows of (x, e) pairs, x / p^e, agree mod p^prec."""
-    return all((x * p ** eb - y * p ** ea) % p ** (prec + ea + eb) == 0
-               for (xs, ea), (ys, eb) in zip(a, b) for x, y in zip_longest(xs, ys, fillvalue=0))
+                            assert corrupt, where
 
 
 def _log_floor(p, m):
     return max(k for k in range(m.bit_length()) if p ** k <= m)
+
+
+def _scaled_rows(p, ap, n, i, cap):
+    """Level n's exact rows (i, i-1) as (x, e) pairs for x / p^e, row j = i - N
+    scaled by p^[j/2]."""
+    j = i - n_shift(p, n)
+    return [(s, -(idx // 2)) for row, idx in zip(ladder_rows(p, ap, n, j, cap), (j, j - 1))
+            for s in row]
 
 
 def _n_star(p, ap, i, cap):
@@ -350,18 +359,8 @@ def _n_star(p, ap, i, cap):
     n = _n_start(p, i, cap)
     if cap == 1:
         return lambda prec: n + 2
-    j = i - n_shift(p, n)
-    c = max(-(idx // 2) - _v(p, x) for row, idx in zip(ladder_rows(p, ap, n, j, cap), (j, j - 1))
-            for s in row for x in s if x)
+    c = max(e - _v(p, x) for xs, e in _scaled_rows(p, ap, n, i, cap) for x in xs if x)
     return lambda prec: max(n + 2, prec + _log_floor(p, cap - 1) + c + (p == 2))
-
-
-def _scaled_rows(p, ap, n, i, cap):
-    """Level n's exact rows (i, i-1) as (x, e) pairs for x / p^e, row j = i - N
-    scaled by p^[j/2]."""
-    j = i - n_shift(p, n)
-    return [(s, -(idx // 2)) for row, idx in zip(ladder_rows(p, ap, n, j, cap), (j, j - 1))
-            for s in row]
 
 
 def test_step_bound_holds_at_every_level():
