@@ -394,7 +394,7 @@ def factorization_check(p: int, ap: int, inputs: Sequence[Tuple[PowerSeries, Pow
                - conj(alpha) p^[(-N-1)/2] (theta_n^{-N-1} ltheta
                                            + upsilon_n^{-N-1} lupsilon),
     converges to S (the first beta scalar is 1); this is asserted modulo
-    p^prec coefficientwise at the two levels past stabilization, below the
+    p^prec coefficientwise at the two levels past the limit's n_used, below the
     least of cap and the input's caps, input by input and then level by level.
     As a_p is an integer, D_n and S agree exactly when their two rows x/p^e
     do.  One limit and one chain of rows serve every input, the chain all mod

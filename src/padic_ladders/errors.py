@@ -45,7 +45,7 @@ class InexactDivision(PadicLaddersError):
 
 
 class NotConverged(PadicLaddersError):
-    """A limit iteration hit its step cap before stabilizing."""
+    """A limit's computed stopping level lies past its step cap."""
 
 
 class BadReduction(PadicLaddersError):
