@@ -2,12 +2,13 @@
 
 run_suite executes the whole battery for each configuration and returns the
 reports in deterministic name order; failures are data (reports with a
-witness), never exceptions.  The finite-level checks build each level's
-index-1 rows once and shift them to every index.  The five limit checks read
-the (index, prec) requests of LIMIT_REQUESTS from one call of the integer
-level loop ``ladders._limits`` per configuration.  factorization_check tests
-the finite-level decomposition against the half-logarithm limit on a list of
-inputs (the suite passes the two basis inputs, which span every integral one).
+witness), never exceptions.  The finite-level checks read ``ladder``, whose
+exact rows come from one cache shared with the Coleman layer: each level's
+index-1 rows are built once and shifted to every index.  The five limit
+checks read the (index, prec) requests of LIMIT_REQUESTS from one call of the
+integer level loop ``ladders._limits`` per configuration.  factorization_check
+tests the finite-level decomposition against the half-logarithm limit on a list
+of inputs (the suite passes the two basis inputs, which span every integral one).
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ from .errors import PadicLaddersError, PrecisionExhausted
 from .ladders import (
     _half_log_requests,
     _half_logs_at,
-    _ladder_at,
     _limit_matrix,
     _limits,
     _read,
     _row_exps,
     kappa_identity_check,
+    ladder,
     n_shift,
     pollack_product,
 )
@@ -163,10 +164,9 @@ def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
     x = PowerSeries.x_power(cfg.p, 1)
     for n in range(1, min(cfg.n_max, 4) + 1):
-        w, rows1 = omega(cfg.p, n), ladder_rows(cfg.p, cfg.ap, n, 1)
+        w = omega(cfg.p, n)
         for i in range(-2, consts.two_tilde + 1):
-            m = _ladder_at(cfg.p, cfg.ap, n, i, rows1)
-            if not (x.mul(m.det()) == w):
+            if not (x.mul(ladder(cfg.p, cfg.ap, n, i).det()) == w):
                 return f"X*det != omega_{n} at index i={i}"
     return None
 
@@ -174,10 +174,9 @@ def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
 def check_coefficient_factorization(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
     for n in range(1, min(cfg.n_max, 3) + 1):
-        rows1 = ladder_rows(cfg.p, cfg.ap, n, 1)
-        base = _ladder_at(cfg.p, cfg.ap, n, 0, rows1)
+        base = ladder(cfg.p, cfg.ap, n, 0)
         for j in range(-consts.two_tilde, consts.two_tilde + 1):
-            m = _ladder_at(cfg.p, cfg.ap, n, j, rows1)
+            m = ladder(cfg.p, cfg.ap, n, j)
             y = delta_coeffs(cfg.p, cfg.ap, j)
             for col in range(2):
                 want = base.entries[0][col] * y.y + base.entries[1][col] * y.y_prime

@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
-from .ladders import _check_level
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import (
@@ -83,10 +82,19 @@ class KernelBasis:
     generators: Tuple[LambdaPair, LambdaPair]
 
 
+def _check_level(p: int, ap: int, n: int) -> None:
+    """The level guard of ladder, the Coleman ops and the kappa check: (p, a_p) and n >= 1."""
+    period_constants(p, ap)
+    if n < 1:
+        raise ValueError("level n must be >= 1")
+
+
 @lru_cache(maxsize=256)
 def _rows_mod_omega(p: int, ap: int, n: int, i: int):
     """Ladder rows (i, i-1) at level n as int tuples: degrees < p^n, so already reduced
-    mod omega_n.  Index 1 is built once per level, after the level guard; others shift its rows."""
+    mod omega_n.  The one source of exact finite-level rows (``ladder``, the kappa check,
+    the Coleman ops): index 1 is built once per level, after the level guard; others shift
+    its rows.  Tuples all the way down, so no reader can change a shared entry."""
     if i == 1:
         _check_level(p, ap, n)
         rows = ladder_rows(p, ap, n, 1)

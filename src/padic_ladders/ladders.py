@@ -24,6 +24,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import List, Optional, Union
 
+from .coleman import _check_level, _rows_mod_omega
 from .errors import IdentityViolation, NotConverged, SerializationError, UsageError
 from .padics import PadicScalar, QuadExtScalar, _json_int, _operand, rational_valuation
 from .report import CheckReport
@@ -96,28 +97,18 @@ class LadderMatrix:
         return cls(p, ap, level, index, entries, opt("cap"), opt("prec"))
 
 
-def _check_level(p: int, ap: int, n: int) -> None:
-    """The level guard of ladder, the Coleman ops and the kappa check: (p, a_p) and n >= 1."""
-    period_constants(p, ap)
-    if n < 1:
-        raise ValueError("level n must be >= 1")
-
-
 def ladder(p: int, ap: int, n: int, i: int, cap: Optional[int] = None) -> LadderMatrix:
     """Finite-level ladder at level n and index i, exact integer polynomials.
 
-    A cap >= p^n + 1 is dropped and the entries are complete polynomials; a
-    cap <= p^n is kept and truncates at X^cap (at p^n nothing: degrees < p^n).
+    A cap >= p^n + 1 is dropped and the entries are complete polynomials, the
+    rows of the shared cache ``coleman._rows_mod_omega``; a cap <= p^n is kept
+    and truncates at X^cap (at p^n nothing: degrees < p^n).
     """
     _check_level(p, ap, n)
     if cap is not None and cap >= p ** n + 1:
         cap = None  # full polynomials fit, no truncation needed
-    return _ladder_at(p, ap, n, i, ladder_rows(p, ap, n, 1, cap), cap)
-
-
-def _ladder_at(p: int, ap: int, n: int, i: int, rows1, cap: Optional[int] = None) -> LadderMatrix:
-    """The level-n ladder at index i from the level's index-1 integer rows."""
-    rows = shift_rows(p, ap, rows1, i)
+    rows = (_rows_mod_omega(p, ap, n, i) if cap is None
+            else shift_rows(p, ap, ladder_rows(p, ap, n, 1, cap), i))
     # Row 0 at level 1 is the identity row (1, 0), untouched by any factor,
     # so it stays an exact polynomial; every other row went through X^cap.
     caps = [None if n == 1 and idx == 0 else cap for idx in (i, i - 1)]
@@ -266,13 +257,10 @@ def _read(found: dict, request):
 
 def _limit_matrix(p: int, ap: int, i: int, cap: int, prec: int, found) -> LadderMatrix:
     n, approx = found
-    entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]] for r in (0, 2)]
+    # x / p^e mod p^prec reads x mod p^(prec + e)
+    entries = [[PowerSeries.from_numerators(p, [x % p ** (prec + e) for x in s], e, prec, cap)
+                for s, e in approx[r:r + 2]] for r in (0, 2)]
     return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
-
-
-def _ints_to_series(p: int, ints: List[int], e: int, cap: int, prec: int) -> PowerSeries:
-    mod = p ** (prec + e)  # x / p^e mod p^prec reads x mod p^(prec+e), already reduced
-    return PowerSeries.from_numerators(p, [x % mod for x in ints], e, prec, cap)
 
 
 class QuadExtSeries:
@@ -388,7 +376,10 @@ def half_logs(p: int, ap: int, cap: int, prec: int) -> HalfLogPair:
     artifact's own rows with scalars 1 and abar, so it checks beta and abar
     only; a wrong limit row is caught by the i = two_tilde - 1 variant.
     """
-    return _half_logs_at(p, ap, cap, prec, _limits(p, ap, _half_log_requests(p, ap, prec), cap))
+    requests = _half_log_requests(p, ap, prec)  # the pair's guard first, as in _limits
+    if cap < 1 or prec < 1:
+        raise ValueError("cap and prec must be >= 1")
+    return _half_logs_at(p, ap, cap, prec, _limits(p, ap, requests, cap))
 
 
 def _half_logs_at(p: int, ap: int, cap: int, prec: int, found: dict) -> HalfLogPair:
@@ -436,6 +427,8 @@ def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSerie
     period_constants(p, 0)
     if parity not in ("even", "odd"):
         raise ValueError("parity must be 'even' or 'odd'")
+    if cap < 1 or prec < 1:
+        raise ValueError("cap and prec must be >= 1")
     n0 = _first_level(p, cap)
     max_steps, j1 = n0 + prec + 10, 2 if parity == "even" else 1
     d = len(range(j1, n0 + 1, 2))  # the factors j <= n0: p^(j-1) < cap but at cap 1
@@ -451,7 +444,7 @@ def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSerie
     if not _int_approx_congruent(p, [(prev, k_star - 1)], [(P, k_star)], t):
         raise IdentityViolation(f"factor {k_star} moved the parity product mod {p}^{t}, "
                                 "past its bound")
-    return _ints_to_series(p, P, k_star, cap, prec)
+    return PowerSeries.from_numerators(p, P, k_star, prec, cap)  # P is reduced mod p^(prec+k*)
 
 
 def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
@@ -472,8 +465,7 @@ def kappa_identity_check(p: int, ap: int, n: int, i: int) -> CheckReport:
     # (-N - i) // 2 < 0: the p-power is a rational, never an int power (a float)
     scale = QuadExtScalar.alpha_bar(p, ap).pow_int(i) * Fraction(p) ** ((-N - i) // 2)
     _, (k0a, k0b, k1a, k1b, sa, sb) = _int_coords(kappas + [scale])
-    rows1 = ladder_rows(p, ap, n, 1)
-    rows0, shifted = (shift_rows(p, ap, rows1, j) for j in (0, -N - i))
+    rows0, shifted = (_rows_mod_omega(p, ap, n, j) for j in (0, -N - i))
     for col, label in ((0, "theta"), (1, "upsilon")):
         for k0, k1, sc in ((k0a, k1a, sa), (k0b, k1b, sb)):
             lhs = _lincomb(k0, rows0[0][col], -k1, rows0[1][col], None)

@@ -17,8 +17,8 @@ from padic_ladders.series import PowerSeries
 
 def padic_det(p, approx, cap, prec):
     """LadderMatrix.det of the rows approx, each (x, e) read as x / p^e mod p^prec."""
-    entries = [[ladders._ints_to_series(p, x, e, cap, prec) for x, e in approx[r:r + 2]]
-               for r in (0, 2)]
+    entries = [[PowerSeries.from_numerators(p, [c % p ** (prec + e) for c in x], e, prec, cap)
+                for x, e in approx[r:r + 2]] for r in (0, 2)]
     return LadderMatrix(p, 0, "infinity", 1, entries, cap=cap, prec=prec).det(cap)
 
 

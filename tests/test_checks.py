@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ladders import checks, ladders, series
+from padic_ladders import checks, coleman, ladders, series
 from padic_ladders.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -124,7 +124,7 @@ def test_factorization_ap_zero():
     assert factorization_check(3, 0, [(lt, lu)], 20, 4).passed
 
 
-def test_factorization_check_input_contract(monkeypatch):
+def test_factorization_check_input_contract(monkeypatch, fresh_rows):
     # anything but an exact integer polynomial is refused, naming the argument
     one = PowerSeries.one(3)
     for bad in (PowerSeries(3, [Fraction(1, 3)]), PowerSeries(3, [PadicScalar(3, 1, 4)]),
@@ -159,7 +159,7 @@ def test_factorization_check_input_contract(monkeypatch):
 PAIRS_8 = [(2, 0), (2, 2), (2, -2), (3, 0), (3, 3), (3, -3), (5, 0), (7, 0)]
 
 
-def test_suite_makes_one_limit_call_per_configuration(monkeypatch):
+def test_suite_makes_one_limit_call_per_configuration(monkeypatch, fresh_rows):
     # the five limit checks of a configuration read one _limits call: a warm
     # default round makes 5 calls and builds at most 84 limit levels (one
     # call per check made 21 calls and built 314 levels); a configuration
@@ -184,6 +184,28 @@ def test_suite_makes_one_limit_call_per_configuration(monkeypatch):
     counts.update(calls=0, levels=0)
     assert run_suite([CheckConfig(3, 3, include=("delta_table",))])[0].passed
     assert counts == {"calls": 0, "levels": 0}
+
+
+def test_warm_round_reads_exact_rows_from_the_cache(monkeypatch, fresh_rows):
+    # a warm default round reads every exact finite-level row from the shared
+    # cache: its 25 ladder_rows calls are the limit lemma's and the factorization
+    # check's modded chains, and its 165 ladder steps are those chains and the
+    # limit levels.  With the finite checks and the kappa check building their
+    # own chains, a warm round made 85 calls and 270 steps
+    counts = {"ladder_rows": 0, "append_factor": 0}
+    run_suite(checks.default_configs())  # warm
+    for name in counts:
+        real = getattr(series, name)
+
+        def spy(*args, _name=name, _real=real, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (series, ladders, coleman, checks):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    assert all(r.passed for r in run_suite(checks.default_configs()))
+    assert counts == {"ladder_rows": 25, "append_factor": 165}
 
 
 def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
@@ -272,14 +294,16 @@ def _outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
-def test_zalpha_checks_match_series_references(monkeypatch):
+def test_zalpha_checks_match_series_references(monkeypatch, fresh_rows):
     # factorization_check and kappa_identity_check on integer rows against
     # their series forms: the same report, or the same exception and text.
     # Each case runs once, untouched or under one fault:
     # - "row": one coefficient of one finite-level row raised by p^v.  The
     #   limit kernel's levels are left alone, so factorization_check sees a
     #   mismatch when v is small; the kappa identity is a relation of the
-    #   row shifts and holds for any rows, so it passes on both sides.
+    #   row shifts and holds for any rows, so it passes on both sides.  The
+    #   shared row cache is emptied at every change of fault, so the faulted
+    #   rows reach kappa_identity_check itself at every level >= the fault's.
     # - "beta": beta read at m + 1 (kappa only; factorization reads no beta).
     # Left out for time: n = 3 at p = 5, 7 (rows of degree 125 and 343 take
     # the scalar-by-scalar reference 0.6 s).
@@ -288,24 +312,29 @@ def test_zalpha_checks_match_series_references(monkeypatch):
     kappa = [(p, ap, n, i) for p, ap in PAIRS_8 for n in (1, 2, 3) for i in range(-4, 8)
              if n < 3 or p < 5]
     real_append, real_beta = series.append_factor, ladders.beta
+    fired = [0]  # faulted ladder steps
 
     def row_fault(level, v):
         def append_factor(p, ap, rows, k, cap=None, mod=None):
             out = real_append(p, ap, rows, k, cap, mod)
             if k == level:
+                fired[0] += 1
                 x = out[0][0]
                 out[0][0] = [(x[0] if x else 0) + p ** v] + list(x[1:])
             return out
         return append_factor
 
     def setting(fault):
+        coleman._rows_mod_omega.cache_clear()  # no row outlives its fault
         monkeypatch.setattr(series, "append_factor", real_append)
         monkeypatch.setattr(ladders, "beta", real_beta)
         if fault == "row":
-            monkeypatch.setattr(series, "append_factor",
-                                row_fault(rng.randint(1, 3), rng.randrange(8)))
-        elif fault == "beta":
+            level = rng.randint(1, 3)
+            monkeypatch.setattr(series, "append_factor", row_fault(level, rng.randrange(8)))
+            return level
+        if fault == "beta":
             monkeypatch.setattr(ladders, "beta", lambda p, ap, m: real_beta(p, ap, m + 1))
+        return None
 
     failed = {None: 0, "row": 0, "beta": 0}
     for k, (p, ap, cap, prec) in enumerate(fact):
@@ -317,10 +346,16 @@ def test_zalpha_checks_match_series_references(monkeypatch):
         assert got == _outcome(factorization_check_reference, p, ap, lt, lu, cap, prec), (
             fault, p, ap, cap, prec)
         failed[fault] += not got.passed
+    # row-faulted cases where the fault ran inside kappa_identity_check, and where it
+    # lies at a level the case builds (level <= n)
+    reached, faulted = 0, 0
     for k, case in enumerate(kappa):
         fault = (None, "row", "beta")[k % 3]
-        setting(fault)
+        level, before = setting(fault), fired[0]
         got = _outcome(kappa_identity_check, *case)
+        reached += fired[0] > before
+        faulted += level is not None and level <= case[2]
         assert got == _outcome(kappa_identity_check_reference, *case), (fault, case)
         failed[fault] += isinstance(got, tuple)
     assert failed[None] == 0 and failed["row"] > 10 and failed["beta"] > 10
+    assert reached == faulted > 10

@@ -9,7 +9,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_ladders import coleman, series
+from padic_ladders import coleman, ladders, series
 from padic_ladders.checks import default_configs, run_suite
 from padic_ladders.coleman import (
     LambdaPair,
@@ -360,9 +360,12 @@ def test_coleman_layer_matches_index_loop_division(monkeypatch):
     assert [run(*case) for case in cases] == got
 
 
-def test_rows_mod_omega_build_each_level_once(monkeypatch):
-    # a cold suite reads 55 (p, a_p, n, i) entries over 15 levels: one chain of
-    # n ladder steps per level is 30 steps, where one chain per entry made 105
+def test_rows_mod_omega_build_each_level_once(monkeypatch, fresh_rows):
+    # the cache is the one source of exact finite-level rows: a cold suite reads
+    # 165 (p, a_p, n, i) entries over 15 levels through every exact reader (the
+    # Coleman ops, ladder() in the two finite checks, the kappa check), and one
+    # chain of n ladder steps per level is 30 steps.  Before, the Coleman ops
+    # alone read it (55 entries, where one chain per entry made 105 steps)
     real_rows, real_step = coleman._rows_mod_omega, series.append_factor
     depth, steps = [0], [0]
 
@@ -377,11 +380,24 @@ def test_rows_mod_omega_build_each_level_once(monkeypatch):
         steps[0] += depth[0] > 0
         return real_step(*args, **kwargs)
 
-    monkeypatch.setattr(coleman, "_rows_mod_omega", rows)
+    for module in (coleman, ladders):
+        monkeypatch.setattr(module, "_rows_mod_omega", rows)
     monkeypatch.setattr(series, "append_factor", step)
-    real_rows.cache_clear()
     assert all(r.passed for r in run_suite(default_configs()))
-    assert (steps[0], real_rows.cache_info().misses) == (30, 55)
+    assert (steps[0], real_rows.cache_info().misses) == (30, 165)
+
+
+def test_rows_mod_omega_entries_are_tuples_all_the_way_down():
+    # every reader shares an entry, so none may be able to change one
+    for p, ap in PAIRS + [(5, 0)]:
+        for n in (1, 2, 3):
+            for i in range(-4, 6):
+                rows = coleman._rows_mod_omega(p, ap, n, i)
+                assert type(rows) is tuple and len(rows) == 2, (p, ap, n, i)
+                for row in rows:
+                    assert type(row) is tuple and len(row) == 2, (p, ap, n, i)
+                    assert all(type(x) is tuple and {int}.issuperset(map(type, x))
+                               for x in row), (p, ap, n, i)
 
 
 def test_coleman_checks_build_a_series_only_per_element(monkeypatch):

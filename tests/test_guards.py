@@ -11,7 +11,8 @@ from padic_ladders.coleman import (
     limit_lemma_check,
     projection_compatibility_check,
 )
-from padic_ladders.ladders import kappa_identity_check, ladder, ladder_infinity, pollack_product
+from padic_ladders.ladders import (half_logs, kappa_identity_check, ladder, ladder_infinity,
+                                   pollack_product)
 from padic_ladders.padics import (
     PadicScalar,
     QuadExtScalar,
@@ -49,6 +50,12 @@ GUARDS = {
                                "cap and prec must be >= 1"),
     "pollack-parity": (lambda: pollack_product(3, "both", 8, 4),
                        "parity must be 'even' or 'odd'"),
+    "pollack-cap-0": (lambda: pollack_product(3, "even", 0, 5), "cap and prec must be >= 1"),
+    "pollack-prec-0": (lambda: pollack_product(3, "even", 5, 0), "cap and prec must be >= 1"),
+    "pollack-prec-neg": (lambda: pollack_product(3, "even", 5, -2), "cap and prec must be >= 1"),
+    "half-logs-cap-0": (lambda: half_logs(3, 3, 0, 4), "cap and prec must be >= 1"),
+    "half-logs-prec-0": (lambda: half_logs(3, 3, 5, 0), "cap and prec must be >= 1"),
+    "half-logs-prec-neg": (lambda: half_logs(3, 3, 5, -1), "cap and prec must be >= 1"),
     "limit-lemma-m-0": (lambda: limit_lemma_check(3, 3, 0, 1), "need m >= 1 and nu >= 0"),
     "limit-lemma-nu-neg": (lambda: limit_lemma_check(3, 3, 1, -1), "need m >= 1 and nu >= 0"),
     "projection-level": (lambda: projection_compatibility_check(3, 3, 1, 1, PAIR_1),

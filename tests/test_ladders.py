@@ -22,7 +22,6 @@ from padic_ladders.ladders import (
     ladder_infinity,
     n_shift,
     _int_coords,
-    _ints_to_series,
     _limit_matrix,
     _half_log_requests,
     _limits,
@@ -286,6 +285,11 @@ def _agreed_twice(p, prec, last, key, approx):
     return last[key][1] >= 2
 
 
+def _numerators(p, xs, e, cap, prec):
+    """The series of x / p^e mod p^prec below X^cap, for x in xs, each x read mod p^(prec + e)."""
+    return PowerSeries.from_numerators(p, [x % p ** (prec + e) for x in xs], e, prec, cap)
+
+
 def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, chain):
     """ladder_infinity read off a _fixed_modulus_chain: each level from n_start
     on shifted to index i, until two consecutive agreements mod p^prec."""
@@ -298,7 +302,7 @@ def _fixed_modulus_limit(p, ap, i, cap, prec, corrupt, chain):
         exps = (-((i - N) // 2), -((i - 1 - N) // 2))
         approx = [(s, e) for row, e in zip(shifted, exps) for s in row]
         if _agreed_twice(p, prec, last, i, approx):
-            entries = [[_ints_to_series(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
+            entries = [[_numerators(p, s, e, cap, prec) for s, e in approx[r:r + 2]]
                        for r in (0, 2)]
             return LadderMatrix(p, ap, "infinity", i, entries, cap=cap, prec=prec, n_used=n)
     raise NotConverged(f"no stabilization mod {p}^{prec} within {max_steps} steps "
@@ -535,7 +539,7 @@ def test_shared_level_loop_matches_separate_limits(monkeypatch):
     assert mixed > 50  # step caps that stop some requests of a call and not others
 
 
-def test_level_loop_shifts_three_levels_per_request(monkeypatch):
+def test_level_loop_shifts_three_levels_per_request(monkeypatch, fresh_rows):
     # a request shifts the full rows of its start level, n* - 1 and n* only: at
     # cap 200 at most 3 * 4 * 200 coefficients (the former head-first loop
     # shifted 5,984-9,968), and append_factor runs max(n*) times per call
@@ -577,7 +581,7 @@ def test_pollack_schedule_matches_fixed_modulus():
             P = [c % mod for c in poly_mul(P, phi_coeffs(p, j, cap), cap)]
             if _agreed_twice(p, prec, last, 0, [(P, k)]):
                 break
-        want = _ints_to_series(p, P, k, cap, prec).to_json()
+        want = _numerators(p, P, k, cap, prec).to_json()
         got = pollack_product(p, parity, cap, prec)
         assert got.to_json() == want, (p, parity, cap, prec)
         _assert_canonical(got)
