@@ -29,6 +29,8 @@ from .coleman import (
     projection_compatibility_check,
 )
 from .errors import PadicLaddersError, PrecisionExhausted
+from .intcore import (_int_approx_congruent, _lincomb, append_factor, ladder_rows, poly_mul,
+                      shift_rows)
 from .ladders import (
     _half_log_requests,
     _half_logs_at,
@@ -43,8 +45,7 @@ from .ladders import (
 )
 from .padics import rational_valuation
 from .report import CheckReport
-from .series import (PowerSeries, _int_approx_congruent, _lincomb, append_factor, ladder_rows,
-                     log_series, omega, poly_mul, shift_rows)
+from .series import PowerSeries, log_series, omega
 from .trace import (
     a_matrix,
     ap_parity_value,
@@ -88,6 +89,10 @@ class CheckConfig:
     seed: int = 0
     corrupt_ap_parity: bool = False
     include: Optional[Tuple[str, ...]] = None
+
+    def __post_init__(self):
+        if min(self.n_max, self.cap, self.prec, self.trials) < 1:
+            raise ValueError("n_max, cap, prec and trials must be >= 1")
 
 
 def _report(name: str, cfg_dict: dict, failure: Optional[str]) -> CheckReport:

@@ -15,20 +15,11 @@ from functools import lru_cache
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
+from .intcore import (_lincomb, _phi_exact, ladder_rows, omega_coeffs, poly_divmod, poly_mul,
+                      shift_rows)
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
-from .series import (
-    LambdaElement,
-    PowerSeries,
-    _exact_quotient,
-    _lincomb,
-    _phi_exact,
-    ladder_rows,
-    omega_coeffs,
-    poly_divmod,
-    poly_mul,
-    shift_rows,
-)
+from .series import LambdaElement, PowerSeries, _exact_quotient
 from .trace import period_constants
 
 

@@ -26,18 +26,11 @@ from typing import List, Optional, Union
 
 from .coleman import _check_level, _rows_mod_omega
 from .errors import IdentityViolation, NotConverged, SerializationError, UsageError
+from .intcore import (_int_approx_congruent, _lincomb, append_factor, ladder_rows, phi_mul,
+                      shift_rows)
 from .padics import PadicScalar, QuadExtScalar, _json_int, _operand, rational_valuation
 from .report import CheckReport
-from .series import (
-    PowerSeries,
-    _int_approx_congruent,
-    _lincomb,
-    append_factor,
-    gauss_norm_log,
-    ladder_rows,
-    phi_mul,
-    shift_rows,
-)
+from .series import PowerSeries, gauss_norm_log
 from .trace import beta, period_constants
 
 Rows = List[List[PowerSeries]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]

@@ -1,15 +1,15 @@
 """Division by a monic polynomial the plain way, for the tests.
 
 ``poly_divmod_reference`` is the coefficient-at-a-time schoolbook loop that
-``series.poly_divmod`` replaced: it pops the leading remainder coefficient
+``intcore.poly_divmod`` replaced: it pops the leading remainder coefficient
 into the quotient and subtracts that multiple of the divisor one slot at a
 time.  Division by a monic polynomial is unique, so every path of
-``series.poly_divmod`` must return exactly its lists; on ``PadicScalar``
+``intcore.poly_divmod`` must return exactly its lists; on ``PadicScalar``
 coefficients it performs the same operations in the same order, so the
 precisions must agree too.
 """
 
-from padic_ladders.series import _reduced
+from padic_ladders.intcore import _reduced
 
 
 def poly_divmod_reference(f, g, mod=None):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ladders import checks, coleman, ladders, series
+from padic_ladders import checks, coleman, intcore, ladders
 from padic_ladders.checks import (
     CHECK_NAMES,
     CheckConfig,
@@ -140,7 +140,7 @@ def test_factorization_check_input_contract(monkeypatch, fresh_rows):
         rep = factorization_check(3, 3, [(lt, lu)], cap, 5)
         assert rep == factorization_check_reference(3, 3, lt, lu, cap, 5)
         assert rep.passed
-    real_append = series.append_factor
+    real_append = intcore.append_factor
 
     def append_factor(p, ap, rows, k, cap=None, mod=None):
         out = real_append(p, ap, rows, k, cap, mod)
@@ -148,7 +148,7 @@ def test_factorization_check_input_contract(monkeypatch, fresh_rows):
             out[0][0] = out[0][0] + [0, 0, 0, 1]
         return out
 
-    monkeypatch.setattr(series, "append_factor", append_factor)
+    monkeypatch.setattr(intcore, "append_factor", append_factor)
     for cap, prec in ((8, 1), (24, 5)):
         for lt_own, fails in ((lt, False), (PowerSeries(3, [1, -2]), True)):
             rep = factorization_check(3, 3, [(lt_own, lu)], cap, prec)
@@ -195,13 +195,13 @@ def test_warm_round_reads_exact_rows_from_the_cache(monkeypatch, fresh_rows):
     counts = {"ladder_rows": 0, "append_factor": 0}
     run_suite(checks.default_configs())  # warm
     for name in counts:
-        real = getattr(series, name)
+        real = getattr(intcore, name)
 
         def spy(*args, _name=name, _real=real, **kwargs):
             counts[_name] += 1
             return _real(*args, **kwargs)
 
-        for module in (series, ladders, coleman, checks):
+        for module in (intcore, ladders, coleman, checks):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
     assert all(r.passed for r in run_suite(checks.default_configs()))
@@ -311,7 +311,7 @@ def test_zalpha_checks_match_series_references(monkeypatch, fresh_rows):
     fact = [(p, ap, cap, prec) for p, ap in PAIRS_8 for cap in (1, 8, 24) for prec in (1, 5)]
     kappa = [(p, ap, n, i) for p, ap in PAIRS_8 for n in (1, 2, 3) for i in range(-4, 8)
              if n < 3 or p < 5]
-    real_append, real_beta = series.append_factor, ladders.beta
+    real_append, real_beta = intcore.append_factor, ladders.beta
     fired = [0]  # faulted ladder steps
 
     def row_fault(level, v):
@@ -326,11 +326,11 @@ def test_zalpha_checks_match_series_references(monkeypatch, fresh_rows):
 
     def setting(fault):
         coleman._rows_mod_omega.cache_clear()  # no row outlives its fault
-        monkeypatch.setattr(series, "append_factor", real_append)
+        monkeypatch.setattr(intcore, "append_factor", real_append)
         monkeypatch.setattr(ladders, "beta", real_beta)
         if fault == "row":
             level = rng.randint(1, 3)
-            monkeypatch.setattr(series, "append_factor", row_fault(level, rng.randrange(8)))
+            monkeypatch.setattr(intcore, "append_factor", row_fault(level, rng.randrange(8)))
             return level
         if fault == "beta":
             monkeypatch.setattr(ladders, "beta", lambda p, ap, m: real_beta(p, ap, m + 1))

@@ -9,7 +9,7 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_ladders import coleman, ladders, series
+from padic_ladders import coleman, intcore, ladders, series
 from padic_ladders.checks import default_configs, run_suite
 from padic_ladders.coleman import (
     LambdaPair,
@@ -28,18 +28,8 @@ from padic_ladders.errors import (
     PrecisionExhausted,
     SerializationError,
 )
-from padic_ladders.series import (
-    LambdaElement,
-    PowerSeries,
-    omega,
-    omega_coeffs,
-    phi,
-    phi_coeffs,
-    poly_divmod,
-    poly_mul,
-    reduce_mod,
-    shift_rows,
-)
+from padic_ladders.intcore import omega_coeffs, phi_coeffs, poly_divmod, poly_mul, shift_rows
+from padic_ladders.series import LambdaElement, PowerSeries, omega, phi, reduce_mod
 
 from divmod_reference import poly_divmod_reference
 from test_cli import LOST_PRECISION
@@ -351,9 +341,9 @@ def test_coleman_layer_matches_index_loop_division(monkeypatch):
     cases = [(p, ap, n, LambdaPair.from_ints(p, n, *([rng.randint(-9, 9) for _ in range(p ** n)]
                                                        for _ in range(2))))
              for p, ap, n in ((3, 3, 5), (5, 0, 3), (2, 2, 7))]
-    before = series._reversed_inverse.cache_info()
+    before = intcore._reversed_inverse.cache_info()
     got = [run(*case) for case in cases]
-    after = series._reversed_inverse.cache_info()
+    after = intcore._reversed_inverse.cache_info()
     assert after.hits + after.misses > before.hits + before.misses  # the reciprocal path ran
     monkeypatch.setattr(series, "poly_divmod", poly_divmod_reference)
     monkeypatch.setattr(coleman, "poly_divmod", poly_divmod_reference)
@@ -366,7 +356,7 @@ def test_rows_mod_omega_build_each_level_once(monkeypatch, fresh_rows):
     # Coleman ops, ladder() in the two finite checks, the kappa check), and one
     # chain of n ladder steps per level is 30 steps.  Before, the Coleman ops
     # alone read it (55 entries, where one chain per entry made 105 steps)
-    real_rows, real_step = coleman._rows_mod_omega, series.append_factor
+    real_rows, real_step = coleman._rows_mod_omega, intcore.append_factor
     depth, steps = [0], [0]
 
     def rows(*args):
@@ -382,7 +372,7 @@ def test_rows_mod_omega_build_each_level_once(monkeypatch, fresh_rows):
 
     for module in (coleman, ladders):
         monkeypatch.setattr(module, "_rows_mod_omega", rows)
-    monkeypatch.setattr(series, "append_factor", step)
+    monkeypatch.setattr(intcore, "append_factor", step)
     assert all(r.passed for r in run_suite(default_configs()))
     assert (steps[0], real_rows.cache_info().misses) == (30, 165)
 

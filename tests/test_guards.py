@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+from padic_ladders.checks import CheckConfig
 from padic_ladders.coleman import (
     LambdaPair,
     decompose,
     limit_lemma_check,
     projection_compatibility_check,
 )
+from padic_ladders.intcore import omega_coeffs, phi_coeffs
 from padic_ladders.ladders import (half_logs, kappa_identity_check, ladder, ladder_infinity,
                                    pollack_product)
 from padic_ladders.padics import (
@@ -28,8 +30,7 @@ from padic_ladders.series import (
     eval_at_root,
     gauss_norm_log,
     log_series,
-    omega_coeffs,
-    phi_coeffs,
+    omega_congruent,
     series_arith,
 )
 from padic_ladders.trace import a_matrix, mat, mat_inv_unimodular, mat_pow, y_beta_identity_check
@@ -58,11 +59,14 @@ GUARDS = {
     "half-logs-prec-neg": (lambda: half_logs(3, 3, 5, -1), "cap and prec must be >= 1"),
     "limit-lemma-m-0": (lambda: limit_lemma_check(3, 3, 0, 1), "need m >= 1 and nu >= 0"),
     "limit-lemma-nu-neg": (lambda: limit_lemma_check(3, 3, 1, -1), "need m >= 1 and nu >= 0"),
+    "check-config-zero": (lambda: CheckConfig(3, 3, n_max=0, trials=0),
+                          "n_max, cap, prec and trials must be >= 1"),
     "projection-level": (lambda: projection_compatibility_check(3, 3, 1, 1, PAIR_1),
                          "input pair must live at level n+1"),
     "series-cap-neg": (lambda: PowerSeries(3, [1], -1), "cap must be >= 0"),
     "phi-j-0": (lambda: phi_coeffs(3, 0), "j must be >= 1"),
     "omega-n-neg": (lambda: omega_coeffs(3, -1), "n must be >= 0"),
+    "omega-congruent-n-neg": (lambda: omega_congruent(3, 3, -1, 0), "n must be >= 0"),
     "divmod-zero": (lambda: divmod_monic(ONE, PowerSeries.zero(3)), "modulus must be nonzero"),
     "divmod-inexact": (lambda: divmod_monic(ONE, PowerSeries(3, [PadicScalar(3, 1, 4)])),
                        "modulus must be exact"),

@@ -12,6 +12,7 @@ import pytest
 from padic_ladders import ladders
 from padic_ladders.errors import (IdentityViolation, MixedExtension, NotConverged,
                                   PadicLaddersError, SerializationError)
+from padic_ladders.intcore import _lincomb, ladder_rows, phi_coeffs, poly_mul, shift_rows
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
     HalfLogPair,
@@ -30,18 +31,13 @@ from padic_ladders.ladders import (
 )
 from padic_ladders.padics import PadicScalar, QuadExtScalar
 from padic_ladders.series import (
-    _lincomb,
     PowerSeries,
     gauss_norm_log,
-    ladder_rows,
     log_series,
     omega,
     phi,
-    phi_coeffs,
     phi_truncated,
-    poly_mul,
     reduce_mod,
-    shift_rows,
 )
 from padic_ladders.trace import ap_parity_value, delta_coeffs, period_constants
 from zalpha_reference import combine_with_conjugate_root, intrinsic_variant

@@ -9,33 +9,35 @@ from itertools import zip_longest
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_ladders import series
+from padic_ladders import intcore
 from padic_ladders.errors import InexactDivision, MixedExtension, SerializationError
+from padic_ladders.intcore import (
+    _KRONECKER_MIN_LEN,
+    _phi_split,
+    append_factor,
+    ladder_rows,
+    omega_coeffs,
+    phi_coeffs,
+    phi_mul,
+    poly_divmod,
+    poly_mul,
+    shift_rows,
+)
 from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import (
     LambdaElement,
     PowerSeries,
-    _KRONECKER_MIN_LEN,
-    _phi_split,
-    append_factor,
     divmod_monic,
     eval_at_root,
     exact_divide,
     gauss_norm_log,
-    ladder_rows,
     log_series,
     omega,
-    omega_coeffs,
     omega_congruent,
     phi,
-    phi_coeffs,
-    phi_mul,
     phi_truncated,
-    poly_divmod,
-    poly_mul,
     reduce_mod,
     series_arith,
-    shift_rows,
 )
 from padic_ladders.trace import ap_parity_value
 
@@ -565,7 +567,7 @@ def test_poly_divmod_matches_index_loop_across_crossover():
                 phi_coeffs(3, 5), list(omega_coeffs(3, 5)), list(omega_coeffs(2, 7)),
                 list(omega_coeffs(5, 3))]
     divisors += [[rng.randint(-9, 9) for _ in range(d)] + [1] for d in (90, 99, 100, 173, 260)]
-    before = series._reversed_inverse.cache_info()
+    before = intcore._reversed_inverse.cache_info()
     for g in divisors:
         d = len(g) - 1
         lengths = {0, 1, d - 1, d, d + 1, d + _KRONECKER_MIN_LEN - 1, d + _KRONECKER_MIN_LEN,
@@ -577,7 +579,7 @@ def test_poly_divmod_matches_index_loop_across_crossover():
             assert poly_divmod(tuple(f), tuple(g)) == want, (d, n, bits)
             for mod in (3 ** 40, 2 ** 7):  # the reference reduces only at the end
                 assert poly_divmod(f, g, mod) == tuple([c % mod for c in part] for part in want)
-    after = series._reversed_inverse.cache_info()
+    after = intcore._reversed_inverse.cache_info()
     assert after.hits + after.misses > before.hits + before.misses  # the reciprocal path ran
 
     # PadicScalar coefficients above the crossover take the slice loop, whose
