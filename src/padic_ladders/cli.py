@@ -181,6 +181,8 @@ def _positive_int(value: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    if n > sys.maxsize:  # no list or range can be that long
+        raise argparse.ArgumentTypeError(f"must be at most {sys.maxsize}, got {n}")
     return n
 
 

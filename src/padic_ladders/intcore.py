@@ -10,18 +10,20 @@ coefficients, so PowerSeries (series.py) also runs them on its PadicScalar
 tuples; their ``if c:`` skips int zeros only (a PadicScalar is always truthy,
 and an exact zero term leaves the value and absprec of a sum as they are).  Int
 operands with _KRONECKER_MIN_LEN or more kept coefficients are packed into one
-int each for one big-int product (Kronecker substitution, arXiv:0712.4046); int
-division by a monic g of degree >= _RECIPROCAL_MIN_DEG takes two, with
-1/rev(g).  A ladder step reads Phi_j(1+X) as p + c*H_j (_phi_split): one
-product H_j*y and one pass a_p*x - p*y - c*(H_j*y) mod the step's modulus per
-row.
+int each for one big-int product (Kronecker substitution, arXiv:0712.4046; a
+slot has a sign bit only if an operand is negative, and from _SHORT_MIN_LEN a
+truncated product is Mulders' short product); int division by a monic g of
+degree >= _RECIPROCAL_MIN_DEG takes two, with 1/rev(g).  A ladder step reads
+Phi_j(1+X) as p + c*H_j (_phi_split, G_j a fixed table once 2s >= w): one
+product H_j*y and one pass a_p*x - p*y - c*(H_j*y) mod the step's modulus per row.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import List, Optional, Tuple
 
 from .padics import rational_valuation, require_prime
@@ -30,6 +32,7 @@ from .trace import ap_parity_value
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
 _KRONECKER_MIN_LEN = 32  # crossover measured in BENCH_7.json
+_SHORT_MIN_LEN = 100  # Mulders' short product's crossover, measured in BENCH_32.json
 _RECIPROCAL_MIN_DEG = 100  # poly_divmod's crossover, measured in BENCH_16.json
 
 
@@ -74,14 +77,19 @@ def _phi_split(p: int, j: int, cap: Optional[int], mod: Optional[int]):
     and q = p^(j-1) >= cap, else (1, Phi_j - p).  There s = j-1-L >= 1, p^L <=
     cap-1 < p^(L+1), and C(tq, k) = p^(j-1-v_p(k)) t prod_{0<i<k} ((tq - i)/
     p^v_p(i)) / u(k!) (v_p(tq - i) = v_p(i) for i < cap, u the unit part): unit
-    products mod low and a table (_split_tables), not thousand-bit binomials."""
+    products mod low and a table (_split_tables), not thousand-bit binomials.
+    Each tq/p^v_p(i) is divisible by p^s, so once p^s = 0 mod low (2s >= w) each factor
+    (tq - i)/p^v_p(i) is -u(i) mod low, the product (-1)^(k-1) u((k-1)!), and sum_t t =
+    p(p-1)/2: G_j = (p(p-1)/2) (-1)^(k-1) p^L/k mod low, with no running products.  So
+    Phi_j(1+X)/p = 1 + p^(j-2) (p(p-1)/2) log(1+X) mod (p^(w-1), X^cap), log(1+X) = sum
+    (-1)^(k-1) X^k/k: the late factors of log_p(1+X) = X prod_j Phi_j(1+X)/p (criterion 8a)."""
     q, w = p ** (j - 1), round(math.log(mod, p)) if mod is not None and mod > 1 else 0
     if cap is None or mod is None or q < cap or p ** w != mod:
         return 1, [0] + phi_coeffs(p, j, cap, mod)[1:], mod  # Phi_j - p
-    L, pv, table = _split_tables(p, cap, 1 << (w - 1).bit_length())
+    L, pv, table, closed = _split_tables(p, cap, 1 << (w - 1).bit_length())
     shift, low = p ** (j - 1 - L), p ** max(w - (j - 1 - L), 0)
-    if low == 1:
-        return shift, [0] * cap, low
+    if shift % low == 0:  # 2s >= w, or low == 1
+        return shift, [0] + [g % low for g in closed], low
     sums = [0] * (cap - 1)  # k-1 -> sum_t t prod_{0<i<k} (tq - i)/p^v_p(i)
     for t in range(1, p):
         f, tq = t, t * q
@@ -91,16 +99,18 @@ def _phi_split(p: int, j: int, cap: Optional[int], mod: Optional[int]):
 
 
 @lru_cache(maxsize=32)
-def _split_tables(p: int, cap: int, K: int) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
-    """(L, pv, table) with p^L <= cap-1 < p^(L+1), pv[k] = p^v_p(k) and
-    table[k-1] = p^(L-v_p(k))/u(k!) mod p^K for 0 < k < cap.  K is a power of two
-    >= w, so a limit's levels (w up by one every second level) share few tables."""
+def _split_tables(p: int, cap: int, K: int):
+    """(L, pv, table, closed) mod p^K, 0 < k < cap: p^L <= cap-1 < p^(L+1), pv[k] = p^v_p(k),
+    table[k-1] = p^(L-v_p(k))/u(k!), closed[k-1] = (p(p-1)/2)(-1)^(k-1) p^L/k.  K is a power
+    of two >= w, so a limit's levels (w up by one every second level) share few tables."""
     vs = [0] + [rational_valuation(i, p) for i in range(1, cap)]  # the largest is L
     L, pv, mod = max(vs), tuple(p ** v for v in vs), p ** K
     units = [i // pv[i] for i in range(cap - 1, 1, -1)]
     f = pow(math.prod(units), -1, mod)  # 1/u((cap-1)!)
     inv = [f] + [f := f * u % mod for u in units]  # 1/u(k!) for k = cap-1 down to 1
-    return L, pv, tuple(p ** L // d * f % mod for d, f in zip(pv[1:], reversed(inv)))
+    closed = tuple((-1) ** (k - 1) * p * (p - 1) // 2 * p ** L // d * pow(k // d, -1, mod) % mod
+                   for k, d in enumerate(pv[1:], 1))
+    return L, pv, tuple(p ** L // d * f % mod for d, f in zip(pv[1:], reversed(inv))), closed
 
 
 @lru_cache(maxsize=64)
@@ -127,23 +137,33 @@ def poly_mul(a: Poly, b: Poly, cap: Optional[int] = None) -> Poly:
 
 
 def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
-    """The first count coefficients of a*b, from one product of packed ints."""
+    """The first count coefficients of a*b from packed ints; truncated at count >=
+    _SHORT_MIN_LEN, Mulders' short product at one level (Hanrot-Zimmermann 2004)."""
     (lo_a, hi_a), (lo_b, hi_b) = (min(a), max(a)), (min(b), max(b))
     bound = max(hi_a, -lo_a) * max(hi_b, -lo_b) * min(len(a), len(b))  # >= every |(a*b)_k|
     if not bound:
         return [0] * count
-    width = (bound.bit_length() + 8) // 8  # bytes per slot: the bound plus a sign bit
+    signed = lo_a < 0 or lo_b < 0
+    width = (bound.bit_length() + 7 + signed) // 8  # bytes per slot: the bound (and a sign bit)
 
-    def pack(cs, signed):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
-        if signed:
+    def pack(cs, neg):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
+        if neg:
             return pack([max(c, 0) for c in cs], False) - pack([max(-c, 0) for c in cs], False)
         return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
 
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")  # half in every slot
-    packed = (pack(a, lo_a < 0) * pack(b, lo_b < 0) + offset) & ((1 << (8 * width * count)) - 1)
-    buf = packed.to_bytes(width * count, "little")
-    return [int.from_bytes(buf[k:k + width], "little") - half for k in range(0, len(buf), width)]
+    x, y, bits = pack(a, lo_a < 0), pack(b, lo_b < 0), 8 * width * count
+    if _SHORT_MIN_LEN <= count < len(a) + len(b) - 1:  # x0 + 2^h x1 times y0 + 2^h y1, 2h >= bits
+        h = 8 * width * -(-count * 7 // 10)
+        low, m = (1 << h) - 1, (1 << (bits - h)) - 1
+        prod = (x & low) * (y & low) + ((x >> h & m) * (y & m) + (x & m) * (y >> h & m) << h)
+    else:
+        prod = x * y
+    half = signed << (8 * width - 1)  # a signed slot holds c + half
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little") if signed else 0
+    buf = ((prod + offset) & ((1 << bits) - 1)).to_bytes(width * count, "little")
+    fmt = struct.Struct("<" + f"{width}s" * count)  # not struct.unpack: it caches ~2 KB a format
+    slots = map(int.from_bytes, fmt.unpack(buf), repeat("little"))
+    return [c - half for c in slots] if signed else list(slots)
 
 
 def poly_divmod(f: Poly, g: Poly, mod: Optional[int] = None) -> Tuple[Poly, Poly]:

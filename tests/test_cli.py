@@ -270,6 +270,8 @@ LONG_INT = '{"first": {"coeffs": [], "cap": ' + "1" * 5000 + '}, "second": {"coe
 INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index", "1",
               "--cap", "8", "--prec", "4"]
 
+HUGE = "99999999999999999999"  # past sys.maxsize: no list can have that length
+
 
 @pytest.mark.parametrize("argv, env, infile, code, needle", [
     (["verify", "--cap", "0"], {}, None, cli.EXIT_USAGE, "--cap"),
@@ -312,13 +314,20 @@ INF_LADDER = ["ladder", "--p", "3", "--ap", "3", "--level", "infinity", "--index
      cli.EXIT_DOMAIN, "is not JSON: Exceeds the limit"),
     (["decompose", "--p", "3", "--ap", "3", "--level", "1"], {}, "[]",
      cli.EXIT_DOMAIN, "must hold a JSON object"),
+    (["verify", "--p", "3", "--ap", "3", "--cap", HUGE], {}, None, cli.EXIT_USAGE,
+     "argument --cap: must be at most"),
+    (["halflog", "--p", "3", "--ap", "3", "--cap", HUGE, "--prec", "5"], {}, None,
+     cli.EXIT_USAGE, "argument --cap: must be at most"),
+    (INF_LADDER[:-4] + ["--cap", HUGE, "--prec", "5"], {}, None, cli.EXIT_USAGE,
+     "argument --cap: must be at most"),
 ], ids=["verify-cap-0", "ladder-cap-neg", "ladder-level-0", "infinity-prec-0",
         "env-steps-abc", "env-steps-neg", "decompose-not-json", "decompose-num-not-int",
         "decompose-cap-not-int", "decompose-coeffs-not-list", "decompose-cap-neg",
         "decompose-coeffs-missing",
         "verify-nmax-neg", "verify-trials-neg", "verify-bad-pair", "decompose-not-utf8",
         "decompose-lost-precision", "decompose-deep-nesting", "decompose-no-first-second",
-        "decompose-int-too-long", "decompose-not-object"])
+        "decompose-int-too-long", "decompose-not-object", "verify-cap-huge",
+        "halflog-cap-huge", "infinity-cap-huge"])
 def test_bad_input_exit_code_without_traceback(tmp_path, argv, env, infile, code, needle):
     if infile is not None:
         path = tmp_path / "pair.json"

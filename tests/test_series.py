@@ -13,6 +13,7 @@ from padic_ladders import intcore
 from padic_ladders.errors import InexactDivision, MixedExtension, SerializationError
 from padic_ladders.intcore import (
     _KRONECKER_MIN_LEN,
+    _SHORT_MIN_LEN,
     _phi_split,
     append_factor,
     ladder_rows,
@@ -250,11 +251,29 @@ def test_int_core_matches_sympy():
                       rng.choice((None, rng.choice((2, 3, 5, 7)) ** rng.randint(1, 70)))))
     cases.append(([0] * 50, [rng.randint(-2 ** 200, 2 ** 200) for _ in range(60)], None, None))
     cases.append(([rng.randint(-2 ** 200, 2 ** 200) for _ in range(60)], [0] * 40, 70, 3 ** 40))
-    top = 2 ** 197 - 1  # 64 * top^2 has exactly 400 bits: only the sign bit's byte holds it
-    cases += [([top] * 64, [top] * 64, None, None), ([top] * 64, [-top] * 64, 100, None)]
+    top = 2 ** 197 - 1  # 64 * top^2 has exactly 400 bits, 50 bytes
+    # non-negative operands fill their unsigned slots exactly; a signed product
+    # needs the sign bit's byte
+    cases += [([top] * 64, [top] * 64, None, None), ([top] * 64, [top] * 64, 100, None),
+              ([top] * 64, [top] * 64, 126, None), ([top] * 64, [-top] * 64, 100, None)]
     for p, k in ((2, 66), (3, 40), (5, 30)):
         dense = lambda: [rng.randrange(p ** k) for _ in range(200)]
         cases.append((dense(), dense(), 200, p ** k))
+    # one non-negative side against a mixed-sign one, in both orders
+    for n, m, cap in ((64, 64, None), (40, 150, 120), (150, 150, _SHORT_MIN_LEN)):
+        pos = [rng.randrange(2 ** 100) for _ in range(n)]
+        mixed = [rng.randint(-2 ** 100, 2 ** 100) for _ in range(m)]
+        cases += [(pos, mixed, cap, None), (mixed, pos, cap, None)]
+    # truncated counts on both sides of the short-product threshold, products
+    # truncated by one term, unbalanced lengths and count 1
+    for la, lb, counts in ((200, 200, (1, _SHORT_MIN_LEN - 1, _SHORT_MIN_LEN, _SHORT_MIN_LEN + 1,
+                                        200, 398)),
+                           (32, 200, (_SHORT_MIN_LEN - 1, _SHORT_MIN_LEN + 1, 200, 231)),
+                           (200, 32, (_SHORT_MIN_LEN, 230)), (100, 100, (198, 199))):
+        for count in counts:
+            for lo in (0, -2 ** 60):  # unsigned slots, then signed
+                cases.append(([rng.randint(lo, 2 ** 60) for _ in range(la)],
+                              [rng.randrange(2 ** 60) for _ in range(lb)], count, None))
     for a, b, cap, mod in cases:
         got = poly_mul(a, b, cap)
         got = got if mod is None else [c % mod for c in got]
@@ -291,7 +310,9 @@ def test_phi_mul_split_matches_full_product():
     rng = random.Random(8)
     identity = [[[1], []], [[], [1]]]
     for p in (2, 3, 5, 7):
-        for cap in (0, 1, 2, 5, 20, 200):
+        # at p = 5 and 7 also caps with levels s < w <= 2s, running products
+        # and closed form on either side of 2s = w
+        for cap in (0, 1, 2, 5, 20, 200) + ((3, 60, 250) if p >= 5 else ()):
             L = max(l for l in range(9) if l == 0 or p ** l <= cap - 1)
             for w in (1, 4, 9, None):
                 bound = p ** (w or 9)
@@ -311,12 +332,31 @@ def test_phi_mul_split_matches_full_product():
         _check_phi_step(p, j, *identity, p, cap, mod)
     # consecutive levels at cap 200 as the limit loop runs them: mod = p^w with
     # w from 30 up by one every second level while s grows by one per level, so
-    # G_j's tables are read at a falling p^(w-s) and the last levels reach s >= w
-    for p, ap in ((2, 2), (3, 0)):
+    # G_j's tables are read at a falling p^(w-s), from 2s >= w on as the closed
+    # form (p(p-1)/2) (-1)^(k-1) p^L/k, and the last levels reach s >= w
+    for p, ap in ((2, 2), (3, 0), (5, 0)):
         L = max(l for l in range(9) if p ** l <= 199)
-        rows = identity
+        rows, closed = identity, 0
         for j in range(1, L + 66):
-            rows = _check_phi_step(p, j, *rows, ap, 200, p ** (30 + max(j - L, 0) // 2))
+            s, w = j - 1 - L, 30 + max(j - L, 0) // 2
+            rows = _check_phi_step(p, j, *rows, ap, 200, p ** w)
+            if s >= 1 and 2 * s >= w:
+                c, h, low = _closed_form_split(p, j, 200, p ** w)
+                assert (c, low) == (p ** s, p ** max(w - s, 0))
+                g = [(-1) ** (k - 1) * Fraction(p * (p - 1) // 2 * p ** L, k) for k in range(1, 200)]
+                assert h == [0] + [x.numerator * pow(x.denominator, -1, low) % low for x in g]
+                closed += 1
+        assert closed == 45, (p, closed)  # s = 20..64, where 2s >= 30 + (s+1)//2
+
+
+def _closed_form_split(p, j, cap, mod):
+    """_phi_split with the running products' tables withheld, so that only the
+    closed-form branch can return."""
+    tables = intcore._split_tables
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intcore, "_split_tables", lambda *key: (*tables(*key)[:1], None, None,
+                                                          tables(*key)[3]))
+        return _phi_split(p, j, cap, mod)
 
 
 def _shift_step_by_step(p, ap, rows, i, mod, parity_flip):
