@@ -1,14 +1,14 @@
 """Named executable checks binding every ladder identity to a report.
 
-run_suite executes the whole battery for each configuration and returns the
-reports in deterministic name order; failures are data (reports with a
-witness), never exceptions.  The finite-level checks read ``ladder``, whose
-exact rows come from one cache shared with the Coleman layer: each level's
-index-1 rows are built once and shifted to every index.  The five limit
-checks read the (index, prec) requests of LIMIT_REQUESTS from one call of the
-integer level loop ``ladders._limits`` per configuration.  factorization_check
-tests the finite-level decomposition against the half-logarithm limit on a list
-of inputs (the suite passes the two basis inputs, which span every integral one).
+run_suite executes the whole battery for each configuration and returns the reports in
+deterministic name order; failures are data (reports with a witness), never exceptions.
+The finite-level checks read ``ladder``, whose exact rows come from one cache shared with
+the Coleman layer (each level's index-1 rows built once, shifted to every index), whose
+int-list kernel (``coleman._image`` and its peers) the three Coleman checks call directly.
+The five limit checks read the (index, prec) requests of LIMIT_REQUESTS from one call of
+the integer level loop ``ladders._limits`` per configuration.  factorization_check tests
+the finite-level decomposition against the half-logarithm limit on a list of inputs (the
+suite passes the two basis inputs, which span every integral one).
 """
 
 from __future__ import annotations
@@ -19,15 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .coleman import (
-    LambdaPair,
-    decompose,
-    kernel_basis,
-    kernel_member,
-    limit_lemma_check,
-    phi_apply,
-    projection_compatibility_check,
-)
+from .coleman import _generators, _image, _killed, _peel, _projection, limit_lemma_check
 from .errors import PadicLaddersError, PrecisionExhausted
 from .intcore import (_int_approx_congruent, _lincomb, append_factor, ladder_rows, poly_mul,
                       shift_rows)
@@ -43,7 +35,7 @@ from .ladders import (
     n_shift,
     pollack_product,
 )
-from .padics import rational_valuation
+from .padics import rational_valuation, require_prime
 from .report import CheckReport
 from .series import PowerSeries, log_series, omega
 from .trace import (
@@ -99,10 +91,10 @@ def _report(name: str, cfg_dict: dict, failure: Optional[str]) -> CheckReport:
     return CheckReport(name, cfg_dict, "pass" if failure is None else "fail", failure)
 
 
-def _random_pair(rng: random.Random, p: int, n: int) -> LambdaPair:
-    deg = p ** n
+def _random_pair(rng: random.Random, p: int, n: int) -> tuple:
+    deg = require_prime(p) ** n  # a non-prime p reports NonPrimeModulus, not the level guard's
     mk = lambda: [rng.randint(-9, 9) for _ in range(rng.randint(1, deg))]
-    return LambdaPair.from_ints(p, n, mk(), mk())
+    return mk(), mk()
 
 
 # -- individual checks ---------------------------------------------------------
@@ -193,25 +185,22 @@ def check_coefficient_factorization(cfg: CheckConfig) -> Optional[str]:
 def check_kernel_membership(cfg: CheckConfig) -> Optional[str]:
     for n in range(1, min(cfg.n_max, 3) + 1):
         for i in (0, 1, 2):
-            kb = kernel_basis(cfg.p, cfg.ap, n, i)
-            for g in kb.generators:
+            for g in _generators(cfg.p, cfg.ap, n, i):
                 for i2 in (1, 2):
-                    if not phi_apply(cfg.p, cfg.ap, n, i2, g).is_zero():
+                    if not _killed(cfg.p, cfg.ap, n, i2, *g):
                         return f"kernel generator at (n={n}, i={i}) not killed by index {i2}"
-    probe = LambdaPair.from_ints(cfg.p, 1, [1], [0])
-    if kernel_member(cfg.p, cfg.ap, 1, probe):
+    if _killed(cfg.p, cfg.ap, 1, 1, [1], [0]):
         return "(1, 0) wrongly reported inside the kernel at n=1"
     return None
 
 
 def check_decompose_round_trip(cfg: CheckConfig) -> Optional[str]:
-    rng = random.Random(cfg.seed + 1)
+    p, ap, rng = cfg.p, cfg.ap, random.Random(cfg.seed + 1)
     for n in range(1, min(cfg.n_max, 3) + 1):
         for _ in range(cfg.trials):
-            v = _random_pair(rng, cfg.p, n)
-            image = phi_apply(cfg.p, cfg.ap, n, 1, v)
-            back = decompose(cfg.p, cfg.ap, n, image.first, image.second)
-            if not kernel_member(cfg.p, cfg.ap, n, back - v):
+            a, b = _random_pair(rng, p, n)
+            x, y = _peel(p, ap, n, *_image(p, ap, n, 1, a, b))
+            if not _killed(p, ap, n, 1, _lincomb(1, x, -1, a, None), _lincomb(1, y, -1, b, None)):
                 return f"round trip left the kernel coset at n={n}"
     return None
 
@@ -227,8 +216,7 @@ def check_projection_compatibility(cfg: CheckConfig) -> Optional[str]:
     rng = random.Random(cfg.seed + 2)
     for n in range(1, min(cfg.n_max, 2) + 1):
         for i in (0, 1, 2):
-            v = _random_pair(rng, cfg.p, n + 1)
-            projection_compatibility_check(cfg.p, cfg.ap, n, i, v)
+            _projection(cfg.p, cfg.ap, n, i, *_random_pair(rng, cfg.p, n + 1))
     return None
 
 

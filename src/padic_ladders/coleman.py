@@ -5,13 +5,17 @@ theta_{i-1} a + upsilon_{i-1} b) in the quotient by omega_n.  Its kernel is
 spanned by X * (upsilon_row, -theta_row) for two adjacent rows, and the map
 is inverted by peeling one cyclotomic factor per level through exact
 polynomial division; a division failure is a sound and complete witness that
-the input is outside the image.
+the input is outside the image.  One kernel on coefficient lists does the arithmetic
+(``_image``, ``_killed``, ``_peel``, ``_generators``, ``_projection``): the suite's checks
+call it on int lists, and the public ops validate, run it on their inputs' coefficients
+and build a LambdaPair for the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
@@ -94,21 +98,59 @@ def _rows_mod_omega(p: int, ap: int, n: int, i: int):
     return tuple(tuple(map(tuple, row)) for row in rows)
 
 
+def _image(p: int, ap: int, n: int, i: int, a, b) -> list:
+    """phi_n^i on coefficient lists: both images, each the remainder by omega_n."""
+    rows, w = _rows_mod_omega(p, ap, n, i), omega_coeffs(p, n)  # the level guard first
+    return [poly_divmod(_lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None), w)[1]
+            for t, u in rows]
+
+
+def _killed(p: int, ap: int, n: int, i: int, a, b) -> bool:  # phi_n^i(a, b) = 0, a, b ints
+    return not any(map(any, _image(p, ap, n, i, a, b)))
+
+
+def _peel(p: int, ap: int, n: int, u, v) -> tuple:
+    """decompose's n exact divisions (u, v) -> (v, (a_p v - u)/Phi_j), j = n..1."""
+    for j in range(n, 0, -1):
+        u, v = v, _exact_quotient(*poly_divmod(_lincomb(ap, v, -1, u, None), _phi_exact(p, j)))
+    return u, v
+
+
+def _generators(p: int, ap: int, n: int, i: int) -> list:
+    """X*(upsilon, -theta) for the rows i and i-1, reduced mod omega_n."""
+    rows, w = _rows_mod_omega(p, ap, n, i), omega_coeffs(p, n)
+    return [[poly_divmod(x, w)[1] for x in ([0, *u], [0, *(-c for c in t)])] for t, u in rows]
+
+
+def _projection(p: int, ap: int, n: int, i: int, a, b) -> None:
+    """projection_compatibility_check's identity; == reads PadicScalars at precision."""
+    up, w = _image(p, ap, n + 1, i, a, b), omega_coeffs(p, n)
+    down = _image(p, ap, n, i + 1, *(poly_divmod(x, w)[1] for x in (a, b)))
+    if not all(x == s * y for top, bot, s in zip(up, down, (p, 1) if i % 2 else (1, p))
+               for x, y in zip_longest(poly_divmod(top, w)[1], bot, fillvalue=0)):
+        raise IdentityViolation(f"projection compatibility failed at (p, a_p, n, i) = "
+                                f"({p}, {ap}, {n}, {i})")
+
+
+def _pair(p: int, n: int, lists) -> LambdaPair:  # degrees < p^n (a peel's too): reduced
+    return LambdaPair(*(LambdaElement(p, n, PowerSeries(p, x), reduced=True) for x in lists))
+
+
+def _inputs(p: int, ap: int, n: int, i: int, *elements) -> list:  # the guards, then _raw
+    _rows_mod_omega(p, ap, n, i)
+    if any((e.p, e.level) != (p, n) for e in elements):
+        raise ValueError("inputs must live at the requested (p, level)")
+    return [e.poly._raw for e in elements]
+
+
 def phi_apply(p: int, ap: int, n: int, i: int, v: LambdaPair) -> LambdaPair:
     """(theta_i a + upsilon_i b, theta_{i-1} a + upsilon_{i-1} b) mod omega_n."""
-    rows = _rows_mod_omega(p, ap, n, i)
-    if (v.p, v.level) != (p, n):
-        raise ValueError("inputs must live at the requested (p, level)")
-    a, b = v.first.poly._raw, v.second.poly._raw
-    return LambdaPair(*(
-        LambdaElement(p, n, PowerSeries(p, _lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None)))
-        for t, u in rows))
+    return _pair(p, n, _image(p, ap, n, i, *_inputs(p, ap, n, i, v.first, v.second)))
 
 
 def kernel_basis(p: int, ap: int, n: int, i: int = 1) -> KernelBasis:
     """Generators X*(upsilon_i, -theta_i) and X*(upsilon_{i-1}, -theta_{i-1})."""
-    return KernelBasis(tuple(LambdaPair.from_ints(p, n, [0, *upsilon], [0, *(-c for c in theta)])
-                             for theta, upsilon in _rows_mod_omega(p, ap, n, i)))
+    return KernelBasis(tuple(_pair(p, n, g) for g in _generators(p, ap, n, i)))
 
 
 def kernel_member(p: int, ap: int, n: int, v: LambdaPair) -> bool:
@@ -130,14 +172,7 @@ def decompose(p: int, ap: int, n: int, P1: LambdaElement, P0: LambdaElement) -> 
     mod omega_n, so after it too.  An inexact input is rebuilt: a remainder zero only at
     its precision can leave the rebuild off the input (seen at p = 2): PrecisionExhausted.
     """
-    _check_level(p, ap, n)
-    if (P1.p, P1.level) != (p, n) or (P0.p, P0.level) != (p, n):
-        raise ValueError("inputs must live at the requested (p, level)")
-    u, v = P1.poly._raw, P0.poly._raw
-    for j in range(n, 0, -1):
-        w = _lincomb(ap, v, -1, u, None)
-        u, v = v, _exact_quotient(*poly_divmod(w, _phi_exact(p, j)))
-    out = LambdaPair(*(LambdaElement(p, n, PowerSeries(p, x)) for x in (u, v)))
+    out = _pair(p, n, _peel(p, ap, n, *_inputs(p, ap, n, 1, P1, P0)))
     if not (P1.poly.is_exact() and P0.poly.is_exact()) and \
             phi_apply(p, ap, n, 1, out) != LambdaPair(P1, P0):
         raise PrecisionExhausted(f"the peeled pair does not rebuild the inexact input at its "
@@ -189,9 +224,7 @@ def _limit_lemma_residues(p: int, ap: int, m: int, nu: int) -> list:
     return [poly_divmod([0] + s, w, mod)[1] for theta, upsilon in rows for s in (upsilon, theta)]
 
 
-def projection_compatibility_check(
-    p: int, ap: int, n: int, i: int, v: LambdaPair
-) -> CheckReport:
+def projection_compatibility_check(p: int, ap: int, n: int, i: int, v: LambdaPair) -> CheckReport:
     """Level n+1 -> n compatibility under the diagonal p scalings.
 
     The reduced level-(n+1) image equals the level-n image at index i+1 with
@@ -201,16 +234,5 @@ def projection_compatibility_check(
     period_constants(p, ap)
     if v.level != n + 1:
         raise ValueError("input pair must live at level n+1")
-    up = phi_apply(p, ap, n + 1, i, v)
-    v_down = LambdaPair(*(LambdaElement(p, n, x.poly) for x in (v.first, v.second)))
-    down = phi_apply(p, ap, n, i + 1, v_down)
-    s1, s0 = (p, 1) if i % 2 != 0 else (1, p)
-    if not (LambdaElement(p, n, up.first.poly) == down.first.poly.scale(s1) and
-            LambdaElement(p, n, up.second.poly) == down.second.poly.scale(s0)):
-        raise IdentityViolation(
-            f"projection compatibility failed at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})"
-        )
-    return CheckReport(
-        name="projection_compatibility",
-        config={"p": p, "ap": ap, "n": n, "i": i},
-    )
+    _projection(p, ap, n, i, *_inputs(p, ap, n + 1, i, v.first, v.second))
+    return CheckReport("projection_compatibility", {"p": p, "ap": ap, "n": n, "i": i})

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padic_ladders import coleman, intcore, ladders, series
 from padic_ladders.checks import default_configs, run_suite
@@ -28,7 +28,9 @@ from padic_ladders.errors import (
     PrecisionExhausted,
     SerializationError,
 )
-from padic_ladders.intcore import omega_coeffs, phi_coeffs, poly_divmod, poly_mul, shift_rows
+from padic_ladders.intcore import (_lincomb, omega_coeffs, phi_coeffs, poly_divmod, poly_mul,
+                                   shift_rows)
+from padic_ladders.padics import PadicScalar
 from padic_ladders.series import LambdaElement, PowerSeries, omega, phi, reduce_mod
 
 from divmod_reference import poly_divmod_reference
@@ -151,22 +153,22 @@ def test_projection_compatibility():
 
 
 def test_projection_compatibility_catches_level_n_index_fault(monkeypatch):
-    # seeded fault: the level-n image reads index i instead of i + 1
-    real_apply = coleman.phi_apply
+    # seeded fault: the kernel's level-n image reads index i instead of i + 1
+    real_image = coleman._image
 
     def index_i_at_level(n):
-        def phi_apply(p, ap, level, idx, v):
-            return real_apply(p, ap, level, idx - 1 if level == n else idx, v)
-        return phi_apply
+        def _image(p, ap, level, idx, a, b):
+            return real_image(p, ap, level, idx - 1 if level == n else idx, a, b)
+        return _image
 
     rng = random.Random(48)
     for p, ap in PAIRS + [(5, 0)]:
         for n in (1, 2):
             for i in (0, 1, 2):
                 v = rand_pair(rng, p, n + 1)
-                monkeypatch.setattr(coleman, "phi_apply", real_apply)
+                monkeypatch.setattr(coleman, "_image", real_image)
                 assert projection_compatibility_check(p, ap, n, i, v).passed
-                monkeypatch.setattr(coleman, "phi_apply", index_i_at_level(n))
+                monkeypatch.setattr(coleman, "_image", index_i_at_level(n))
                 with pytest.raises(IdentityViolation, match="projection compatibility"):
                     projection_compatibility_check(p, ap, n, i, v)
 
@@ -288,9 +290,10 @@ def test_decompose_rebuilds_exact_input(case):
 
 
 def test_decompose_rebuilds_only_inexact_input(monkeypatch):
-    calls = []
-    monkeypatch.setattr(coleman, "phi_apply", lambda *args: calls.append(args) or phi_apply(*args))
+    # the rebuild is one more kernel image: none for an exact input, one for an inexact one
     image = phi_apply(3, 3, 3, 1, rand_pair(random.Random(17), 3, 3))
+    calls, real_image = [], coleman._image
+    monkeypatch.setattr(coleman, "_image", lambda *args: calls.append(args) or real_image(*args))
     decompose(3, 3, 3, image.first, image.second)
     assert calls == []
     pair = LambdaPair.from_json({"p": 2, "level": 2, **json.loads(LOST_PRECISION)})
@@ -350,6 +353,74 @@ def test_coleman_layer_matches_index_loop_division(monkeypatch):
     assert [run(*case) for case in cases] == got
 
 
+@st.composite
+def _kernel_case(draw):
+    """A pair at (2, +-2), (3, 3), (3, 0) or (5, 0), n <= 3, as (value, absprec) lists:
+    exact, or PadicScalars with some coefficients known only mod p^absprec."""
+    p, ap = draw(st.sampled_from([(2, 2), (2, -2), (3, 3), (3, 0), (5, 0)]))
+    n = draw(st.integers(1, 3))
+    absprec = st.none() if draw(st.booleans()) else st.none() | st.integers(0, 6)
+    coeffs = st.lists(st.tuples(st.integers(-9, 9), absprec), max_size=min(p ** n, 40))
+    return p, ap, n, draw(coeffs), draw(coeffs)
+
+
+def _outcome(f, *args):
+    """f's result as JSON, or the type and message of the InexactDivision or
+    PrecisionExhausted it raised."""
+    try:
+        out = f(*args)
+    except (InexactDivision, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+    return [x.to_json() for x in out] if isinstance(out, list) else out.to_json()
+
+
+def _kernel_decompose(p, ap, n, P1, P0):
+    """decompose from the kernel alone: the peel of the inputs' coefficients, and for an
+    inexact input the kernel image of the peel against the input at its precision."""
+    out = [PowerSeries(p, x) for x in coleman._peel(p, ap, n, P1.poly._raw, P0.poly._raw)]
+    back = [PowerSeries(p, x) for x in coleman._image(p, ap, n, 1, *(x._raw for x in out))]
+    if not (P1.poly.is_exact() and P0.poly.is_exact()) and back != [P1.poly, P0.poly]:
+        raise PrecisionExhausted(f"the peeled pair does not rebuild the inexact input at its "
+                                 f"precision at (p, a_p, n) = ({p}, {ap}, {n})")
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kernel_case())
+@example((2, 2, 2, [(-2, None)], [(0, 0)]))  # the peel passes, the rebuild does not
+def test_public_ops_match_the_int_kernel(case):
+    """phi_apply, kernel_member, kernel_basis and decompose are the kernel (_image,
+    _generators, _peel) between a validation and a LambdaPair: their results, their
+    InexactDivision messages and the inexact input's PrecisionExhausted."""
+    p, ap, n, first, second = case
+    a, b = ([c for c, _ in x] for x in (first, second))
+    v = LambdaPair(*(LambdaElement(p, n, PowerSeries(p, [PadicScalar(p, c, k) for c, k in x]))
+                     for x in (first, second)))
+    raw = [v.first.poly._raw, v.second.poly._raw]
+    exact = v.first.poly.is_exact() and v.second.poly.is_exact()
+    assert exact == all(k is None for _, k in first + second)
+    for i in (0, 1, 2):
+        got = phi_apply(p, ap, n, i, v)
+        want = [PowerSeries(p, x) for x in coleman._image(p, ap, n, i, *raw)]
+        assert _outcome(lambda: [got.first.poly, got.second.poly]) == _outcome(lambda: want), i
+        # at its precision, the image of an inexact pair is the int kernel's on the values
+        assert [got.first.poly, got.second.poly] == \
+            [PowerSeries(p, x) for x in coleman._image(p, ap, n, i, a, b)], i
+        assert _outcome(lambda: list(kernel_basis(p, ap, n, i).generators)) == _outcome(
+            lambda: [LambdaPair.from_ints(p, n, *g) for g in coleman._generators(p, ap, n, i)])
+    killed = coleman._killed(p, ap, n, 1, a, b)
+    assert kernel_member(p, ap, n, v) == killed if exact else killed <= kernel_member(p, ap, n, v)
+    image = phi_apply(p, ap, n, 1, v)
+    off = image.first + LambdaElement.from_ints(p, n, [1])
+    for P1, P0 in ((image.first, image.second), (off, image.second), (v.first, v.second)):
+        assert _outcome(decompose, p, ap, n, P1, P0) == _outcome(lambda: LambdaPair(
+            *(LambdaElement(p, n, x) for x in _kernel_decompose(p, ap, n, P1, P0))))
+    if exact:  # the peel of an exact image is a preimage mod the kernel
+        x, y = coleman._peel(p, ap, n, *coleman._image(p, ap, n, 1, a, b))
+        assert coleman._killed(p, ap, n, 1, _lincomb(1, x, -1, a, None),
+                               _lincomb(1, y, -1, b, None))
+
+
 def test_rows_mod_omega_build_each_level_once(monkeypatch, fresh_rows):
     # the cache is the one source of exact finite-level rows: a cold suite reads
     # 165 (p, a_p, n, i) entries over 15 levels through every exact reader (the
@@ -391,20 +462,19 @@ def test_rows_mod_omega_entries_are_tuples_all_the_way_down():
 
 
 def test_coleman_checks_build_a_series_only_per_element(monkeypatch):
-    # the level-n algebra runs on coefficient lists: a warm round of the three
-    # Coleman checks builds 4,360 PowerSeries, each an input or result element
-    # (or its reduction), where wrapping every product, sum, divisor and
-    # remainder built 12,085
+    # the three Coleman checks call the coefficient-list kernel directly: a warm round
+    # builds no PowerSeries and no LambdaElement.  Through the public ops it built 4,360
+    # PowerSeries, and 12,085 before the ops ran on coefficient lists
     names = ("decompose_round_trip", "kernel_membership", "projection_compatibility")
     configs = [replace(cfg, include=names) for cfg in default_configs()]
     assert all(r.passed for r in run_suite(configs))
-    real_init, built = PowerSeries.__init__, [0]
+    built = []
+    for cls in (PowerSeries, LambdaElement):
+        def init(self, *args, real_init=cls.__init__, **kwargs):
+            built.append(type(self))
+            real_init(self, *args, **kwargs)
 
-    def init(self, *args, **kwargs):
-        built[0] += 1
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PowerSeries, "__init__", init)
+        monkeypatch.setattr(cls, "__init__", init)
     reports = run_suite(configs)
     assert len(reports) == 15 and all(r.passed for r in reports)
-    assert built[0] <= 5000
+    assert built == []

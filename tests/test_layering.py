@@ -75,3 +75,19 @@ def test_series_imports_only_the_core_names_it_calls():
     assert imported and imported <= used, imported - used
     assert not any(isinstance(t, ast.Name) and t.id == "__all__"
                    for node in tree.body if isinstance(node, ast.Assign) for t in node.targets)
+
+
+def test_checks_reach_the_coleman_layer_only_through_its_kernel():
+    # the suite's Coleman checks call the coefficient-list kernel (_image, _killed, _peel,
+    # _generators, _projection); a public op or LambdaPair in checks would put the
+    # per-trial object building back, and a fault patched into the kernel would miss it
+    public = {"LambdaPair", "phi_apply", "decompose", "kernel_member", "kernel_basis",
+              "projection_compatibility_check"}
+    path = PACKAGE / "checks.py"
+    found = []
+    for node in ast.walk(_tree(path)):
+        if isinstance(node, ast.ImportFrom) and _package_module(node, path) is not None:
+            found += [(node.lineno, a.name) for a in node.names if a.name in public]
+        elif isinstance(node, ast.Attribute) and node.attr in public:  # coleman.phi_apply
+            found.append((node.lineno, node.attr))
+    assert not found

@@ -9,9 +9,8 @@ as well as its passes.
 
 import pytest
 
-from padic_ladders import checks, coleman, trace
+from padic_ladders import checks, coleman, intcore, trace
 from padic_ladders.checks import CheckConfig, run_suite
-from padic_ladders.coleman import LambdaPair
 from padic_ladders.ladders import HalfLogPair, QuadExtSeries
 from padic_ladders.series import PowerSeries
 from padic_ladders.trace import DeltaCoeffs
@@ -133,26 +132,26 @@ def test_coefficient_factorization_witness(monkeypatch):
 
 
 def test_kernel_membership_witnesses(monkeypatch):
-    # index 2 sends the generators at (n=1, i=0) to (1, 0)
-    real_apply = checks.phi_apply
-    monkeypatch.setattr(checks, "phi_apply", lambda p, ap, n, i, v: (
-        LambdaPair.from_ints(p, n, [1], [0]) if i == 2 else real_apply(p, ap, n, i, v)))
+    # the kernel's index-2 image sends the generators at (n=1, i=0) to (1, 0)
+    real_image = coleman._image
+    monkeypatch.setattr(coleman, "_image", lambda p, ap, n, i, a, b: (
+        [[1], [0]] if i == 2 else real_image(p, ap, n, i, a, b)))
     got = witnesses("kernel_membership", (2, 0), (3, 3))
     assert got == ["kernel generator at (n=1, i=0) not killed by index 2"] * 2
     monkeypatch.undo()
-    monkeypatch.setattr(checks, "kernel_member", lambda p, ap, n, v: True)
+    monkeypatch.setattr(checks, "_killed", lambda p, ap, n, i, a, b: True)
     got = witnesses("kernel_membership", (3, 3))
     assert got == ["(1, 0) wrongly reported inside the kernel at n=1"]
 
 
 def test_decompose_round_trip_witness(monkeypatch):
-    real_decompose = checks.decompose
+    real_peel = checks._peel
 
-    def decompose(p, ap, n, P1, P0):  # off the kernel coset by (1, 0) at level 2
-        out = real_decompose(p, ap, n, P1, P0)
-        return out - LambdaPair.from_ints(p, n, [1], [0]) if n == 2 else out
+    def _peel(p, ap, n, u, v):  # off the kernel coset by (1, 0) at level 2
+        x, y = real_peel(p, ap, n, u, v)
+        return (intcore._lincomb(1, x, -1, [1], None), y) if n == 2 else (x, y)
 
-    monkeypatch.setattr(checks, "decompose", decompose)
+    monkeypatch.setattr(checks, "_peel", _peel)
     got = witnesses("decompose_round_trip", (3, 3), (2, -2), trials=2)
     assert got == ["round trip left the kernel coset at n=2"] * 2
 
