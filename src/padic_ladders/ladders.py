@@ -153,16 +153,16 @@ def ladder_infinity(p: int, ap: int, i: int, cap: int, prec: int,
       p^[j odd] row j+1 of level n-1; as [j/2] + [j odd] = [(j+1)/2],
       S_n = S_(n-1).
     - The shift is linear, so S_n - S_(n-1) is the scaled image of the index
-      (1, 0) pair (-p^(s_n) G_n r_0^(n-1), 0).  With c = max(e - v_p(x)) over
-      the rows x / p^e of S_(n_start), its valuation is at least s_n - c, one
-      less at p = 2 (N = n + 2).
-    - From n_start on s_n >= 0: the bound keeps every S_n at valuation >= -c.
-    So no level past n* = max(n_start + 2, prec + L + c + [p = 2]) moves S mod
-    p^prec (n_start + 2 at cap 1, where Phi_j(1+X) = p mod X).  The norm
-    min(v(top), v(bottom) + 1/2), which C raises by exactly 1/2 (C^two_tilde =
-    -p^one_tilde I), proves s_n - c - 1 for every p (the bound at p = 2); the
-    loop asserts the bound at n*, the last of the three levels it shifts (n_start,
-    n* - 1, n*): IdentityViolation if v(S_(n*) - S_(n*-1)) < min(prec, s_(n*) - c - [p = 2]).
+      (1, 0) pair (-p^(s_n) G_n r_0^(n-1), 0).  C raises the norm min(v(top),
+      v(bottom) + 1/2) of a scaled pair by exactly 1/2 (C^two_tilde =
+      -p^one_tilde I), so the move's norm is >= S_(n-1)'s + s_n - 1/2 and its
+      valuation >= S_(n-1)'s norm + s_n - 1.  With c = max(e - v_p(x)) over the
+      rows x / p^e of S_(n_start), whose norm is >= -c, no move past n_start
+      (s_n >= 1) lowers the norm: level n moves S by at least s_n - c - 1.
+    So no level past n* = max(n_start + 2, prec + L + c + 1) moves S mod p^prec
+    (n_start + 2 at cap 1, where Phi_j(1+X) = p mod X).  The loop asserts the
+    bound at n*, the last of the three levels it shifts (n_start, n* - 1, n*):
+    IdentityViolation if v(S_(n*) - S_(n*-1)) < min(prec, s_(n*) - c - 1).
 
     Precision schedule (exact, as in Caruso, arXiv:1701.06794).  Level n reads
     both rows shifted to index i (an integer matrix keeps the smaller precision of
@@ -211,7 +211,7 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
                 shifted = shift_rows(p, ap, rows1, i - n_shift(p, n), mod, _corrupt_parity)
                 approx[i] = [(s, e) for row, e in zip(shifted, _row_exps(p, i, n)) for s in row]
             if n == start[i]:
-                n_star, guard[r] = _stop_level(p, cap, prec, n, approx[i], p == 2, lambda m: m)
+                n_star, guard[r] = _stop_level(p, cap, prec, n, approx[i], lambda m: m)
                 if n_star > stop[r]:
                     found[r] = NotConverged(f"no stabilization mod {p}^{prec} within {stop[r] - n}"
                                             f" steps (p={p}, a_p={ap}, i={i}, cap={cap})")
@@ -226,14 +226,14 @@ def _limits(p: int, ap: int, requests: list, cap: int, _corrupt_parity: bool = F
     return found
 
 
-def _stop_level(p: int, cap: int, prec: int, start: int, approx, lost: int, phi_j) -> tuple:
+def _stop_level(p: int, cap: int, prec: int, start: int, approx, phi_j) -> tuple:
     """(n*, t) for a limit whose step n multiplies by Phi_j(1+X) = p + p^s G mod X^cap,
     j = phi_j(n) and s = j - n0 (``_first_level``), and so moves it by a valuation of
-    at least s - c - lost, c = max(e - v_p(x)) >= -prec over the numerators x of
-    approx, rows x / p^e.  n* is the first n >= start + 2 past which no step moves
-    it mod p^prec; t, the guard's precision at n*, is min(prec, step n*'s bound)."""
+    at least s - c - 1 (``ladder_infinity``), c = max(e - v_p(x)) >= -prec over the
+    numerators x of approx, rows x / p^e.  n* is the first n >= start + 2 past which
+    no step moves it mod p^prec; t, the guard's precision at n*, is min(prec, its bound)."""
     c = max([e - rational_valuation(g, p) for xs, e in approx if (g := math.gcd(*xs))] + [-prec])
-    bound = lambda n: prec if cap == 1 else phi_j(n) - _first_level(p, cap) - c - lost
+    bound = lambda n: prec if cap == 1 else phi_j(n) - _first_level(p, cap) - c - 1
     n = start + 2
     while bound(n + 1) < prec:
         n += 1
@@ -410,10 +410,10 @@ def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSerie
     mod p^(prec+max(k, d)): the d factors j <= n0 (p^(n0-1) < cap <= p^n0) gain
     no p-adic digit, each later one gains one (``phi_mul``).  Past them Phi_j/p
     = 1 + p^(s_j - 1) G_j, s_j = j - n0 >= 1, and the Gauss norm is
-    multiplicative, so factor k moves Q by a valuation of at least s_j - 1 - c,
-    c = max(d - v_p(P_d), -prec) read once, and c never grows: here the bound
-    is proved.  The product stops at the k* of ``_stop_level``; IdentityViolation
-    if factor k* moved Q mod p^min(prec, its bound), NotConverged past the cap.
+    multiplicative, so factor k moves Q by a valuation of at least s_j - c - 1
+    (c = max(d - v_p(P_d), -prec), read once, never grows), the bound of every
+    limit (``ladder_infinity``).  It stops at ``_stop_level``'s k*: IdentityViolation if
+    factor k* moved Q mod p^min(prec, its bound), NotConverged past the cap.
     """
     if p == 2:
         raise ValueError("parity products need an odd prime")
@@ -428,7 +428,7 @@ def pollack_product(p: int, parity: str, cap: int, prec: int = 24) -> PowerSerie
     P = [1]
     for k in range(d):
         P = phi_mul(p, j1 + 2 * k, P, cap, p ** (prec + d))
-    k_star, t = _stop_level(p, cap, prec, d, [(P, d)], 1, lambda k: j1 + 2 * k - 2)
+    k_star, t = _stop_level(p, cap, prec, d, [(P, d)], lambda k: j1 + 2 * k - 2)
     if k_star > max_steps:
         raise NotConverged(f"parity product did not stabilize mod {p}^{prec} within {max_steps}"
                            " factors")
