@@ -189,7 +189,7 @@ def test_suite_makes_one_limit_call_per_configuration(monkeypatch, fresh_rows):
 def test_warm_round_reads_exact_rows_from_the_cache(monkeypatch, fresh_rows):
     # a warm default round reads every exact finite-level row from the shared
     # cache: its 25 ladder_rows calls are the limit lemma's and the factorization
-    # check's modded chains, and its 165 ladder steps are those chains and the
+    # check's modded chains, and its 171 ladder steps are those chains and the
     # limit levels.  With the finite checks and the kappa check building their
     # own chains, a warm round made 85 calls and 270 steps
     counts = {"ladder_rows": 0, "append_factor": 0}
@@ -205,7 +205,7 @@ def test_warm_round_reads_exact_rows_from_the_cache(monkeypatch, fresh_rows):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy)
     assert all(r.passed for r in run_suite(checks.default_configs()))
-    assert counts == {"ladder_rows": 25, "append_factor": 165}
+    assert counts == {"ladder_rows": 25, "append_factor": 171}
 
 
 def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):

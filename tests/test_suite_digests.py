@@ -59,7 +59,7 @@ PINNED = {
     "pairs_c12_p4_steps3": ("7db9ccfbc94c9192c0ffc3f63eb4cc4489d326a071d2e2c60bb3cc34dea21d93", 35),
     "pairs_c1_p1": ("f53ac575c22e3777e8b8dbc57e1f21fcb164217ebf0a8b970c033bd7ca146dce", 0),
     "pairs_c5_p3": ("f53ac575c22e3777e8b8dbc57e1f21fcb164217ebf0a8b970c033bd7ca146dce", 0),
-    "parity_fault_determinant": ("27840ca3d42e4c02dd3021827bc940ec46cbebe635df010d0726759857aa3a48", 4),
+    "parity_fault_determinant": ("d5206b3882cb2669e12a1c9c6f136e94cb37c1a806aade96e2e36e546c9f3a84", 4),
 }
 
 

@@ -247,7 +247,7 @@ def test_factorization_synthetic_limit_witness(monkeypatch, row):
     monkeypatch.setattr(checks, "_limits", limits)
     got = witnesses("factorization_synthetic", (2, 2), (3, 0), (3, 3), (5, 0))
     assert got == [f"finite level n={n} disagrees with the limit mod {p}^5"
-                   for n, p in ((17, 2), (13, 3), (13, 3), (11, 5))]
+                   for n, p in ((17, 2), (14, 3), (14, 3), (12, 5))]
 
 
 def test_factorization_synthetic_not_converged_witness(monkeypatch):
