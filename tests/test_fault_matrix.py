@@ -2,17 +2,20 @@
 
 ``tests/test_witnesses.py`` injects each fault at a check's own input, which shows that
 a failure branch can report.  Here a fault goes into the code under the checks (the
-exact row cache, the Coleman kernel) and each row pins which checks then fail, so a
-PASS says which faults it rules out.  A row patches the binding its caller reads
-(``coleman.ladder_rows`` under the row cache, ``checks._peel`` for the round trip), and
-the row cache is empty around every row (``fresh_rows``): a cached clean row would hide
-a row fault, and a faulted row left behind would reach a later test.
+exact row cache, the Coleman kernel, the limits' stopping level, the row shift) and
+each row pins which checks then fail, so a PASS says which faults it rules out.  A row
+patches the binding its caller reads (``coleman.ladder_rows`` under the row cache,
+``checks._peel`` for the round trip, ``ladders._stop_level``, ``intcore.shift_matrix``
+under ``shift_rows``), and the row cache is empty around every row (``fresh_rows``): a
+cached clean row would hide a row fault, and a faulted row left behind would reach a
+later test.
 """
 
 import pytest
 
 from padic_ladders import checks, coleman, intcore
 from padic_ladders.checks import CheckConfig, default_configs, run_suite
+from test_ladders import _one_level_short
 
 COLEMAN_CHECKS = ("decompose_round_trip", "kernel_membership", "projection_compatibility")
 
@@ -41,6 +44,13 @@ def peel_off_by_one(monkeypatch):
     monkeypatch.setattr(checks, "_peel", _peel)
 
 
+def shift_reads_the_next_parity(monkeypatch):
+    """Every row shift reads a_p(idx + 1) for a_p(idx), in every reader of shift_rows."""
+    real = intcore.shift_matrix
+    monkeypatch.setattr(intcore, "shift_matrix",
+                        lambda p, ap, i, parity_flip=False: real(p, ap, i, True))
+
+
 # fault -> {check: how many of the five default configurations fail it}
 MATRIX = {
     None: {},
@@ -48,14 +58,35 @@ MATRIX = {
     peel_off_by_one: {"decompose_round_trip": 5},
 }
 
+# the same, over every check of the five default configurations.  n* one level short
+# fails the parity products only: at odd p the ladder limits keep one level of slack
+# below the proved bound, and the suite's p = 2 limits happen to stay right one short
+SUITE_MATRIX = {
+    _one_level_short: {"pollack_comparison": 1},
+    shift_reads_the_next_parity: dict.fromkeys(
+        ("coefficient_factorization", "factorization_synthetic", "infinity_determinant",
+         "infinity_row_recursion", "intrinsicness", "kappa_identity",
+         "projection_compatibility"), 4),
+}
+
+
+def _failing(reports):
+    failing = {}
+    for r in reports:
+        if not r.passed:
+            failing[r.name] = failing.get(r.name, 0) + 1
+    return failing
+
 
 @pytest.mark.parametrize("fault", MATRIX, ids=lambda f: "none" if f is None else f.__name__)
 def test_coleman_kernel_faults_reach_the_checks(monkeypatch, fresh_rows, fault):
     if fault is not None:
         fault(monkeypatch)
     configs = [CheckConfig(c.p, c.ap, include=COLEMAN_CHECKS) for c in default_configs()]
-    failing = {}
-    for r in run_suite(configs):
-        if not r.passed:
-            failing[r.name] = failing.get(r.name, 0) + 1
-    assert failing == MATRIX[fault]
+    assert _failing(run_suite(configs)) == MATRIX[fault]
+
+
+@pytest.mark.parametrize("fault", SUITE_MATRIX, ids=lambda f: f.__name__.lstrip("_"))
+def test_limit_and_shift_faults_reach_the_checks(monkeypatch, fresh_rows, fault):
+    fault(monkeypatch)
+    assert _failing(run_suite(default_configs())) == SUITE_MATRIX[fault]

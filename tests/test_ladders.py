@@ -367,9 +367,11 @@ def _n_star(p, ap, i, cap):
 
 def test_step_bound_holds_at_every_level():
     # the lemma behind n*: past n_start each level moves the scaled rows by a
-    # valuation of at least s_n - c - [p = 2], s_n = n - 1 - L, c read at n_start
-    # (exact rows, no modulus); the bound is attained
-    slack = []
+    # valuation of at least s_n - c - 1, s_n = n - 1 - L, c read at n_start
+    # (exact rows, no modulus).  It is attained at p = 2; at odd p every move
+    # clears it by a digit or more (s_n - c, attained but not proved), the one
+    # level that n* pays there for the proof
+    slack, proved = [], {}
     for p, ap in PAIRS_8:
         for cap in (2, 3, 5, 20):
             L = _log_floor(p, cap - 1)
@@ -384,8 +386,10 @@ def test_step_bound_holds_at_every_level():
                              for x, y in zip_longest(xs, ys, fillvalue=0) if x * p ** f != y * p ** e]
                     if moved:
                         slack.append(min(moved) - (n - 1 - L - c - (p == 2)))
+                        proved[p, ap] = min(proved.get((p, ap), 99), min(moved) - (n - 2 - L - c))
                     prev = rows
     assert min(slack) == 0
+    assert proved == {(p, ap): int(p != 2) for p, ap in PAIRS_8}
 
 
 def _limit_sweep_failures():
