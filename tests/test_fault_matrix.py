@@ -11,6 +11,8 @@ cached clean row would hide a row fault, and a faulted row left behind would rea
 later test.
 """
 
+from collections import Counter
+
 import pytest
 
 from padic_ladders import checks, coleman, intcore
@@ -70,23 +72,16 @@ SUITE_MATRIX = {
 }
 
 
-def _failing(reports):
-    failing = {}
-    for r in reports:
-        if not r.passed:
-            failing[r.name] = failing.get(r.name, 0) + 1
-    return failing
-
-
 @pytest.mark.parametrize("fault", MATRIX, ids=lambda f: "none" if f is None else f.__name__)
 def test_coleman_kernel_faults_reach_the_checks(monkeypatch, fresh_rows, fault):
     if fault is not None:
         fault(monkeypatch)
     configs = [CheckConfig(c.p, c.ap, include=COLEMAN_CHECKS) for c in default_configs()]
-    assert _failing(run_suite(configs)) == MATRIX[fault]
+    assert Counter(r.name for r in run_suite(configs) if not r.passed) == MATRIX[fault]
 
 
 @pytest.mark.parametrize("fault", SUITE_MATRIX, ids=lambda f: f.__name__.lstrip("_"))
 def test_limit_and_shift_faults_reach_the_checks(monkeypatch, fresh_rows, fault):
     fault(monkeypatch)
-    assert _failing(run_suite(default_configs())) == SUITE_MATRIX[fault]
+    failing = Counter(r.name for r in run_suite(default_configs()) if not r.passed)
+    assert failing == SUITE_MATRIX[fault]

@@ -386,7 +386,8 @@ def test_step_bound_holds_at_every_level():
                              for x, y in zip_longest(xs, ys, fillvalue=0) if x * p ** f != y * p ** e]
                     if moved:
                         slack.append(min(moved) - (n - 1 - L - c - (p == 2)))
-                        proved[p, ap] = min(proved.get((p, ap), 99), min(moved) - (n - 2 - L - c))
+                        least = proved.get((p, ap), math.inf)
+                        proved[p, ap] = min(least, min(moved) - (n - 2 - L - c))
                     prev = rows
     assert min(slack) == 0
     assert proved == {(p, ap): int(p != 2) for p, ap in PAIRS_8}
