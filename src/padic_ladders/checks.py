@@ -102,8 +102,7 @@ def _random_pair(rng: random.Random, p: int, n: int) -> tuple:
 
 def check_delta_table(cfg: CheckConfig) -> Optional[str]:
     rows = delta_table(cfg.p, cfg.ap, -2, 7)  # validates the pair; admissible a_p are keys
-    expected = PRINTED_TABLE[cfg.ap]
-    for row, want in zip(rows, expected):
+    for row, want in zip(rows, PRINTED_TABLE[cfg.ap]):
         if row.rendered != want:
             return f"row i={row.i}: got {row.rendered!r}, expected {want!r}"
     return None
@@ -141,16 +140,14 @@ def check_a_matrix(cfg: CheckConfig) -> Optional[str]:
 
 
 def check_y_beta(cfg: CheckConfig) -> Optional[str]:
-    consts = period_constants(cfg.p, cfg.ap)
-    for i in range(-2, consts.two_tilde + 1):
+    for i in range(-2, period_constants(cfg.p, cfg.ap).two_tilde + 1):
         for k in (1, 2, 3):
             y_beta_identity_check(cfg.p, cfg.ap, i, k)
     return None
 
 
 def check_beta_periodicity(cfg: CheckConfig) -> Optional[str]:
-    consts = period_constants(cfg.p, cfg.ap)
-    tt = consts.two_tilde
+    tt = period_constants(cfg.p, cfg.ap).two_tilde
     for m in range(-3 * tt, 3 * tt + 1):
         if beta(cfg.p, cfg.ap, m) != beta(cfg.p, cfg.ap, m + tt):
             return f"beta not two_tilde-periodic at m={m}"
@@ -274,20 +271,20 @@ def check_intrinsicness(cfg: CheckConfig, limits: dict) -> Optional[str]:
 
 
 def check_pollack_comparison(cfg: CheckConfig, limits: dict) -> Optional[str]:
+    """PrecisionExhausted if a series is known below p^prec: congruent reads representatives."""
     p, prec, cap = cfg.p, cfg.prec, cfg.cap
-    hl = _half_logs_at(p, 0, cap, prec, limits)
-    even = pollack_product(p, "even", cap, prec + 2)
-    odd = pollack_product(p, "odd", cap, prec + 2)
-    zero = PowerSeries.zero(p)
-    if not hl.log_theta.b.congruent(zero, prec):
-        return "alpha-part of log_theta does not vanish for a_p = 0"
-    if not hl.log_upsilon.a.congruent(zero, prec):
-        return "scalar part of log_upsilon does not vanish for a_p = 0"
-    if not hl.log_theta.a.scale(p).congruent(-even, prec):
-        return "p * log_theta != -(even parity product)"
-    if not hl.log_upsilon.b.scale(p).congruent(-odd, prec):
-        return "p * (alpha-part of log_upsilon) != -(odd parity product)"
-    return None
+    hl, zero = _half_logs_at(p, 0, cap, prec, limits), PowerSeries.zero(p)
+    even, odd = (pollack_product(p, parity, cap, prec + 2) for parity in ("even", "odd"))
+    sides = [(hl.log_theta.b, zero, "alpha-part of log_theta does not vanish for a_p = 0"),
+             (hl.log_upsilon.a, zero, "scalar part of log_upsilon does not vanish for a_p = 0"),
+             (hl.log_theta.a.scale(p), -even, "p * log_theta != -(even parity product)"),
+             (hl.log_upsilon.b.scale(p), -odd,
+              "p * (alpha-part of log_upsilon) != -(odd parity product)")]
+    least = min([c.absprec for f, g, _ in sides for c in f.coeffs + g.coeffs
+                 if c.absprec is not None], default=prec)
+    if least < prec:
+        raise PrecisionExhausted(f"a compared series is known mod {p}^{least}, below {p}^{prec}")
+    return next((why for f, g, why in sides if not f.congruent(g, prec)), None)
 
 
 def check_factorization_synthetic(cfg: CheckConfig, limits: dict) -> Optional[str]:

@@ -15,16 +15,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import chain, zip_longest
+from operator import mul
 from typing import Tuple
 
 from .errors import IdentityViolation, PrecisionExhausted, SerializationError
-from .intcore import (_lincomb, _phi_exact, ladder_rows, omega_coeffs, poly_divmod, poly_mul,
-                      shift_rows)
+from .intcore import (_lincomb, _pack, _phi_exact, _unpack, ladder_rows, omega_coeffs,
+                      poly_divmod, poly_mul, shift_rows)
 from .padics import _json_int, rational_valuation
 from .report import CheckReport
 from .series import LambdaElement, PowerSeries, _exact_quotient
 from .trace import period_constants
+
+_PACKED_MAX_DEG = 32  # from here _image runs poly_mul and poly_divmod (BENCH_35.json)
 
 
 @dataclass(frozen=True)
@@ -98,11 +101,40 @@ def _rows_mod_omega(p: int, ap: int, n: int, i: int):
     return tuple(tuple(map(tuple, row)) for row in rows)
 
 
+@lru_cache(maxsize=256)
+def _operator(p: int, ap: int, n: int, i: int) -> list:
+    """[width, max |theta entry|, max |upsilon entry|, columns]: phi_n^i on Z^d x Z^d, d = p^n.
+    Column j (d + j) is X^j (theta_i, theta_(i-1)) (upsilon's) mod omega_n by one shift and
+    subtract; _image packs it at X = 2^(8 width) (0: not yet) and widens it: one per level."""
+    rows, w = _rows_mod_omega(p, ap, n, i), omega_coeffs(p, n)
+    d, cols = len(w) - 1, []
+    for k in (0, 1):
+        col = [list(row[k]) + [0] * (d - len(row[k])) for row in rows]
+        for _ in range(d):
+            cols.append(col[0] + col[1])
+            col = [[c - x[-1] * g for c, g in zip([0, *x[:-1]], w)] for x in col]
+    return [0, *(max(map(abs, chain(*cols[k * d:k * d + d]))) for k in (0, 1)), cols]
+
+
 def _image(p: int, ap: int, n: int, i: int, a, b) -> list:
-    """phi_n^i on coefficient lists: both images, each the remainder by omega_n."""
+    """phi_n^i on coefficient lists: both images, each the remainder by omega_n.  Int inputs
+    below _PACKED_MAX_DEG, reduced mod omega_n, are one dot product with _operator, whose slots
+    hold d (|a| max|theta| + |b| max|upsilon|) >= each |coefficient| and a sign: exact."""
     rows, w = _rows_mod_omega(p, ap, n, i), omega_coeffs(p, n)  # the level guard first
-    return [poly_divmod(_lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None), w)[1]
-            for t, u in rows]
+    if (d := len(w) - 1) >= _PACKED_MAX_DEG or not {*map(type, a), *map(type, b)} <= {int}:
+        return [poly_divmod(_lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None), w)[1]
+                for t, u in rows]
+    ends = [min(d, max(len(t) and len(a) and len(t) + len(a) - 1,
+                       len(u) and len(b) and len(u) + len(b) - 1)) for t, u in rows]
+    a, b = (poly_divmod(x, w)[1] if len(x) > d else x for x in (a, b))
+    op = _operator(p, ap, n, i)
+    width = (d * (max([1, *map(abs, a)]) * op[1] + max([1, *map(abs, b)]) * op[2])
+             ).bit_length() // 8 + 1  # the bound (an entry's at least) and a sign bit
+    if width > op[0]:
+        op[3], op[0] = [_pack(_unpack(c, op[0], 2 * d, True) if op[0] else c, width, True)
+                        for c in op[3]], width
+    out = _unpack(sum(map(mul, a, op[3])) + sum(map(mul, b, op[3][d:])), op[0], 2 * d, True)
+    return [out[:ends[0]], out[d:d + ends[1]]]
 
 
 def _killed(p: int, ap: int, n: int, i: int, a, b) -> bool:  # phi_n^i(a, b) = 0, a, b ints

@@ -145,22 +145,32 @@ def _kronecker_mul(a: Poly, b: Poly, count: int) -> Poly:
         return [0] * count
     signed = lo_a < 0 or lo_b < 0
     width = (bound.bit_length() + 7 + signed) // 8  # bytes per slot: the bound (and a sign bit)
-
-    def pack(cs, neg):  # sum_k cs[k] * 2^(8*width*k); negative entries take a second pass
-        if neg:
-            return pack([max(c, 0) for c in cs], False) - pack([max(-c, 0) for c in cs], False)
-        return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
-
-    x, y, bits = pack(a, lo_a < 0), pack(b, lo_b < 0), 8 * width * count
+    x, y, bits = _pack(a, width, lo_a < 0), _pack(b, width, lo_b < 0), 8 * width * count
     if _SHORT_MIN_LEN <= count < len(a) + len(b) - 1:  # x0 + 2^h x1 times y0 + 2^h y1, 2h >= bits
         h = 8 * width * -(-count * 7 // 10)
         low, m = (1 << h) - 1, (1 << (bits - h)) - 1
         prod = (x & low) * (y & low) + ((x >> h & m) * (y & m) + (x & m) * (y >> h & m) << h)
     else:
         prod = x * y
-    half = signed << (8 * width - 1)  # a signed slot holds c + half
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little") if signed else 0
-    buf = ((prod + offset) & ((1 << bits) - 1)).to_bytes(width * count, "little")
+    return _unpack(prod, width, count, signed)
+
+
+def _pack(cs, width: int, neg: bool) -> int:
+    """sum_k cs[k] * 2^(8*width*k); with neg, one pass of slots c + half (|c| < half) less."""
+    if neg:
+        half = 1 << (8 * width - 1)
+        return _pack([c + half for c in cs], width, False) - _half_slots(width, len(cs))
+    return int.from_bytes(b"".join([c.to_bytes(width, "little") for c in cs]), "little")
+
+
+def _half_slots(width: int, count: int) -> int:  # half = 2^(8*width - 1) in each of count slots
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _unpack(x: int, width: int, count: int, signed: bool) -> Poly:
+    """The low count slots of x, width bytes each; a signed slot holds c + half, |c| < half."""
+    half, offset = signed << (8 * width - 1), _half_slots(width, count) if signed else 0
+    buf = ((x + offset) & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
     fmt = struct.Struct("<" + f"{width}s" * count)  # not struct.unpack: it caches ~2 KB a format
     slots = map(int.from_bytes, fmt.unpack(buf), repeat("little"))
     return [c - half for c in slots] if signed else list(slots)

@@ -52,6 +52,25 @@ def test_pollack_check_only_for_ap_zero():
         assert ("pollack_comparison" in names) == applies, (p, ap)
 
 
+def test_pollack_comparison_raises_below_the_requested_precision(monkeypatch):
+    # congruent compares representatives, so past its operands' precision its verdict
+    # rests on digits nobody knows: parity products requested three digits short are
+    # known mod 3^4, and mod 3^5 their representatives differ from p * log_theta (a
+    # false FAIL; other digits could give a hollow PASS).  The check raises instead
+    real = checks.pollack_product
+    monkeypatch.setattr(checks, "pollack_product",
+                        lambda p, parity, cap, prec: real(p, parity, cap, prec - 3))
+    cfg = CheckConfig(3, 0, include=("pollack_comparison",))
+    hl = ladders.half_logs(3, 0, cfg.cap, cfg.prec)
+    short = checks.pollack_product(3, "even", cfg.cap, cfg.prec + 2)
+    assert {c.absprec for c in short.coeffs} == {cfg.prec - 1}
+    assert not hl.log_theta.a.scale(3).congruent(-short, cfg.prec)
+    assert hl.log_theta.a.scale(3).congruent(-short, cfg.prec - 1)
+    [report] = run_suite([cfg])
+    assert (report.status, report.witness) == (
+        "fail", "PrecisionExhausted: a compared series is known mod 3^4, below 3^5")
+
+
 def test_inadmissible_pair_fails_every_check():
     # delta_table validates the pair like every other check: no hollow pass
     reports = run_suite([CheckConfig(5, 5)])

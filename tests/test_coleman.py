@@ -421,6 +421,57 @@ def test_public_ops_match_the_int_kernel(case):
                                _lincomb(1, y, -1, b, None))
 
 
+def image_reference(p, ap, n, i, a, b):
+    """phi_n^i the plain way: both products, their sum, the index-loop remainder by omega_n."""
+    rows, w = coleman._rows_mod_omega(p, ap, n, i), omega_coeffs(p, n)
+    return [poly_divmod_reference(_lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None), w)[1]
+            for t, u in rows]
+
+
+def _aligned(p, ap, n, i, r, slot, magnitude):
+    """(a, b) with every |coefficient| = magnitude, signed like the operator's entries in
+    one slot of image row r, so that slot's |coefficient| nears d (|a| max|theta| + |b|
+    max|upsilon|), the bound the packed slots are sized for."""
+    w, d = omega_coeffs(p, n), p ** n
+    entries = lambda f: [(poly_divmod_reference([0] * j + list(f), w)[1] + [0] * d)[slot]
+                         for j in range(d)]
+    return [[magnitude * ((c > 0) - (c < 0)) for c in entries(f)]
+            for f in coleman._rows_mod_omega(p, ap, n, i)[r]]
+
+
+@st.composite
+def _image_case(draw):
+    """A level on either side of _PACKED_MAX_DEG (d = 32 at (2, +-2, 5)) and int inputs of up
+    to 200 bits: random, all zero or aligned with the operator, each 0 to 2d long."""
+    p, ap = draw(st.sampled_from(PAIRS + [(5, 0)]))
+    n, i = draw(st.integers(1, 5 if p == 2 else 3)), draw(st.integers(-3, 4))
+    d, bits = p ** n, draw(st.integers(0, 200))
+    shape = draw(st.sampled_from(["random", "zero"] + (["aligned"] * 2 if d < 64 else [])))
+    if shape == "aligned":
+        return (p, ap, n, i, *_aligned(p, ap, n, i, draw(st.integers(0, 1)),
+                                       draw(st.integers(0, d - 1)), 2 ** bits - 1))
+    coeff = st.integers(-2 ** bits, 2 ** bits) if shape == "random" else st.just(0)
+    a, b = (draw(st.lists(coeff, max_size=2 * d)) for _ in range(2))
+    return p, ap, n, i, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_image_case())
+@example((2, 2, 5, 1, [1] * 40, [-1] * 32))  # d = _PACKED_MAX_DEG: poly_mul and poly_divmod
+@example((3, 3, 3, 1, [], []))
+def test_packed_image_matches_the_reference(case):
+    """Below _PACKED_MAX_DEG _image is the packed operator's dot product, at or above it the
+    products and the division: both return exactly the reference's lists, values and
+    lengths.  From an empty cache the operator is packed for a unit input, widened for the
+    case's input and read for a unit input again."""
+    p, ap, n, i, a, b = case
+    coleman._operator.cache_clear()
+    unit = ([1], [-1])
+    for x, y in (unit, (a, b), unit):
+        assert coleman._image(p, ap, n, i, x, y) == image_reference(p, ap, n, i, x, y)
+    assert coleman._operator.cache_info().currsize == (p ** n < coleman._PACKED_MAX_DEG)
+
+
 def test_rows_mod_omega_build_each_level_once(monkeypatch, fresh_rows):
     # the cache is the one source of exact finite-level rows: a cold suite reads
     # 165 (p, a_p, n, i) entries over 15 levels through every exact reader (the

@@ -2,16 +2,17 @@
 
 ``tests/test_witnesses.py`` injects each fault at a check's own input, which shows that
 a failure branch can report.  Here a fault goes into the code under the checks (the
-exact row cache, the Coleman kernel, the limits' stopping level, the row shift) and
-each row pins which checks then fail, so a PASS says which faults it rules out.  A row
-patches the binding its caller reads (``coleman.ladder_rows`` under the row cache,
-``checks._peel`` for the round trip, ``ladders._stop_level``, ``intcore.shift_matrix``
-under ``shift_rows``), and the row cache is empty around every row (``fresh_rows``): a
-cached clean row would hide a row fault, and a faulted row left behind would reach a
-later test.
+exact row cache, the packed operator cache, the Coleman kernel, the limits' stopping
+level, the row shift) and each row pins which checks then fail, so a PASS says which
+faults it rules out.  A row patches the binding its caller reads (``coleman.ladder_rows``
+under the row cache, ``coleman._operator`` for the packed columns, ``checks._peel`` for
+the round trip, ``ladders._stop_level``, ``intcore.shift_matrix`` under ``shift_rows``),
+and both caches are empty around every row (``fresh_rows``): a cached clean row would
+hide a row fault, and a faulted row left behind would reach a later test.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -33,6 +34,21 @@ def row_plus_one(monkeypatch):
         return rows
 
     monkeypatch.setattr(coleman, "ladder_rows", ladder_rows)
+
+
+def packed_column_plus_one(monkeypatch):
+    """+1 in the X^0 slot of column 0 at level 2 (theta_i's constant term in the top image),
+    in the operator cache of the small levels, above the row cache: _image packs it."""
+    real = coleman._operator.__wrapped__
+
+    @lru_cache(maxsize=256)
+    def _operator(p, ap, n, i):
+        op = real(p, ap, n, i)
+        if n == 2:
+            op[3][0][0] += 1
+        return op
+
+    monkeypatch.setattr(coleman, "_operator", _operator)
 
 
 def peel_off_by_one(monkeypatch):
@@ -57,6 +73,9 @@ def shift_reads_the_next_parity(monkeypatch):
 MATRIX = {
     None: {},
     row_plus_one: dict.fromkeys(COLEMAN_CHECKS, 5),
+    # kernel_membership reads column 0 only through a_0, and every generator
+    # X (upsilon, -theta) has a_0 = 0; its (1, 0) probe is at level 1
+    packed_column_plus_one: {"decompose_round_trip": 5, "projection_compatibility": 5},
     peel_off_by_one: {"decompose_round_trip": 5},
 }
 

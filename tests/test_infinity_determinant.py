@@ -2,13 +2,14 @@
 
 ``checks.check_infinity_determinant`` forms the determinant of the scaled
 index-1 limit on integer numerators and builds PadicScalars only for the
-witness of a failure.  These tests hold it to the ``LadderMatrix.det`` path of
+witness of a failure.  These tests hold it to the PadicScalar path of
 ``tests/determinant_reference.py``: the same witness or None on passing,
 faulted and non-converging configurations, and the precision margin on which
 the equal verdicts rest, which the check bounds from below and guards with
 PrecisionExhausted.  On random limit-shaped rows, the reference det never
 overclaims: the exact det of any lift of the entries lies inside each of its
-coefficients' intervals.
+coefficients' intervals; and it is ``LadderMatrix.det``, in every value and
+precision, though it does not call it.
 """
 
 from fractions import Fraction
@@ -18,12 +19,12 @@ from hypothesis import given, settings, strategies as st
 
 from padic_ladders import checks, ladders
 from padic_ladders.checks import CheckConfig, default_configs
-from padic_ladders.ladders import n_shift
+from padic_ladders.ladders import LadderMatrix, n_shift
 from padic_ladders.padics import PadicScalar, rational_valuation
 from padic_ladders.series import PowerSeries
 
 from determinant_reference import (check_infinity_determinant_reference, outcome, padic_det,
-                                   reference_det)
+                                   reference_det, series_det)
 
 CAP200_PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0), (5, 0)]
 PINNED_CFGS = default_configs() + [CheckConfig(p, ap, cap=200, prec=20) for p, ap in CAP200_PAIRS]
@@ -201,3 +202,17 @@ def test_never_overclaims_property_catches_a_one_digit_overclaim():
 
     with pytest.raises(AssertionError):
         check_never_overclaims(overclaim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(limit_rows())
+def test_series_det_is_ladder_matrix_det(case):
+    # the reference det, written out on PadicScalars, equals LadderMatrix.det in every
+    # coefficient's value and precision and in its cap, so it can stand in for it
+    p, cap, prec, rows, _ = case
+    entries = [[PowerSeries.from_numerators(p, [c % p ** (prec + e) for c in x], e, prec, cap)
+                for x, e in rows[r:r + 2]] for r in (0, 2)]
+    want = LadderMatrix(p, 0, "infinity", 1, entries, cap=cap, prec=prec).det(cap)
+    got = series_det(p, entries, cap)
+    assert (got.cap, [(c.value, c.absprec) for c in got.coeffs]) == \
+        (want.cap, [(c.value, c.absprec) for c in want.coeffs])
