@@ -2,9 +2,9 @@
 
 run_suite executes the whole battery for each configuration and returns the reports in
 deterministic name order; failures are data (reports with a witness), never exceptions.
-The finite-level checks read ``ladder``, whose exact rows come from one cache shared with
-the Coleman layer (each level's index-1 rows built once, shifted to every index), whose
-int-list kernel (``coleman._image`` and its peers) the three Coleman checks call directly.
+The finite-level checks compare the int rows of the Coleman layer's one exact row cache
+(each level's index-1 rows built once, shifted to every index) and build no series; the
+three Coleman checks call its int-list kernel (``coleman._image`` and its peers) directly.
 The five limit checks read the (index, prec) requests of LIMIT_REQUESTS from one call of
 the integer level loop ``ladders._limits`` per configuration.  factorization_check tests
 the finite-level decomposition against the half-logarithm limit on a list of inputs (the
@@ -19,25 +19,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from .coleman import _generators, _image, _killed, _peel, _projection, limit_lemma_check
+from .coleman import (_generators, _image, _killed, _peel, _projection, _rows_mod_omega,
+                      limit_lemma_check)
 from .errors import PadicLaddersError, PrecisionExhausted
-from .intcore import (_int_approx_congruent, _lincomb, append_factor, ladder_rows, poly_mul,
-                      shift_rows)
-from .ladders import (
-    _half_log_requests,
-    _half_logs_at,
-    _limit_matrix,
-    _limits,
-    _read,
-    _row_exps,
-    kappa_identity_check,
-    ladder,
-    n_shift,
-    pollack_product,
-)
+from .intcore import (_int_approx_congruent, _lincomb, append_factor, ladder_rows, omega_coeffs,
+                      poly_mul, rows_det, shift_rows)
+from .ladders import (_half_log_requests, _half_logs_at, _limit_matrix, _limits, _read, _row_exps,
+                      kappa_identity_check, n_shift, pollack_product)
 from .padics import rational_valuation, require_prime
 from .report import CheckReport
-from .series import PowerSeries, log_series, omega
+from .series import PowerSeries, log_series
 from .trace import (
     a_matrix,
     ap_parity_value,
@@ -156,11 +147,10 @@ def check_beta_periodicity(cfg: CheckConfig) -> Optional[str]:
 
 def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
-    x = PowerSeries.x_power(cfg.p, 1)
     for n in range(1, min(cfg.n_max, 4) + 1):
-        w = omega(cfg.p, n)
+        w = omega_coeffs(cfg.p, n)
         for i in range(-2, consts.two_tilde + 1):
-            if not (x.mul(ladder(cfg.p, cfg.ap, n, i).det()) == w):
+            if any(_lincomb(1, [0, *rows_det(_rows_mod_omega(cfg.p, cfg.ap, n, i))], -1, w, None)):
                 return f"X*det != omega_{n} at index i={i}"
     return None
 
@@ -168,13 +158,12 @@ def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
 def check_coefficient_factorization(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
     for n in range(1, min(cfg.n_max, 3) + 1):
-        base = ladder(cfg.p, cfg.ap, n, 0)
+        base = _rows_mod_omega(cfg.p, cfg.ap, n, 0)
         for j in range(-consts.two_tilde, consts.two_tilde + 1):
-            m = ladder(cfg.p, cfg.ap, n, j)
+            top = _rows_mod_omega(cfg.p, cfg.ap, n, j)[0]
             y = delta_coeffs(cfg.p, cfg.ap, j)
-            for col in range(2):
-                want = base.entries[0][col] * y.y + base.entries[1][col] * y.y_prime
-                if not (m.entries[0][col] == want):
+            for col, (x, b0, b1) in enumerate(zip(top, *base)):
+                if any(_lincomb(1, x, -1, _lincomb(y.y, b0, y.y_prime, b1, None), None)):
                     return f"row factorization failed at n={n}, j={j}, col={col}"
     return None
 
@@ -231,7 +220,7 @@ def check_infinity_determinant(cfg: CheckConfig, limits: dict) -> Optional[str]:
     if least < cfg.prec - shift:
         raise PrecisionExhausted(f"limit det known mod {p}^{least}, below {p}^{cfg.prec - shift}")
     (t0, e0), (u0, _), (t1, e1), (u1, _) = rows
-    det = _lincomb(1, poly_mul(t0, u1, cap - 1), -1, poly_mul(u0, t1, cap - 1), None)
+    det = rows_det([[t0, u0], [t1, u1]], cap - 1)
     log = [c.value for c in log_series(p, cap).coeffs[:cap]]
     den = math.lcm(*(c.denominator for c in log))  # den * log is integral
     lhs = [0] + [c * den * p ** shift for c in det]  # den * p^shift * X * det * p^(e0 + e1)

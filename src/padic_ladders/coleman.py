@@ -28,6 +28,7 @@ from .series import LambdaElement, PowerSeries, _exact_quotient
 from .trace import period_constants
 
 _PACKED_MAX_DEG = 32  # from here _image runs poly_mul and poly_divmod (BENCH_35.json)
+_PACKED_MAX_WIDTH = 48  # slot bytes; wider inputs run them too, entry unchanged (BENCH_36.json)
 
 
 @dataclass(frozen=True)
@@ -121,20 +122,20 @@ def _image(p: int, ap: int, n: int, i: int, a, b) -> list:
     below _PACKED_MAX_DEG, reduced mod omega_n, are one dot product with _operator, whose slots
     hold d (|a| max|theta| + |b| max|upsilon|) >= each |coefficient| and a sign: exact."""
     rows, w = _rows_mod_omega(p, ap, n, i), omega_coeffs(p, n)  # the level guard first
-    if (d := len(w) - 1) >= _PACKED_MAX_DEG or not {*map(type, a), *map(type, b)} <= {int}:
-        return [poly_divmod(_lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None), w)[1]
-                for t, u in rows]
-    ends = [min(d, max(len(t) and len(a) and len(t) + len(a) - 1,
-                       len(u) and len(b) and len(u) + len(b) - 1)) for t, u in rows]
-    a, b = (poly_divmod(x, w)[1] if len(x) > d else x for x in (a, b))
-    op = _operator(p, ap, n, i)
-    width = (d * (max([1, *map(abs, a)]) * op[1] + max([1, *map(abs, b)]) * op[2])
-             ).bit_length() // 8 + 1  # the bound (an entry's at least) and a sign bit
-    if width > op[0]:
-        op[3], op[0] = [_pack(_unpack(c, op[0], 2 * d, True) if op[0] else c, width, True)
-                        for c in op[3]], width
-    out = _unpack(sum(map(mul, a, op[3])) + sum(map(mul, b, op[3][d:])), op[0], 2 * d, True)
-    return [out[:ends[0]], out[d:d + ends[1]]]
+    if (d := len(w) - 1) < _PACKED_MAX_DEG and {*map(type, a), *map(type, b)} <= {int}:
+        ends = [min(d, max(len(t) and len(a) and len(t) + len(a) - 1,
+                           len(u) and len(b) and len(u) + len(b) - 1)) for t, u in rows]
+        x, y = (poly_divmod(v, w)[1] if len(v) > d else v for v in (a, b))
+        op = _operator(p, ap, n, i)
+        if (width := (d * (max([1, *map(abs, x)]) * op[1] + max([1, *map(abs, y)]) * op[2])
+                      ).bit_length() // 8 + 1) <= _PACKED_MAX_WIDTH:  # the bound and a sign bit
+            if width > op[0]:
+                op[3], op[0] = [_pack(_unpack(c, op[0], 2 * d, True) if op[0] else c, width, True)
+                                for c in op[3]], width
+            out = _unpack(sum(map(mul, x, op[3])) + sum(map(mul, y, op[3][d:])), op[0], 2 * d, True)
+            return [out[:ends[0]], out[d:d + ends[1]]]
+    return [poly_divmod(_lincomb(1, poly_mul(t, a), 1, poly_mul(u, b), None), w)[1]
+            for t, u in rows]
 
 
 def _killed(p: int, ap: int, n: int, i: int, a, b) -> bool:  # phi_n^i(a, b) = 0, a, b ints

@@ -31,9 +31,10 @@ from .trace import ap_parity_value
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
-_KRONECKER_MIN_LEN = 32  # crossover measured in BENCH_7.json
+_KRONECKER_MIN_LEN = 14  # poly_mul's crossover by length, sign and width (BENCH_36.json)
 _SHORT_MIN_LEN = 100  # Mulders' short product's crossover, measured in BENCH_32.json
 _RECIPROCAL_MIN_DEG = 100  # poly_divmod's crossover, measured in BENCH_16.json
+_RECIPROCAL_MIN_QUOT = 32  # and its quotient terms, measured with it in BENCH_16.json
 
 
 def _reduced(coeffs: Poly, mod: Optional[int]) -> Poly:
@@ -178,10 +179,10 @@ def _unpack(x: int, width: int, count: int, signed: bool) -> Poly:
 
 def poly_divmod(f: Poly, g: Poly, mod: Optional[int] = None) -> Tuple[Poly, Poly]:
     """Quotient and remainder of f by the monic polynomial g (g[-1] == 1).  Int f at most
-    d = deg g >= _RECIPROCAL_MIN_DEG bits wide, with m >= _KRONECKER_MIN_LEN quotient terms,
+    d = deg g >= _RECIPROCAL_MIN_DEG bits wide, with m >= _RECIPROCAL_MIN_QUOT quotient terms,
     takes rev(q) = rev(f)/rev(g) mod X^m and r = f - q*g mod X^d (the same lists)."""
     d, m = len(g) - 1, len(f) - len(g) + 1
-    if d >= _RECIPROCAL_MIN_DEG and m >= _KRONECKER_MIN_LEN and \
+    if d >= _RECIPROCAL_MIN_DEG and m >= _RECIPROCAL_MIN_QUOT and \
             all(type(c) is int for c in (*f, *g)) and max(map(abs, f)).bit_length() <= d:
         quot = poly_mul(f[::-1], _reversed_inverse(tuple(g), 1 << (m - 1).bit_length()), m)[::-1]
         return _reduced(quot, mod), _reduced([a - b for a, b in zip(f, poly_mul(quot, g, d))], mod)
@@ -244,6 +245,12 @@ def append_factor(p: int, ap: int, rows: IntRows, k: int, cap: Optional[int] = N
         new_top.append([ap * xk - p * yk - c * hk for xk, yk, hk in terms] if mod is None else
                        [(ap * xk - p * yk - c * hk) % mod for xk, yk, hk in terms])
     return [new_top, top]
+
+
+def rows_det(rows: IntRows, cap: Optional[int] = None) -> Poly:
+    """theta_i upsilon_(i-1) - upsilon_i theta_(i-1) below X^cap, for rows (i, i-1)."""
+    (t0, u0), (t1, u1) = rows
+    return _lincomb(1, poly_mul(t0, u1, cap), -1, poly_mul(u0, t1, cap), None)
 
 
 def shift_matrix(p: int, ap: int, i: int, parity_flip: bool = False) -> Tuple[int, ...]:

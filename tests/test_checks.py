@@ -227,6 +227,21 @@ def test_warm_round_reads_exact_rows_from_the_cache(monkeypatch, fresh_rows):
     assert counts == {"ladder_rows": 25, "append_factor": 171}
 
 
+def test_finite_checks_build_no_series(monkeypatch, fresh_rows):
+    # finite_determinant and coefficient_factorization compare the cached int rows
+    # with poly_mul and _lincomb: from a cold row cache they pass with every
+    # PowerSeries and every ladder() call refused
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite check built a series")
+
+    monkeypatch.setattr(PowerSeries, "__init__", refuse)
+    monkeypatch.setattr(ladders, "ladder", refuse)
+    include = ("finite_determinant", "coefficient_factorization")
+    reports = run_suite([CheckConfig(c.p, c.ap, include=include)
+                         for c in checks.default_configs()])
+    assert len(reports) == 10 and all(r.passed for r in reports), reports
+
+
 def test_factorization_basis_pairs_decide_every_integral_input(monkeypatch):
     # Why factorization_synthetic runs only the basis pairs: the difference it
     # compares is lt*(theta_n - theta) + lu*(upsilon_n - upsilon), so for

@@ -472,6 +472,27 @@ def test_packed_image_matches_the_reference(case):
     assert coleman._operator.cache_info().currsize == (p ** n < coleman._PACKED_MAX_DEG)
 
 
+def test_wide_input_leaves_the_packed_entry_as_it_is(fresh_rows):
+    """An input whose slots would need more than _PACKED_MAX_WIDTH bytes takes the products
+    and the division: the level's cached entry keeps its width, and the wide call and a
+    later small one return exactly the index-loop reference.  An input at the bound itself
+    is still packed, widening the entry to the bound and no further."""
+    p, ap, n, i = 3, 3, 3, 1
+    rng = random.Random(48)
+    small = [[rng.randint(-9, 9) for _ in range(p ** n)] for _ in range(2)]
+    assert coleman._image(p, ap, n, i, *small) == image_reference(p, ap, n, i, *small)
+    op = coleman._operator(p, ap, n, i)
+    width, d, widest = op[0], p ** n, coleman._PACKED_MAX_WIDTH
+    # the largest |a_0| with d (|a| max|theta| + max|upsilon|) below 2^(8 widest - 1)
+    at_bound = (2 ** (8 * widest - 1) - 1 - d * op[2]) // (d * op[1])
+    for a, b, want in (([2 ** 4000], [], width), ([-3 ** 300] * 40, small[1], width),
+                       ([at_bound], [], widest), ([at_bound + 1], [], widest)):
+        assert coleman._image(p, ap, n, i, a, b) == image_reference(p, ap, n, i, a, b)
+        assert coleman._operator(p, ap, n, i)[0] == want
+        assert coleman._image(p, ap, n, i, *small) == image_reference(p, ap, n, i, *small)
+    assert coleman._operator.cache_info().currsize == 1
+
+
 def test_rows_mod_omega_build_each_level_once(monkeypatch, fresh_rows):
     # the cache is the one source of exact finite-level rows: a cold suite reads
     # 165 (p, a_p, n, i) entries over 15 levels through every exact reader (the

@@ -13,6 +13,7 @@ from padic_ladders import intcore
 from padic_ladders.errors import InexactDivision, MixedExtension, SerializationError
 from padic_ladders.intcore import (
     _KRONECKER_MIN_LEN,
+    _RECIPROCAL_MIN_QUOT,
     _SHORT_MIN_LEN,
     _phi_split,
     append_factor,
@@ -279,6 +280,56 @@ def test_int_core_matches_sympy():
         got = got if mod is None else [c % mod for c in got]
         assert len(got) == min(len(a) + len(b) - 1, cap or len(a) + len(b))
         assert _trim(got) == from_poly(to_poly(a) * to_poly(b), cap, mod)
+
+
+def _index_loop_mul(a, b, cap):
+    """a*b below X^cap, one coefficient product at a time."""
+    out = [0] * min(len(a) + len(b) - 1 if a and b else 0, cap or len(a) + len(b))
+    for i, x in enumerate(a[: len(out)]):
+        for k, y in enumerate(b[: len(out) - i], i):
+            out[k] += x * y
+    return out
+
+
+def test_poly_mul_on_both_sides_of_the_kronecker_crossover(monkeypatch):
+    """poly_mul keeping exactly _KRONECKER_MIN_LEN - 1 and _KRONECKER_MIN_LEN coefficients of
+    its shorter operand, against the index loop, and the path each length takes: the
+    suite's limit shapes (operands mod p^k, 24 coefficients at cap 24 or cut to the boundary
+    by the cap), small signed operands in [-9, 9], and a non-negative side against a
+    mixed-sign one in both orders."""
+    real, packed = intcore._kronecker_mul, []
+    monkeypatch.setattr(intcore, "_kronecker_mul",
+                        lambda a, b, count: packed.append(count) or real(a, b, count))
+    rng = random.Random(36)
+    for n in (_KRONECKER_MIN_LEN - 1, _KRONECKER_MIN_LEN):
+        cases = []
+        for mod in (2 ** 40, 3 ** 25, 5 ** 17):
+            dense = lambda m: [rng.randrange(mod) for _ in range(m)]
+            cases += [(dense(n), dense(24), 24), (dense(24), dense(24), n)]
+        small = lambda: [rng.randint(-9, 9) for _ in range(n)]
+        cases += [(small(), small(), None), (small(), small(), n)]
+        pos = [rng.randrange(2 ** 16) for _ in range(n)]
+        mixed = [(-1) ** k * rng.randrange(1, 2 ** 16) for k in range(24)]
+        cases += [(pos, mixed, None), (mixed, pos, 24)]
+        for a, b, cap in cases:
+            packed.clear()
+            assert poly_mul(a, b, cap) == _index_loop_mul(a, b, cap), (n, a, b, cap)
+            assert bool(packed) == (n >= _KRONECKER_MIN_LEN), (n, len(a), len(b), cap)
+
+
+def test_poly_divmod_gate_counts_quotient_terms():
+    """Division by Phi_3(1+X) at p = 5 (d = 100, the coleman-deep peel's divisor) with
+    m = 26 or _RECIPROCAL_MIN_QUOT - 1 quotient terms runs the index loop and reads no
+    reciprocal; from m = _RECIPROCAL_MIN_QUOT it takes the reciprocal.  Every quotient and
+    remainder equals the reference's."""
+    g, rng = phi_coeffs(5, 3), random.Random(26)
+    for m in (26, _RECIPROCAL_MIN_QUOT - 1, _RECIPROCAL_MIN_QUOT):
+        f = [rng.randint(-99, 99) for _ in range(len(g) - 1 + m)]
+        before = intcore._reversed_inverse.cache_info()
+        assert poly_divmod(f, g) == poly_divmod_reference(f, g)
+        after = intcore._reversed_inverse.cache_info()
+        assert (after.hits + after.misses > before.hits + before.misses) == \
+            (m >= _RECIPROCAL_MIN_QUOT), m
 
 
 @functools.lru_cache(maxsize=None)
@@ -610,8 +661,8 @@ def test_poly_divmod_matches_index_loop_across_crossover():
     before = intcore._reversed_inverse.cache_info()
     for g in divisors:
         d = len(g) - 1
-        lengths = {0, 1, d - 1, d, d + 1, d + _KRONECKER_MIN_LEN - 1, d + _KRONECKER_MIN_LEN,
-                   2 * d - 1}
+        lengths = {0, 1, d - 1, d, d + 1, d + _RECIPROCAL_MIN_QUOT - 1, d + _RECIPROCAL_MIN_QUOT,
+                   d + _RECIPROCAL_MIN_QUOT + 1, 2 * d - 1}
         for n in sorted(k for k in lengths if k >= 0):
             bits = rng.choice((4, 64, 200))
             f = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(n)]
@@ -626,7 +677,7 @@ def test_poly_divmod_matches_index_loop_across_crossover():
     # operations are the index loop's in the same order: values and precisions agree
     g = [PadicScalar(5, c) for c in phi_coeffs(5, 3)]
     f = [PadicScalar(5, Fraction(rng.randint(-99, 99), 5 ** rng.randint(0, 2)),
-                     rng.choice((None, 5, 9))) for _ in range(100 + _KRONECKER_MIN_LEN)]
+                     rng.choice((None, 5, 9))) for _ in range(100 + _RECIPROCAL_MIN_QUOT)]
     got, want = poly_divmod(f, g), poly_divmod_reference(f, g)
     assert [[c.to_json() for c in part] for part in got] == \
         [[c.to_json() for c in part] for part in want]

@@ -119,8 +119,9 @@ def test_beta_periodicity_witness(monkeypatch):
 
 
 def test_finite_determinant_witness(monkeypatch):
-    real_omega = checks.omega
-    monkeypatch.setattr(checks, "omega", lambda p, n: real_omega(p, n).scale(1 + (n == 2)))
+    real_omega = checks.omega_coeffs
+    monkeypatch.setattr(checks, "omega_coeffs",
+                        lambda p, n: [c * (1 + (n == 2)) for c in real_omega(p, n)])
     got = witnesses("finite_determinant", (2, 0), (3, 3))
     assert got == ["X*det != omega_2 at index i=-2"] * 2
 
