@@ -8,7 +8,8 @@ three Coleman checks call its int-list kernel (``coleman._image`` and its peers)
 The five limit checks read the (index, prec) requests of LIMIT_REQUESTS from one call of
 the integer level loop ``ladders._limits`` per configuration.  factorization_check tests
 the finite-level decomposition against the half-logarithm limit on a list of inputs (the
-suite passes the two basis inputs, which span every integral one).
+suite passes the two basis inputs, which span every integral one).  The six checks of the
+trace side are functions of (p, a_p) in ``trace``; CHECKS binds each with one lambda.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .coleman import (_generators, _image, _killed, _peel, _projection, _rows_mod_omega,
                       limit_lemma_check)
@@ -29,32 +30,9 @@ from .ladders import (_half_log_requests, _half_logs_at, _limit_matrix, _limits,
 from .padics import rational_valuation, require_prime
 from .report import CheckReport
 from .series import PowerSeries, log_series
-from .trace import (
-    a_matrix,
-    ap_parity_value,
-    beta,
-    delta_coeffs,
-    delta_table,
-    mat_pow,
-    period_constants,
-    trace_matrix,
-    y_beta_identity_check,
-)
-
-# The printed delta-table: rows i = -2..7, one column per a_p value.
-# The a_p = 0 column is p-independent.
-PRINTED_TABLE = {
-    2: ["-c_n + c_{n-1}", "c_{n-1}", "c_n", "2c_n - c_{n-1}", "c_n - c_{n-1}",
-        "-c_{n-1}", "-c_n", "-2c_n + c_{n-1}", "-c_n + c_{n-1}", "c_{n-1}"],
-    -2: ["-c_n - c_{n-1}", "c_{n-1}", "c_n", "-2c_n - c_{n-1}", "c_n + c_{n-1}",
-         "-c_{n-1}", "-c_n", "2c_n + c_{n-1}", "-c_n - c_{n-1}", "c_{n-1}"],
-    3: ["-c_n + c_{n-1}", "c_{n-1}", "c_n", "3c_n - c_{n-1}", "2c_n - c_{n-1}",
-        "3c_n - 2c_{n-1}", "c_n - c_{n-1}", "-c_{n-1}", "-c_n", "-3c_n + c_{n-1}"],
-    -3: ["-c_n - c_{n-1}", "c_{n-1}", "c_n", "-3c_n - c_{n-1}", "2c_n + c_{n-1}",
-         "-3c_n - 2c_{n-1}", "c_n + c_{n-1}", "-c_{n-1}", "-c_n", "3c_n + c_{n-1}"],
-    0: ["-c_n", "c_{n-1}", "c_n", "-c_{n-1}", "-c_n", "c_{n-1}", "c_n",
-        "-c_{n-1}", "-c_n", "c_{n-1}"],
-}
+from .trace import (check_a_matrix, check_beta_periodicity, check_delta_table,
+                    check_integrality_antiperiodicity, check_parity_recursion, check_y_beta,
+                    delta_coeffs, period_constants)
 
 TABLE_COLUMN_PAIRS = [(2, 2), (2, -2), (3, 3), (3, -3), (3, 0)]
 
@@ -91,60 +69,6 @@ def _random_pair(rng: random.Random, p: int, n: int) -> tuple:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_delta_table(cfg: CheckConfig) -> Optional[str]:
-    rows = delta_table(cfg.p, cfg.ap, -2, 7)  # validates the pair; admissible a_p are keys
-    for row, want in zip(rows, PRINTED_TABLE[cfg.ap]):
-        if row.rendered != want:
-            return f"row i={row.i}: got {row.rendered!r}, expected {want!r}"
-    return None
-
-
-def check_integrality_antiperiodicity(cfg: CheckConfig) -> Optional[str]:
-    consts = period_constants(cfg.p, cfg.ap)
-    for i in range(-8 * cfg.p, 8 * cfg.p + 1):
-        d = delta_coeffs(cfg.p, cfg.ap, i)  # NonIntegralCoefficient on failure
-        d2 = delta_coeffs(cfg.p, cfg.ap, i + consts.two_tilde)
-        if (d2.y, d2.y_prime) != (-d.y, -d.y_prime):
-            return f"anti-periodicity broken at i={i}"
-    return None
-
-
-def check_parity_recursion(cfg: CheckConfig) -> Optional[str]:
-    p, ap = cfg.p, cfg.ap
-    for i in range(-8 * p, 8 * p):
-        prev, cur, nxt = (delta_coeffs(p, ap, j) for j in (i - 1, i, i + 1))
-        a = ap_parity_value(p, ap, i)  # after delta_coeffs, which validates the pair
-        if nxt.y != a * cur.y - prev.y or nxt.y_prime != a * cur.y_prime - prev.y_prime:
-            return f"parity recursion broken at i={i}"
-    # direct scaled-power cross-check on the C^i formula
-    for i in range(0, 4 * p + 1):
-        d, scale = delta_coeffs(p, ap, i), p ** (i // 2)
-        if mat_pow(trace_matrix(p, ap), i)[0] != (d.y * scale, d.y_prime * scale):
-            return f"C^i top row mismatch at i={i}"
-    return None
-
-
-def check_a_matrix(cfg: CheckConfig) -> Optional[str]:
-    for l in range(1, 2 * cfg.p + 3):
-        a_matrix(cfg.p, cfg.ap, l)  # IdentityViolation on failure
-    return None
-
-
-def check_y_beta(cfg: CheckConfig) -> Optional[str]:
-    for i in range(-2, period_constants(cfg.p, cfg.ap).two_tilde + 1):
-        for k in (1, 2, 3):
-            y_beta_identity_check(cfg.p, cfg.ap, i, k)
-    return None
-
-
-def check_beta_periodicity(cfg: CheckConfig) -> Optional[str]:
-    tt = period_constants(cfg.p, cfg.ap).two_tilde
-    for m in range(-3 * tt, 3 * tt + 1):
-        if beta(cfg.p, cfg.ap, m) != beta(cfg.p, cfg.ap, m + tt):
-            return f"beta not two_tilde-periodic at m={m}"
-    return None
-
-
 def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
     consts = period_constants(cfg.p, cfg.ap)
     for n in range(1, min(cfg.n_max, 4) + 1):
@@ -156,10 +80,10 @@ def check_finite_determinant(cfg: CheckConfig) -> Optional[str]:
 
 
 def check_coefficient_factorization(cfg: CheckConfig) -> Optional[str]:
-    consts = period_constants(cfg.p, cfg.ap)
+    tt = period_constants(cfg.p, cfg.ap).two_tilde
     for n in range(1, min(cfg.n_max, 3) + 1):
         base = _rows_mod_omega(cfg.p, cfg.ap, n, 0)
-        for j in range(-consts.two_tilde, consts.two_tilde + 1):
+        for j in range(-tt, tt + 1):
             top = _rows_mod_omega(cfg.p, cfg.ap, n, j)[0]
             y = delta_coeffs(cfg.p, cfg.ap, j)
             for col, (x, b0, b1) in enumerate(zip(top, *base)):
@@ -286,25 +210,25 @@ def check_factorization_synthetic(cfg: CheckConfig, limits: dict) -> Optional[st
 
 # -- the suite -----------------------------------------------------------------
 
-CHECKS: Sequence[Tuple[str, Callable[..., Optional[str]]]] = (
-    ("a_matrix_identity", check_a_matrix),
-    ("beta_periodicity", check_beta_periodicity),
+CHECKS = (
+    ("a_matrix_identity", lambda cfg: check_a_matrix(cfg.p, cfg.ap)),
+    ("beta_periodicity", lambda cfg: check_beta_periodicity(cfg.p, cfg.ap)),
     ("coefficient_factorization", check_coefficient_factorization),
     ("decompose_round_trip", check_decompose_round_trip),
-    ("delta_table", check_delta_table),
+    ("delta_table", lambda cfg: check_delta_table(cfg.p, cfg.ap)),
     ("factorization_synthetic", check_factorization_synthetic),
     ("finite_determinant", check_finite_determinant),
     ("infinity_determinant", check_infinity_determinant),
     ("infinity_row_recursion", check_infinity_row_recursion),
-    ("integrality_antiperiodicity", check_integrality_antiperiodicity),
+    ("integrality_antiperiodicity", lambda cfg: check_integrality_antiperiodicity(cfg.p, cfg.ap)),
     ("intrinsicness", check_intrinsicness),
     ("kappa_identity", check_kappa_identity),
     ("kernel_membership", check_kernel_membership),
     ("limit_lemma", check_limit_lemma),
-    ("parity_recursion", check_parity_recursion),
+    ("parity_recursion", lambda cfg: check_parity_recursion(cfg.p, cfg.ap)),
     ("pollack_comparison", check_pollack_comparison),
     ("projection_compatibility", check_projection_compatibility),
-    ("y_beta_identity", check_y_beta),
+    ("y_beta_identity", lambda cfg: check_y_beta(cfg.p, cfg.ap)),
 )
 
 CHECK_NAMES = tuple(name for name, _ in CHECKS)

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import pytest
 
-from padic_ladders.checks import PRINTED_TABLE
 from padic_ladders.coleman import (
     decompose,
     kernel_basis,
@@ -41,6 +40,7 @@ from padic_ladders.series import (
     phi,
 )
 from padic_ladders.trace import (
+    PRINTED_TABLE,
     a_matrix,
     delta_coeffs,
     delta_table,

@@ -9,7 +9,6 @@ from padic_ladders import checks, coleman, intcore, ladders
 from padic_ladders.checks import (
     CHECK_NAMES,
     CheckConfig,
-    PRINTED_TABLE,
     factorization_check,
     run_suite,
 )
@@ -17,7 +16,7 @@ from padic_ladders.ladders import kappa_identity_check
 from padic_ladders.padics import PadicScalar
 from padic_ladders.report import CheckReport
 from padic_ladders.series import PowerSeries
-from padic_ladders.trace import delta_table
+from padic_ladders.trace import PRINTED_TABLE, delta_table
 from zalpha_reference import factorization_check_reference, kappa_identity_check_reference
 
 

@@ -3,20 +3,24 @@
 ``tests/test_witnesses.py`` injects each fault at a check's own input, which shows that
 a failure branch can report.  Here a fault goes into the code under the checks (the
 exact row cache, the packed operator cache, the Coleman kernel, the limits' stopping
-level, the row shift) and each row pins which checks then fail, so a PASS says which
-faults it rules out.  A row patches the binding its caller reads (``coleman.ladder_rows``
-under the row cache, ``coleman._operator`` for the packed columns, ``checks._peel`` for
-the round trip, ``ladders._stop_level``, ``intcore.shift_matrix`` under ``shift_rows``),
-and both caches are empty around every row (``fresh_rows``): a cached clean row would
-hide a row fault, and a faulted row left behind would reach a later test.
+level, the row shift, and in ``trace`` the cached delta pairs, the cached beta_m and
+a_p(i)) and each row pins which checks then fail, so a PASS says which faults it rules
+out.  A row patches the binding its caller reads (``coleman.ladder_rows`` under the row
+cache, ``coleman._operator`` for the packed columns, ``checks._peel`` for the round trip,
+``ladders._stop_level``, ``intcore.shift_matrix`` under ``shift_rows``,
+``trace.period_constants`` under ``delta_coeffs``, ``trace._beta`` under ``beta``, and
+both ``trace.ap_parity_value`` and the ``intcore`` binding of it), and the row caches and
+the trace caches are empty around every row (``fresh_rows``, ``fresh_trace``): a cached
+clean entry would hide a fault, and a faulted entry left behind would reach a later test.
 """
 
+import dataclasses
 from collections import Counter
 from functools import lru_cache
 
 import pytest
 
-from padic_ladders import checks, coleman, intcore
+from padic_ladders import checks, coleman, intcore, trace
 from padic_ladders.checks import CheckConfig, default_configs, run_suite
 from test_ladders import _one_level_short
 
@@ -69,6 +73,36 @@ def shift_reads_the_next_parity(monkeypatch):
                         lambda p, ap, i, parity_flip=False: real(p, ap, i, True))
 
 
+def delta_pair_plus_one(monkeypatch):
+    """y_1 + 1 in the period of delta pairs that period_constants caches (y_i for every
+    i = 1 mod two_tilde, with the period's sign), so beta_1 moves with it."""
+    real = trace.period_constants.__wrapped__
+
+    @lru_cache(maxsize=256)
+    def period_constants(p, ap):
+        consts = real(p, ap)
+        deltas = list(consts.deltas)
+        deltas[1] = (deltas[1][0] + 1, deltas[1][1])
+        return dataclasses.replace(consts, deltas=tuple(deltas))
+
+    monkeypatch.setattr(trace, "period_constants", period_constants)
+
+
+def beta_one_residue_late(monkeypatch):
+    """beta_m reads the cached beta of residue m + 1 mod two_tilde."""
+    real = trace._beta
+    monkeypatch.setattr(trace, "_beta", lambda p, ap, m0: real(
+        p, ap, (m0 + 1) % trace.period_constants(p, ap).two_tilde))
+
+
+def parity_one_index_late(monkeypatch):
+    """a_p(i + 1) for a_p(i) in both bindings: trace's (A_l, the parity recursion) and
+    intcore's (every row shift)."""
+    real = trace.ap_parity_value
+    for module in (trace, intcore):
+        monkeypatch.setattr(module, "ap_parity_value", lambda p, ap, i: real(p, ap, i + 1))
+
+
 # fault -> {check: how many of the five default configurations fail it}
 MATRIX = {
     None: {},
@@ -92,6 +126,18 @@ SUITE_MATRIX = {
         ("coefficient_factorization", "factorization_synthetic", "infinity_determinant",
          "infinity_row_recursion", "intrinsicness", "kappa_identity",
          "projection_compatibility"), 4),
+    # a_p = 0 reads a_p(i) = 0 at every i, so the one a_p = 0 configuration passes.  The
+    # two by-construction checks, beta_periodicity and integrality_antiperiodicity, fail in
+    # none of these three rows: beta(m) and delta_coeffs(i) reduce the index themselves
+    parity_one_index_late: dict.fromkeys(
+        ("a_matrix_identity", "coefficient_factorization", "factorization_synthetic",
+         "infinity_determinant", "infinity_row_recursion", "intrinsicness", "kappa_identity",
+         "parity_recursion", "projection_compatibility"), 4),
+    delta_pair_plus_one: {**dict.fromkeys(
+        ("coefficient_factorization", "delta_table", "kappa_identity", "parity_recursion",
+         "y_beta_identity"), 5), "intrinsicness": 1, "pollack_comparison": 1},
+    beta_one_residue_late: {**dict.fromkeys(("intrinsicness", "kappa_identity",
+                                             "y_beta_identity"), 5), "pollack_comparison": 1},
 }
 
 
@@ -104,7 +150,7 @@ def test_coleman_kernel_faults_reach_the_checks(monkeypatch, fresh_rows, fault):
 
 
 @pytest.mark.parametrize("fault", SUITE_MATRIX, ids=lambda f: f.__name__.lstrip("_"))
-def test_limit_and_shift_faults_reach_the_checks(monkeypatch, fresh_rows, fault):
+def test_limit_and_shift_faults_reach_the_checks(monkeypatch, fresh_rows, fresh_trace, fault):
     fault(monkeypatch)
     failing = Counter(r.name for r in run_suite(default_configs()) if not r.passed)
     assert failing == SUITE_MATRIX[fault]

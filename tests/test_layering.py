@@ -1,4 +1,4 @@
-"""Import layering of the integer core: ``intcore`` sits below ``series``.
+"""Import layering: ``trace`` reads only the leaf modules, and ``intcore`` sits below ``series``.
 
 Every reader of a core name binds it from ``intcore``.  A name read through
 ``series`` is a second binding: patching one of them leaves the other, so a
@@ -48,6 +48,20 @@ def test_intcore_imports_only_padics_and_trace():
         elif isinstance(node, ast.ImportFrom):
             module = _package_module(node, PACKAGE / "intcore.py")
             assert module in (None, "padics", "trace"), (node.lineno, module)
+
+
+def test_trace_imports_only_padics_errors_and_report():
+    # trace holds the suite's trace-level checks, which checks binds: an import of checks,
+    # or of any module that imports trace, would make the two modules import each other
+    tree, seen = _tree(PACKAGE / "trace.py"), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("padic_ladders") for a in node.names), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            module = _package_module(node, PACKAGE / "trace.py")
+            assert module in (None, "padics", "errors", "report"), (node.lineno, module)
+            seen.add(module)
+    assert "padics" in seen  # the walk reached the package imports
 
 
 def test_no_core_name_is_read_through_series():

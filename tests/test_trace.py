@@ -9,6 +9,7 @@ from padic_ladders import trace
 from padic_ladders.errors import IdentityViolation, NotSupersingular
 from padic_ladders.ladders import kappa_identity_check
 from padic_ladders.padics import QuadExtScalar
+from padic_ladders.report import CheckReport
 from padic_ladders.trace import (
     MAT_ID,
     a_matrix,
@@ -23,6 +24,7 @@ from padic_ladders.trace import (
     trace_matrix,
     y_beta_identity_check,
 )
+from zalpha_reference import y_beta_identity_check_reference
 
 PAIRS_23 = [(2, 2), (2, -2), (3, 3), (3, -3), (2, 0), (3, 0)]
 ALL_PAIRS = PAIRS_23 + [(5, 0), (7, 0)]
@@ -204,6 +206,50 @@ def test_y_beta_identity_sweep():
         for i in range(-2, tt + 1):
             for k in (1, 2, 3):
                 assert y_beta_identity_check(p, ap, i, k).passed
+
+
+def _y_beta_outcomes(check, pairs):
+    """{(p, a_p, i, k): the report, or the IdentityViolation text} over i in
+    [-6, 2 two_tilde + 2] and k in 1..4."""
+    out = {}
+    for p, ap in pairs:
+        tt = period_constants(p, ap).two_tilde
+        for i in range(-6, 2 * tt + 3):
+            for k in range(1, 5):
+                try:
+                    out[p, ap, i, k] = check(p, ap, i, k)
+                except IdentityViolation as exc:
+                    out[p, ap, i, k] = str(exc)
+    return out
+
+
+def test_y_beta_identity_matches_the_quadext_reference(monkeypatch):
+    # the integer pairs against Fraction p-powers and QuadExtScalar powers, on every
+    # admissible pair; then with beta read one index late, where both fail with one text
+    got = _y_beta_outcomes(y_beta_identity_check, ALL_PAIRS)
+    assert got == _y_beta_outcomes(y_beta_identity_check_reference, ALL_PAIRS)
+    assert len(got) == 4 * sum(2 * period_constants(p, ap).two_tilde + 9 for p, ap in ALL_PAIRS)
+    assert all(r == CheckReport("y_beta_identity", {"p": p, "ap": ap, "i": i, "k": k})
+               for (p, ap, i, k), r in got.items())
+    real_beta = trace.beta
+    monkeypatch.setattr(trace, "beta", lambda p, ap, m: real_beta(p, ap, m + 1))
+    got = _y_beta_outcomes(y_beta_identity_check, ALL_PAIRS)
+    assert got == _y_beta_outcomes(y_beta_identity_check_reference, ALL_PAIRS)
+    for p, ap in ALL_PAIRS:
+        assert any(isinstance(got[p, ap, i, 1], str) for i in range(-6, 3)), (p, ap)
+
+
+def test_y_beta_identity_builds_no_quadext_on_a_pass(monkeypatch):
+    for p, ap in ALL_PAIRS:  # beta_m cached before the spy
+        for m in range(period_constants(p, ap).two_tilde):
+            beta(p, ap, m)
+    built, real_init, real_new = [], QuadExtScalar.__init__, QuadExtScalar._new
+    monkeypatch.setattr(QuadExtScalar, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    monkeypatch.setattr(QuadExtScalar, "_new",
+                        lambda self, *args: built.append(args) or real_new(self, *args))
+    assert all(r.passed for r in _y_beta_outcomes(y_beta_identity_check, ALL_PAIRS).values())
+    assert built == []
 
 
 def test_trace_matrices_hold_ints():

@@ -23,15 +23,16 @@ def witnesses(name, *pairs, **kw):
     return [r.witness for r in reports]
 
 
-def delta_fault(monkeypatch, bad_i):
-    """delta_coeffs with y raised by one at the index bad_i only."""
-    real = checks.delta_coeffs
+def delta_fault(monkeypatch, module, bad_i):
+    """delta_coeffs with y raised by one at the index bad_i only, in the binding of module
+    (``trace`` for the checks that live beside it, ``checks`` for the ones that import it)."""
+    real = module.delta_coeffs
 
     def delta_coeffs(p, ap, i):
         d = real(p, ap, i)
         return DeltaCoeffs(p, ap, i, d.y + 1, d.y_prime) if i == bad_i else d
 
-    monkeypatch.setattr(checks, "delta_coeffs", delta_coeffs)
+    monkeypatch.setattr(module, "delta_coeffs", delta_coeffs)
 
 
 def test_row_recursion_top_row_witness(monkeypatch):
@@ -93,26 +94,26 @@ def test_pollack_comparison_witnesses(monkeypatch):
 
 
 def test_integrality_antiperiodicity_witness(monkeypatch):
-    delta_fault(monkeypatch, 3)
+    delta_fault(monkeypatch, trace, 3)
     got = witnesses("integrality_antiperiodicity", (2, 2), (3, 0), (3, 3))
     assert got == ["anti-periodicity broken at i=-1", "anti-periodicity broken at i=1",
                    "anti-periodicity broken at i=-3"]
 
 
 def test_parity_recursion_witnesses(monkeypatch):
-    delta_fault(monkeypatch, 3)
+    delta_fault(monkeypatch, trace, 3)
     got = witnesses("parity_recursion", (2, -2), (3, -3))
     assert got == ["parity recursion broken at i=2", "parity recursion broken at i=2"]
     monkeypatch.undo()
-    real_pow = checks.mat_pow
-    monkeypatch.setattr(checks, "mat_pow", lambda A, k: real_pow(A, k + (k == 4)))
+    real_pow = trace.mat_pow
+    monkeypatch.setattr(trace, "mat_pow", lambda A, k: real_pow(A, k + (k == 4)))
     got = witnesses("parity_recursion", (2, -2), (3, -3), (5, 0))
     assert got == ["C^i top row mismatch at i=4"] * 3
 
 
 def test_beta_periodicity_witness(monkeypatch):
-    real_beta = checks.beta
-    monkeypatch.setattr(checks, "beta", lambda p, ap, m: real_beta(p, ap, m) + (m == 2))
+    real_beta = trace.beta
+    monkeypatch.setattr(trace, "beta", lambda p, ap, m: real_beta(p, ap, m) + (m == 2))
     got = witnesses("beta_periodicity", (2, 2), (3, 0), (3, 3))
     assert got == ["beta not two_tilde-periodic at m=-2", "beta not two_tilde-periodic at m=0",
                    "beta not two_tilde-periodic at m=-4"]
@@ -127,7 +128,7 @@ def test_finite_determinant_witness(monkeypatch):
 
 
 def test_coefficient_factorization_witness(monkeypatch):
-    delta_fault(monkeypatch, 1)
+    delta_fault(monkeypatch, checks, 1)
     got = witnesses("coefficient_factorization", (2, 2), (3, 0))
     assert got == ["row factorization failed at n=1, j=1, col=0"] * 2
 
@@ -158,9 +159,9 @@ def test_decompose_round_trip_witness(monkeypatch):
 
 
 def test_delta_table_mismatch_witness(monkeypatch):
-    column = list(checks.PRINTED_TABLE[3])
+    column = list(trace.PRINTED_TABLE[3])
     column[4] = "c_n"
-    monkeypatch.setitem(checks.PRINTED_TABLE, 3, column)
+    monkeypatch.setitem(trace.PRINTED_TABLE, 3, column)
     got = witnesses("delta_table", (3, -3), (3, 3))
     assert got == [None, "row i=2: got '2c_n - c_{n-1}', expected 'c_n'"]
 

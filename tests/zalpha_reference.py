@@ -9,14 +9,17 @@ coefficient, written out on the ``PadicScalar`` parts.
 ``factorization_check_reference`` and ``kappa_identity_check_reference`` are
 the series-level forms of ``checks.factorization_check`` and
 ``ladders.kappa_identity_check``; ``intrinsic_variant`` is the series form
-of the variants ``half_logs`` checks.  Program functions are read through
-their modules, so a test's monkeypatched fault reaches the references too.
+of the variants ``half_logs`` checks.  ``y_beta_identity_check_reference``
+is ``trace.y_beta_identity_check`` on ``Fraction`` p-powers and
+``QuadExtScalar`` powers, where the package compares integer pairs.
+Program functions are read through their modules, so a test's monkeypatched
+fault reaches the references too.
 """
 
 from fractions import Fraction
 from itertools import count
 
-from padic_ladders import ladders
+from padic_ladders import ladders, trace
 from padic_ladders.errors import IdentityViolation, PadicLaddersError
 from padic_ladders.ladders import QuadExtSeries, n_shift
 from padic_ladders.padics import PadicScalar, QuadExtScalar
@@ -140,3 +143,20 @@ def kappa_identity_check_reference(p, ap, n, i):
             raise IdentityViolation(
                 f"kappa identity failed for {label} at (p, a_p, n, i) = ({p}, {ap}, {n}, {i})")
     return CheckReport(name="kappa_identity", config={"p": p, "ap": ap, "n": n, "i": i})
+
+
+def y_beta_identity_check_reference(p, ap, i, k):
+    """``trace.y_beta_identity_check`` on QuadExtScalars: the p-power exponents go negative
+    (i < 0, i < k), so they are Fraction powers, and alpha^i is ``pow_int``."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    abar = QuadExtScalar.alpha_bar(p, ap)  # p / alpha
+    lhs = (trace.delta_coeffs(p, ap, i).y * Fraction(p) ** (i // 2)
+           - abar.pow_int(k) * (trace.delta_coeffs(p, ap, i - k).y * Fraction(p) ** ((i - k) // 2)))
+    rhs = trace.beta(p, ap, k - 1) * QuadExtScalar.alpha(p, ap).pow_int(i)
+    if lhs != rhs:
+        raise IdentityViolation(
+            f"y-beta identity failed at (p, a_p, i, k) = ({p}, {ap}, {i}, {k}): "
+            f"{lhs!r} != {rhs!r}"
+        )
+    return CheckReport(name="y_beta_identity", config={"p": p, "ap": ap, "i": i, "k": k})
