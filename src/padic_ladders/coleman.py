@@ -223,10 +223,11 @@ KERNEL_COSET_NOTE = (
 def limit_lemma_check(p: int, ap: int, m: int, nu: int) -> CheckReport:
     """Kernel generators at level 2m+nu, reduced mod omega_nu, are divisible by p^m.
 
-    Reduction mod omega_nu is a ring map, and Phi_k(1+X) = p in Z[X]/omega_nu
-    for k > nu, since (1+X)^(p^nu) = 1 there: the level-nu rows times 2m
-    constant steps [[a_p, -p], [1, 0]] give the generators, with degrees
-    below p^nu instead of p^(2m+nu).
+    Reduction mod omega_nu is a ring map, and Phi_k(1+X) = p in Z[X]/omega_nu for k > nu,
+    since (1+X)^(p^nu) = 1 there: the level-nu rows times 2m constant steps [[a_p, -p],
+    [1, 0]] give the generators, with degrees below p^nu instead of p^(2m+nu).  As p | a_p,
+    the step squared is 0 mod p, so 2m steps are 0 mod p^m whatever the level-nu rows: this
+    checks the step and the reduction, and no fault in a ladder row reaches it.
     """
     period_constants(p, ap)
     if m < 1 or nu < 0:

@@ -27,7 +27,7 @@ from itertools import repeat, zip_longest
 from typing import List, Optional, Tuple
 
 from .padics import rational_valuation, require_prime
-from .trace import ap_parity_value
+from .trace import ap_parity_value, period_constants
 
 Poly = List[int]
 IntRows = List[List[Poly]]  # [[theta_top, upsilon_top], [theta_bot, upsilon_bot]]
@@ -254,17 +254,15 @@ def rows_det(rows: IntRows, cap: Optional[int] = None) -> Poly:
 
 
 def shift_matrix(p: int, ap: int, i: int, parity_flip: bool = False) -> Tuple[int, ...]:
-    """[[s, t], [u, v]] taking index-1 rows to index i: the |i-1| steps
-    [[a_p(idx), -1], [1, 0]] or their inverses.  parity_flip reads a_p(idx+1)
-    for a_p(idx), a deliberate fault for tests."""
-    off = 1 if parity_flip else 0
-    s, t, u, v = 1, 0, 0, 1
-    for idx in range(1, i):
-        a = ap_parity_value(p, ap, idx + off)
+    """[[s, t], [u, v]] taking index-1 rows to index i: the steps [[a_p(idx), -1], [1, 0]],
+    idx = 1 .. i-1 (inverses below 1).  Any two_tilde consecutive steps multiply to -I (the
+    C^two_tilde = -p^one_tilde I of delta_coeffs' sign flip), so for i - 1 = q two_tilde + r
+    it is (-1)^q times the first r steps.  parity_flip reads a_p(idx+1): a fault for tests."""
+    off, (q, r) = int(parity_flip), divmod(i - 1, period_constants(p, ap).two_tilde)
+    s, t, u, v = (sign := -1 if q % 2 else 1), 0, 0, sign
+    for idx in range(1 + off, r + 1 + off):
+        a = ap_parity_value(p, ap, idx)
         s, t, u, v = a * s - u, a * t - v, s, t
-    for idx in range(1, i, -1):
-        a = ap_parity_value(p, ap, idx - 1 + off)
-        s, t, u, v = u, v, a * u - s, a * v - t
     return s, t, u, v
 
 

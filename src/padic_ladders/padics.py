@@ -258,11 +258,12 @@ class PadicScalar:
 
     @_operand
     def congruent(self, other, k: int) -> bool:
-        """True when self - other has valuation >= k at the tracked precision."""
-        d = self.value - other.value
-        if d == 0:
-            return True
-        return rational_valuation(d, self.p) >= k
+        """True when self - other has valuation >= k, for every lift of both; PrecisionExhausted
+        when k exceeds their least absprec (flat absolute precision, arXiv:1402.0291)."""
+        p, least, d = self.p, self._min_absprec(other), self.value - other.value
+        if least is not None and k > least:
+            raise PrecisionExhausted(f"congruence mod {p}^{k} of a scalar known mod {p}^{least}")
+        return d == 0 or rational_valuation(d, p) >= k
 
     # -- wire format ---------------------------------------------------------
 

@@ -3,7 +3,8 @@
 ``checks.check_infinity_determinant`` runs on the limit's integer numerators.
 ``check_infinity_determinant_reference`` is the same check the plain way:
 the index-1 limit matrix of ``ladder_infinity``, its determinant, the product
-by X and p^shift, and ``PowerSeries.congruent`` against log_p(1+X).
+by X and p^shift, and ``PowerSeries.congruent`` against log_p(1+X), which
+raises PrecisionExhausted rather than compare digits past the det's precision.
 ``padic_det`` is that determinant for any limit-shaped rows.  The determinant
 is ``series_det``, written out here coefficient by coefficient on the
 entries' ``PadicScalar``s, not ``LadderMatrix.det``, so a numerator form of

@@ -12,6 +12,7 @@ from padic_ladders.checks import (
     factorization_check,
     run_suite,
 )
+from padic_ladders.errors import PrecisionExhausted
 from padic_ladders.ladders import kappa_identity_check
 from padic_ladders.padics import PadicScalar
 from padic_ladders.report import CheckReport
@@ -52,10 +53,10 @@ def test_pollack_check_only_for_ap_zero():
 
 
 def test_pollack_comparison_raises_below_the_requested_precision(monkeypatch):
-    # congruent compares representatives, so past its operands' precision its verdict
-    # rests on digits nobody knows: parity products requested three digits short are
-    # known mod 3^4, and mod 3^5 their representatives differ from p * log_theta (a
-    # false FAIL; other digits could give a hollow PASS).  The check raises instead
+    # parity products requested three digits short are known mod 3^4.  Mod 3^5 their
+    # representatives differ from p * log_theta, but those digits are unknown, so a verdict
+    # there would be a false FAIL (other digits could give a hollow PASS): congruent
+    # raises instead, and the check, which has no guard of its own, reports the raise
     real = checks.pollack_product
     monkeypatch.setattr(checks, "pollack_product",
                         lambda p, parity, cap, prec: real(p, parity, cap, prec - 3))
@@ -63,11 +64,13 @@ def test_pollack_comparison_raises_below_the_requested_precision(monkeypatch):
     hl = ladders.half_logs(3, 0, cfg.cap, cfg.prec)
     short = checks.pollack_product(3, "even", cfg.cap, cfg.prec + 2)
     assert {c.absprec for c in short.coeffs} == {cfg.prec - 1}
-    assert not hl.log_theta.a.scale(3).congruent(-short, cfg.prec)
+    with pytest.raises(PrecisionExhausted,
+                       match=r"^congruence mod 3\^5 of a scalar known mod 3\^4$"):
+        hl.log_theta.a.scale(3).congruent(-short, cfg.prec)
     assert hl.log_theta.a.scale(3).congruent(-short, cfg.prec - 1)
     [report] = run_suite([cfg])
     assert (report.status, report.witness) == (
-        "fail", "PrecisionExhausted: a compared series is known mod 3^4, below 3^5")
+        "fail", "PrecisionExhausted: congruence mod 3^5 of a scalar known mod 3^4")
 
 
 def test_inadmissible_pair_fails_every_check():

@@ -3,13 +3,14 @@
 ``tests/test_witnesses.py`` injects each fault at a check's own input, which shows that
 a failure branch can report.  Here a fault goes into the code under the checks (the
 exact row cache, the packed operator cache, the Coleman kernel, the limits' stopping
-level, the row shift, and in ``trace`` the cached delta pairs, the cached beta_m and
-a_p(i)) and each row pins which checks then fail, so a PASS says which faults it rules
-out.  A row patches the binding its caller reads (``coleman.ladder_rows`` under the row
-cache, ``coleman._operator`` for the packed columns, ``checks._peel`` for the round trip,
-``ladders._stop_level``, ``intcore.shift_matrix`` under ``shift_rows``,
-``trace.period_constants`` under ``delta_coeffs``, ``trace._beta`` under ``beta``, and
-both ``trace.ap_parity_value`` and the ``intcore`` binding of it), and the row caches and
+level, the row shift, the ladder step, and in ``trace`` the cached delta pairs, the cached
+beta_m and a_p(i)) and each row pins which checks then fail, so a PASS says which faults
+it rules out.  A row patches the binding its caller reads (``coleman.ladder_rows`` under
+the row cache, ``coleman._operator`` for the packed columns, ``checks._peel`` for the
+round trip, ``ladders._stop_level``, ``intcore.shift_matrix`` under ``shift_rows``,
+``append_factor`` in ``intcore``, ``ladders`` and ``checks``, ``trace.period_constants``
+under ``delta_coeffs``, ``trace._beta`` under ``beta``, and both
+``trace.ap_parity_value`` and the ``intcore`` binding of it), and the row caches and
 the trace caches are empty around every row (``fresh_rows``, ``fresh_trace``): a cached
 clean entry would hide a fault, and a faulted entry left behind would reach a later test.
 """
@@ -20,7 +21,7 @@ from functools import lru_cache
 
 import pytest
 
-from padic_ladders import checks, coleman, intcore, trace
+from padic_ladders import checks, coleman, intcore, ladders, trace
 from padic_ladders.checks import CheckConfig, default_configs, run_suite
 from test_ladders import _one_level_short
 
@@ -95,6 +96,22 @@ def beta_one_residue_late(monkeypatch):
         p, ap, (m0 + 1) % trace.period_constants(p, ap).two_tilde))
 
 
+def upsilon_top_plus_one(monkeypatch):
+    """+1 in the X^0 coefficient of upsilon's top row at level 1, in every binding of
+    append_factor: intcore's (ladder_rows, so the row cache), ladders' (the limit loop)
+    and checks' (the factorization chain, which starts past level 1)."""
+    real = intcore.append_factor
+
+    def append_factor(p, ap, rows, k, cap=None, mod=None):
+        out = real(p, ap, rows, k, cap, mod)
+        if k == 1:
+            out[0][1] = intcore._lincomb(1, out[0][1], 1, [1], mod)
+        return out
+
+    for module in (intcore, ladders, checks):
+        monkeypatch.setattr(module, "append_factor", append_factor)
+
+
 def parity_one_index_late(monkeypatch):
     """a_p(i + 1) for a_p(i) in both bindings: trace's (A_l, the parity recursion) and
     intcore's (every row shift)."""
@@ -138,6 +155,12 @@ SUITE_MATRIX = {
          "y_beta_identity"), 5), "intrinsicness": 1, "pollack_comparison": 1},
     beta_one_residue_late: {**dict.fromkeys(("intrinsicness", "kappa_identity",
                                              "y_beta_identity"), 5), "pollack_comparison": 1},
+    # factorization_synthetic and infinity_row_recursion compare two sides of one faulted
+    # chain, and limit_lemma holds for any level-nu rows (its 2m constant steps are 0 mod
+    # p^m), so all three pass; limit_lemma passes too with +p, and at level 2 or 3
+    upsilon_top_plus_one: {**dict.fromkeys(
+        ("decompose_round_trip", "finite_determinant", "infinity_determinant",
+         "kernel_membership"), 5), "pollack_comparison": 1},
 }
 
 

@@ -148,6 +148,9 @@ def test_precision_guard_trips_on_a_unit_numerator(monkeypatch):
         assert outcome(check_infinity_determinant, cfg) == (
             f"PrecisionExhausted: limit det known mod {cfg.p}^{least}, "
             f"below {cfg.p}^{cfg.prec - shift}"), cfg
+        # the reference's congruent refuses the same digits, where it once built a witness
+        assert outcome(check_infinity_determinant_reference, cfg).startswith(
+            "PrecisionExhausted: "), cfg
 
 
 @st.composite

@@ -11,7 +11,7 @@ import pytest
 
 from padic_ladders import ladders
 from padic_ladders.errors import (IdentityViolation, MixedExtension, NotConverged,
-                                  PadicLaddersError, SerializationError)
+                                  PadicLaddersError, PrecisionExhausted, SerializationError)
 from padic_ladders.intcore import _lincomb, ladder_rows, phi_coeffs, poly_mul, shift_rows
 from padic_ladders.ladders import (
     ENV_MAX_LIMIT_STEPS,
@@ -794,6 +794,19 @@ def test_half_log_json_round_trip():
     assert again.log_theta.congruent(hl.log_theta, 4)
     assert again.log_upsilon.congruent(hl.log_upsilon, 4)
     assert (again.p, again.ap, again.cap, again.prec) == (3, 3, 10, 4)
+
+
+def test_half_log_congruence_stops_at_the_parts_precision():
+    # every part of a half-log at prec is known mod p^(prec + 2), so QuadExtSeries.congruent
+    # answers up to there (against the half-logs at prec + 1) and raises one digit past it
+    for p, ap in ((3, 3), (2, -2), (5, 0)):
+        hl, finer = half_logs(p, ap, 12, 4), half_logs(p, ap, 12, 5)
+        for log, fine in ((hl.log_theta, finer.log_theta), (hl.log_upsilon, finer.log_upsilon)):
+            assert {c.absprec for s in (log.a, log.b) for c in s.coeffs} == {6}
+            assert log.congruent(fine, 6)
+            with pytest.raises(PrecisionExhausted, match=f"^congruence mod {p}\\^7 of a scalar "
+                                                         f"known mod {p}\\^6$"):
+                log.congruent(fine, 7)
 
 
 def test_half_log_json_round_trip_is_byte_exact():

@@ -1,4 +1,5 @@
-"""Import layering: ``trace`` reads only the leaf modules, and ``intcore`` sits below ``series``.
+"""Import layering: ``trace`` reads only the leaf modules, ``intcore`` sits below ``series``,
+and only ``padics`` and ``series`` read a precision.
 
 Every reader of a core name binds it from ``intcore``.  A name read through
 ``series`` is a second binding: patching one of them leaves the other, so a
@@ -105,3 +106,16 @@ def test_checks_reach_the_coleman_layer_only_through_its_kernel():
         elif isinstance(node, ast.Attribute) and node.attr in public:  # coleman.phi_apply
             found.append((node.lineno, node.attr))
     assert not found
+
+
+def test_only_padics_and_series_read_absprec():
+    # the precision rule lives in PadicScalar (congruent raises past the operands' least
+    # absprec) and the numerator form of PowerSeries: a module above them that read
+    # .absprec would be keeping a precision policy of its own
+    found = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             if path.name not in ("padics.py", "series.py")
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Attribute) and node.attr == "absprec"]
+    assert not found
+    assert any(isinstance(node, ast.Attribute) and node.attr == "absprec"
+               for node in ast.walk(_tree(PACKAGE / "padics.py")))  # the walk sees a read

@@ -193,6 +193,26 @@ def test_scalar_arithmetic_is_sound(data):
         op, x, y, rx, ry, z)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_congruent_answers_only_within_the_pair_precision(data):
+    """congruent raises PrecisionExhausted exactly when k exceeds the least absprec of the
+    pair (exact counts as infinite); otherwise its answer holds for any lifts of both."""
+    p = data.draw(st.sampled_from((2, 3, 5)))
+    zeros = (st.none() | st.integers(-2, 6)).map(lambda a: PadicScalar.zero(p, a))
+    scalar = _scalar(p) | zeros  # exact or inexact, an exact zero or a zero at precision
+    x, y = data.draw(scalar), data.draw(scalar)
+    k = data.draw(st.integers(-2, 10))
+    least = min((c.absprec for c in (x, y) if c.absprec is not None), default=math.inf)
+    if k > least:
+        with pytest.raises(PrecisionExhausted, match=f"^congruence mod {p}\\^{k} of a scalar "
+                                                     f"known mod {p}\\^{least}$"):
+            x.congruent(y, k)
+        return
+    d = data.draw(_representative(x)) - data.draw(_representative(y))
+    assert x.congruent(y, k) == (d == 0 or rational_valuation(d, p) >= k), (x, y, k, d)
+
+
 # -- quadratic extension -------------------------------------------------------
 
 
